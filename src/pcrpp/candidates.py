@@ -11,10 +11,13 @@ from .core import (
     Instance,
     Multigraph,
     Walk,
+    bfs,
     ekey,
     euler_tour,
+    neighbours,
     objective,
     odd_vertices,
+    pair_lookup,
     reconstruct_path,
     shortest_paths,
 )
@@ -47,26 +50,15 @@ def edge_profit_core(
             targets.update(key)
     if not targets:
         return CoreTree(frozenset())
-    parent: dict[int, tuple[int, tuple[int, int]] | None] = {root: None}
-    stack = [root]
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for key in tree.edges:
-        u, v = key
-        adj.setdefault(u, []).append((v, key))
-        adj.setdefault(v, []).append((u, key))
-    while stack:
-        w = stack.pop()
-        for nxt, key in adj.get(w, ()):
-            if nxt not in parent:
-                parent[nxt] = (w, key)
-                stack.append(nxt)
+    parent = bfs(neighbours(tree.edges), root)
     edges: set = set()
     for t in targets:
         if t not in parent:
             raise ValueError(f"qualifying endpoint {t} is not connected to the root")
         w = t
         while parent[w] is not None:
-            prev, key = parent[w]  # type: ignore[misc]
+            prev = parent[w]
+            key = ekey(prev, w)
             if key in edges:
                 break
             edges.add(key)
@@ -87,7 +79,7 @@ def min_perfect_matching(points, dist) -> list[tuple[int, int]]:
     graph.add_nodes_from(points)
     for i, a in enumerate(points):
         for b in points[i + 1:]:
-            graph.add_edge(a, b, weight=dist[(a, b)] if (a, b) in dist else dist[(b, a)])
+            graph.add_edge(a, b, weight=pair_lookup(dist, a, b))
     matching = nx.min_weight_matching(graph)
     return sorted(ekey(a, b) for a, b in matching)
 
@@ -102,10 +94,6 @@ def matching_by_dp(points, dist) -> tuple[float, list[tuple[int, int]]]:
         raise ValueError("oracle limited to 16 points")
     full = (1 << k) - 1
     best: dict[int, tuple[float, list]] = {0: (0.0, [])}
-
-    def lookup(a, b):
-        return dist[(a, b)] if (a, b) in dist else dist[(b, a)]
-
     for mask in range(1, full + 1):
         if bin(mask).count("1") % 2 != 0:
             continue
@@ -116,10 +104,32 @@ def matching_by_dp(points, dist) -> tuple[float, list[tuple[int, int]]]:
                 rest = mask & ~(1 << i) & ~(1 << j)
                 if rest in best:
                     cost, pairs = best[rest]
-                    entries.append((cost + lookup(points[i], points[j]), pairs + [ekey(points[i], points[j])]))
+                    entries.append((cost + pair_lookup(dist, points[i], points[j]), pairs + [ekey(points[i], points[j])]))
         if entries:
             best[mask] = min(entries, key=lambda t: (t[0], t[1]))
     return best[full]
+
+
+def _pairing_paths(inst: Instance, targets, sp_cache) -> Counter:
+    """Edge counts of the shortest paths of an exact minimum-length target pairing."""
+    adj = inst.adjacency()
+    cache = sp_cache if sp_cache is not None else {}
+    for t in targets:
+        if t not in cache:
+            cache[t] = shortest_paths(adj, t)
+    dist = {}
+    for i, a in enumerate(targets):
+        for b in targets[i + 1:]:
+            d = cache[a][0][b]
+            if d == float("inf"):
+                raise ValueError(f"targets {a} and {b} lie in different components")
+            dist[(a, b)] = d
+    counts: Counter = Counter()
+    for a, b in min_perfect_matching(targets, dist):
+        path = reconstruct_path(cache[a][1], a, b)
+        for u, v in zip(path, path[1:]):
+            counts[ekey(u, v)] += 1
+    return counts
 
 
 def min_tjoin(inst: Instance, targets, sp_cache=None) -> Multigraph:
@@ -134,70 +144,13 @@ def min_tjoin(inst: Instance, targets, sp_cache=None) -> Multigraph:
         raise ValueError("odd target set admits no parity correction")
     if not targets:
         return Multigraph()
-    adj = inst.adjacency()
-    cache = sp_cache if sp_cache is not None else {}
-    for t in targets:
-        if t not in cache:
-            cache[t] = shortest_paths(adj, t)
-    dist = {}
-    for i, a in enumerate(targets):
-        for b in targets[i + 1:]:
-            d = cache[a][0][b]
-            if d == float("inf"):
-                raise ValueError(f"targets {a} and {b} lie in different components")
-            dist[(a, b)] = d
-    pairs = min_perfect_matching(targets, dist)
-    counts: Counter = Counter()
-    for a, b in pairs:
-        path = reconstruct_path(cache[a][1], a, b)
-        for u, v in zip(path, path[1:]):
-            counts[ekey(u, v)] += 1
-    reduced = Counter({k: m % 2 for k, m in counts.items()})
-    return Multigraph(reduced)
-
-
-def min_tjoin_full(inst: Instance, targets, sp_cache=None) -> Multigraph:
-    """Same pairing as min_tjoin but with the raw path multiset, no cancelling."""
-    targets = sorted(set(targets))
-    if not targets:
-        return Multigraph()
-    adj = inst.adjacency()
-    cache = sp_cache if sp_cache is not None else {}
-    for t in targets:
-        if t not in cache:
-            cache[t] = shortest_paths(adj, t)
-    dist = {}
-    for i, a in enumerate(targets):
-        for b in targets[i + 1:]:
-            dist[(a, b)] = cache[a][0][b]
-    pairs = min_perfect_matching(targets, dist)
-    counts: Counter = Counter()
-    for a, b in pairs:
-        path = reconstruct_path(cache[a][1], a, b)
-        for u, v in zip(path, path[1:]):
-            counts[ekey(u, v)] += 1
-    return Multigraph(counts)
+    counts = _pairing_paths(inst, targets, sp_cache)
+    return Multigraph(Counter({k: m % 2 for k, m in counts.items()}))
 
 
 def _connected_with_root(m: Multigraph, root: int) -> bool:
     support = m.vertices
-    if not support:
-        return True
-    if root not in support:
-        return False
-    adj: dict[int, list[int]] = {}
-    for u, v in m.edge_counts:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = {root}
-    stack = [root]
-    while stack:
-        w = stack.pop()
-        for nxt in adj.get(w, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen >= support
+    return not support or support <= bfs(neighbours(m.edge_counts), root).keys()
 
 
 def build_candidate(
@@ -225,7 +178,8 @@ def build_candidate(
     if odd_vertices(combined):
         raise AssertionError("parity correction left an odd vertex")
     if not _connected_with_root(combined, inst.root):
-        join = min_tjoin_full(inst, odd_vertices(restored), sp_cache=sp_cache)
-        combined = restored.combine(join)
+        # the cancelled copies cut the walk apart: keep every path copy
+        paths = _pairing_paths(inst, sorted(odd_vertices(restored)), sp_cache)
+        combined = restored.combine(Multigraph(paths))
     walk = euler_tour(combined, inst.root)
     return Candidate(walk, objective(inst, walk), provenance)

@@ -18,7 +18,7 @@ INF = math.inf
 
 
 class ParseError(ValueError):
-    """An instance file violates the format or the model invariants."""
+    """An instance or its file violates the format or the model invariants."""
 
 
 def ekey(u: int, v: int) -> tuple[int, int]:
@@ -44,6 +44,12 @@ class Instance:
     opt_max: float | None = None
     name: str = ""
 
+    def __post_init__(self):
+        bad = model_violation(self.vertex_count, self.root, self.edges)
+        if bad is not None:
+            i, message = bad
+            raise ParseError(f"{message}: {self.edges[i] if i >= 0 else self.root}")
+
     @property
     def total_profit(self) -> float:
         return sum(e.profit for e in self.edges)
@@ -59,13 +65,82 @@ class Instance:
         return {ekey(e.u, e.v): i for i, e in enumerate(self.edges)}
 
     def adjacency(self) -> dict[int, list[tuple[int, float]]]:
-        adj: dict[int, list[tuple[int, float]]] = {v: [] for v in range(self.vertex_count)}
-        for e in self.edges:
-            adj[e.u].append((e.v, e.length))
-            adj[e.v].append((e.u, e.length))
-        for lst in adj.values():
-            lst.sort()
-        return adj
+        return weighted_adjacency(self.vertex_count, self.edges)
+
+
+def model_violation(vertex_count: int, root: int, edges) -> tuple[int, str] | None:
+    """First model invariant the data breaks, as (edge index, message).
+
+    The index is -1 when the root is out of range.  Endpoints must be in
+    range and distinct, each vertex pair may carry one edge, and lengths and
+    profits must be finite and nonnegative.
+    """
+    if not 0 <= root < vertex_count:
+        return -1, "root out of range"
+    seen: set[tuple[int, int]] = set()
+    for i, e in enumerate(edges):
+        if not (0 <= e.u < vertex_count and 0 <= e.v < vertex_count):
+            return i, "edge endpoint out of range"
+        if e.u == e.v:
+            return i, "loop edge"
+        for what, val in (("length", e.length), ("profit", e.profit)):
+            if not math.isfinite(val):
+                return i, f"non-finite {what}"
+            if val < 0:
+                return i, f"negative {what}"
+        key = ekey(e.u, e.v)
+        if key in seen:
+            return i, "duplicate edge"
+        seen.add(key)
+    return None
+
+
+def weighted_adjacency(vertex_count: int, edges) -> dict[int, list[tuple[int, float]]]:
+    """Sorted (neighbour, length) lists of an undirected edge list."""
+    adj: dict[int, list[tuple[int, float]]] = {v: [] for v in range(vertex_count)}
+    for e in edges:
+        adj[e.u].append((e.v, e.length))
+        adj[e.v].append((e.u, e.length))
+    for lst in adj.values():
+        lst.sort()
+    return adj
+
+
+def neighbours(pairs) -> dict[int, list[int]]:
+    """Neighbour lists of an undirected edge collection given as vertex pairs."""
+    adj: dict[int, list[int]] = {}
+    for u, v in pairs:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
+
+
+def bfs(adj, start: int, arc_ok=None) -> dict[int, int | None]:
+    """Breadth-first predecessor map from the start; its keys are the reached set.
+
+    ``adj[v]`` iterates the neighbours of v, and a vertex missing from ``adj``
+    has none.  With ``arc_ok`` given, the arc v -> u is followed only when
+    ``arc_ok(v, u)`` holds.
+    """
+    pred: dict[int, int | None] = {start: None}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for u in adj.get(v, ()):
+            if u not in pred and (arc_ok is None or arc_ok(v, u)):
+                pred[u] = v
+                queue.append(u)
+    return pred
+
+
+def pair_lookup(table, a: int, b: int) -> float:
+    """Value of the unordered pair {a, b} in a table keyed by either orientation.
+
+    A vertex is at distance zero from itself.
+    """
+    if a == b:
+        return 0.0
+    return table[(a, b)] if (a, b) in table else table[(b, a)]
 
 
 @dataclass(frozen=True)
@@ -183,15 +258,7 @@ def euler_tour(m: Multigraph, root: int) -> Walk:
     for (u, v), mult in m.edge_counts.items():
         adj[u][v] += mult
         adj[v][u] += mult
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    if seen != set(support):
+    if bfs(adj, root).keys() != support:
         raise ValueError("multigraph support is not connected")
 
     stack = [root]
@@ -251,10 +318,6 @@ def reconstruct_path(pred: dict[int, int | None], source: int, target: int) -> l
     return path
 
 
-def _tokens(line: str) -> list[str]:
-    return line.split()
-
-
 def parse_instance(text, name: str = "") -> Instance:
     """Parse the whitespace-separated instance format.
 
@@ -267,7 +330,7 @@ def parse_instance(text, name: str = "") -> Instance:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError("empty instance file")
-    header = _tokens(lines[0])
+    header = lines[0].split()
     if len(header) != 3:
         raise ParseError(f"malformed header: {lines[0]!r}")
     try:
@@ -276,14 +339,12 @@ def parse_instance(text, name: str = "") -> Instance:
         raise ParseError(f"malformed header: {lines[0]!r}") from exc
     if n <= 0 or m < 0:
         raise ParseError("malformed header: nonpositive sizes")
-    if not 1 <= root1 <= n:
-        raise ParseError(f"root out of range: {root1}")
 
     opt_max: float | None = None
     edges: list[Edge] = []
-    seen_pairs: set[tuple[int, int]] = set()
+    edge_lines: list[str] = []
     for ln in lines[1:]:
-        toks = _tokens(ln)
+        toks = ln.split()
         if toks[0].upper() == "OPTMAX":
             if len(toks) != 2:
                 raise ParseError(f"malformed OPTMAX line: {ln!r}")
@@ -296,37 +357,19 @@ def parse_instance(text, name: str = "") -> Instance:
             w, p = float(toks[2]), float(toks[3])
         except ValueError as exc:
             raise ParseError(f"malformed edge line: {ln!r}") from exc
-        if not (1 <= u1 <= n and 1 <= v1 <= n):
-            raise ParseError(f"edge endpoint out of range: {ln!r}")
-        if u1 == v1:
-            raise ParseError(f"loop edge: {ln!r}")
-        if w < 0:
-            raise ParseError(f"negative length: {ln!r}")
-        if p < 0:
-            raise ParseError(f"negative profit: {ln!r}")
-        key = ekey(u1 - 1, v1 - 1)
-        if key in seen_pairs:
-            raise ParseError(f"duplicate edge: {ln!r}")
-        seen_pairs.add(key)
-        edges.append(Edge(key[0], key[1], w, p))
+        edges.append(Edge(*ekey(u1 - 1, v1 - 1), w, p))
+        edge_lines.append(ln)
+    bad = model_violation(n, root1 - 1, edges)
+    if bad is not None:
+        i, message = bad
+        raise ParseError(f"{message}: {edge_lines[i] if i >= 0 else lines[0]!r}")
     if len(edges) != m:
         raise ParseError(f"expected {m} edge lines, found {len(edges)}")
 
     # Restrict to the root component; profits of removed edges are reported
     # separately so objective constants stay explicit.
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for e in edges:
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
     root = root1 - 1
-    reach = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in reach:
-                reach.add(u)
-                queue.append(u)
+    reach = bfs(neighbours((e.u, e.v) for e in edges), root)
     keep = sorted(reach)
     remap = {old: new for new, old in enumerate(keep)}
     kept: list[Edge] = []

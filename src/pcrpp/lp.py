@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import ekey
+from .core import bfs, ekey
 from .preprocess import PreprocessedGraph
 
 FEAS_TOL = 1e-7
@@ -118,14 +118,7 @@ def max_flow_min_cut(
         if push <= 0.0:
             break
         value += push
-    side = {s}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for u, cap in res.get(v, {}).items():
-            if cap > 1e-12 and u not in side:
-                side.add(u)
-                queue.append(u)
+    side = bfs(res, s, lambda a, b: res[a][b] > 1e-12)
     return value, frozenset(side)
 
 

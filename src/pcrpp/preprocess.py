@@ -18,6 +18,7 @@ from .core import (
     ekey,
     reconstruct_path,
     shortest_paths,
+    weighted_adjacency,
 )
 
 
@@ -34,15 +35,6 @@ class CopiedGraph:
     edges: tuple[Edge, ...]
     copy_map: dict[int, int]
     origin: tuple[int | None, ...]
-
-    def adjacency(self) -> dict[int, list[tuple[int, float]]]:
-        adj: dict[int, list[tuple[int, float]]] = {v: [] for v in range(self.vertex_count)}
-        for e in self.edges:
-            adj[e.u].append((e.v, e.length))
-            adj[e.v].append((e.u, e.length))
-        for lst in adj.values():
-            lst.sort()
-        return adj
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +120,7 @@ def copy_vertices(inst: Instance) -> CopiedGraph:
 def complete(copied: CopiedGraph) -> PreprocessedGraph:
     """Complete the copied graph with zero-profit shortest-path edges."""
     n = copied.vertex_count
-    adj = copied.adjacency()
+    adj = weighted_adjacency(n, copied.edges)
     lengths: dict[tuple[int, int], float] = {}
     profits: dict[tuple[int, int], float] = {}
     pos: set[tuple[int, int]] = set()

@@ -10,14 +10,17 @@ import numpy as np
 
 from .candidates import Candidate, build_candidate, edge_profit_core
 from .core import (
+    Edge,
     Instance,
     Multigraph,
     Walk,
     ekey,
     euler_tour,
     objective,
+    pair_lookup,
     reconstruct_path,
     shortest_paths,
+    weighted_adjacency,
 )
 from .lp import solve_pcrpp_lp
 from .preprocess import preprocess
@@ -233,16 +236,11 @@ def pctsp_solve_exact(nodes, dist, penalties, root, cap: int = 12) -> list:
     if k == 0:
         return []
 
-    def d(a, b):
-        if a == b:
-            return 0.0
-        return dist[(a, b)] if (a, b) in dist else dist[(b, a)]
-
     total_penalty = sum(penalties[s] for s in nodes)
     dp = {}
     parent = {}
     for i, s in enumerate(nodes):
-        dp[(1 << i, i)] = d(root, s)
+        dp[(1 << i, i)] = pair_lookup(dist, root, s)
         parent[(1 << i, i)] = None
     for mask in range(1, 1 << k):
         for i in range(k):
@@ -253,7 +251,7 @@ def pctsp_solve_exact(nodes, dist, penalties, root, cap: int = 12) -> list:
                 if mask & (1 << j):
                     continue
                 nmask = mask | (1 << j)
-                cost = base + d(nodes[i], nodes[j])
+                cost = base + pair_lookup(dist, nodes[i], nodes[j])
                 if (nmask, j) not in dp or cost < dp[(nmask, j)] - 1e-15:
                     dp[(nmask, j)] = cost
                     parent[(nmask, j)] = (mask, i)
@@ -264,7 +262,7 @@ def pctsp_solve_exact(nodes, dist, penalties, root, cap: int = 12) -> list:
         skipped = sum(penalties[nodes[i]] for i in range(k) if not mask & (1 << i))
         for i in range(k):
             if mask & (1 << i) and (mask, i) in dp:
-                value = dp[(mask, i)] + d(nodes[i], root) + skipped
+                value = dp[(mask, i)] + pair_lookup(dist, nodes[i], root) + skipped
                 if value < best_value - 1e-15:
                     best_value = value
                     best_state = (mask, i)
@@ -281,11 +279,6 @@ def pctsp_solve_exact(nodes, dist, penalties, root, cap: int = 12) -> list:
 
 def _pctsp_greedy(nodes, dist, penalties, root) -> list:
     """Nearest-improving fallback when the representative count exceeds the cap."""
-    def d(a, b):
-        if a == b:
-            return 0.0
-        return dist[(a, b)] if (a, b) in dist else dist[(b, a)]
-
     visited = []
     cur = root
     remaining = sorted(nodes)
@@ -293,7 +286,8 @@ def _pctsp_greedy(nodes, dist, penalties, root) -> list:
         best_s = None
         best_gain = 0.0
         for s in remaining:
-            gain = penalties[s] - (d(cur, s) + d(s, root) - d(cur, root))
+            detour = pair_lookup(dist, cur, s) + pair_lookup(dist, s, root) - pair_lookup(dist, cur, root)
+            gain = penalties[s] - detour
             if gain > best_gain + 1e-15:
                 best_gain = gain
                 best_s = s
@@ -321,19 +315,14 @@ def pctsp_reduction(inst: Instance, pctsp=None, cap: int = 12) -> Solution:
 
     n = inst.vertex_count
     rep_of = {i: n + j for j, i in enumerate(positive)}
-    adj: dict[int, list[tuple[int, float]]] = {v: [] for v in range(n + len(positive))}
+    halves = []
     for i, e in enumerate(inst.edges):
         if e.profit > 0.0:
-            s = rep_of[i]
-            adj[e.u].append((s, e.length / 2.0))
-            adj[s].append((e.u, e.length / 2.0))
-            adj[s].append((e.v, e.length / 2.0))
-            adj[e.v].append((s, e.length / 2.0))
+            halves.append(Edge(e.u, rep_of[i], e.length / 2.0, 0.0))
+            halves.append(Edge(e.v, rep_of[i], e.length / 2.0, 0.0))
         else:
-            adj[e.u].append((e.v, e.length))
-            adj[e.v].append((e.u, e.length))
-    for lst in adj.values():
-        lst.sort()
+            halves.append(e)
+    adj = weighted_adjacency(n + len(positive), halves)
 
     terminals = [inst.root] + [rep_of[i] for i in positive]
     dist = {}

@@ -7,13 +7,14 @@ scanned by descending value and the first pair admitting positive mass is
 taken with the largest admissible amount, found by bisection over min-cut
 probes.
 
-The production path works in a merged view of the root-copy construction
-used by the tree decomposition: the working vector lives on the preprocessed
-graph while the mass retired onto the distinguished root-copy chord is
-tracked in a scalar.  Each merged operation expands into one or two recorded
-operations on the auxiliary graph (a root-incident pair expands into the two
-balanced halves, a root drop becomes the pair of the root with its copy),
-which is exactly the shape the decomposition later undoes.
+The splitting loop shared by the recorder and the tree decomposition works
+in a merged view of the root-copy construction: the working vector lives on
+the preprocessed graph while the mass retired onto the distinguished
+root-copy chord is tracked in a scalar.  Each merged operation expands into
+one or two recorded operations on the auxiliary graph (a root-incident pair
+expands into the two balanced halves, a root drop becomes the pair of the
+root with its copy), which is exactly the shape the decomposition later
+undoes.
 """
 from __future__ import annotations
 
@@ -81,11 +82,11 @@ def _feasible(x, adj, deltas, demands, root):
     return ok
 
 
-def _max_feasible(x, adj, delta_fn, demands, root, hi, precision):
+def _max_feasible(x, adj, delta_fn, demands, root, hi):
     if _feasible(x, adj, delta_fn(hi), demands, root):
         return hi
     lo, top = 0.0, hi
-    while top - lo > precision:
+    while top - lo > PRECISION:
         mid = 0.5 * (lo + top)
         if _feasible(x, adj, delta_fn(mid), demands, root):
             lo = mid
@@ -138,7 +139,6 @@ def complete_split(
     demands: dict[int, float],
     aux_copy: int | None = None,
     e0: float | None = None,
-    precision: float = PRECISION,
 ) -> tuple[dict[tuple[int, int], float], list[SplitOp], float | None]:
     """Zero out the degree of v while preserving all demanded root cuts.
 
@@ -158,14 +158,14 @@ def complete_split(
     guard = 0
     while True:
         degree = sum(adj.get(v, {}).values())
-        if degree <= precision:
+        if degree <= PRECISION:
             break
         guard += 1
         if guard > 64 * (len(adj) + 2):
             raise SplitError(f"splitting at vertex {v} did not converge")
         chosen = None
         for kind, a, b, cap in _candidates(adj, root, v, merged):
-            if cap <= precision:
+            if cap <= PRECISION:
                 continue
             if kind == "pair" or kind == "rootpair":
                 def deltas(eps, a=a, b=b):
@@ -177,8 +177,8 @@ def complete_split(
             else:  # rootdrop: merged x loses 2*eps on the root edge
                 def deltas(eps):
                     return [(ekey(v, root), -2.0 * eps)]
-            eps = _max_feasible(x, adj, deltas, demands, root, cap, precision)
-            if eps > precision:
+            eps = _max_feasible(x, adj, deltas, demands, root, cap)
+            if eps > PRECISION:
                 chosen = (kind, a, b, eps, deltas)
                 break
         if chosen is None:
@@ -200,45 +200,47 @@ def complete_split(
     return x, ops, e0
 
 
+def split_every_vertex(x, e0: float, y: dict[int, float], root: int, copy: int):
+    """Split off every vertex but the root and its copy, in the merged view.
+
+    Vertices go in nondecreasing order of their values with vertex-id
+    tie-break, each keeping the root cuts of the vertices still pending.
+    Returns the operations, the (vertex, operation count) groups, the
+    (edge vector, chord mass) state at every vertex boundary and the final
+    chord mass.  Raises SplitError when mass is left after the last vertex.
+    """
+    order = sorted((v for v in y if v not in (root, copy)), key=lambda v: (y[v], v))
+    states: list[tuple[dict, float]] = [(dict(x), e0)]
+    groups: list[tuple[int, int]] = []
+    ops: list[SplitOp] = []
+    for i, v in enumerate(order):
+        demands = {t: 2.0 * y[t] for t in order[i + 1:] if y[t] > 1e-12}
+        x, vops, e0 = complete_split(x, root, v, demands, aux_copy=copy, e0=e0)
+        ops.extend(vops)
+        groups.append((v, len(vops)))
+        states.append((dict(x), e0))
+    residue = sum(abs(val) for val in x.values())
+    if residue > 1e-6:
+        raise SplitError(f"residual mass {residue} left after splitting every vertex")
+    return tuple(ops), tuple(groups), states, e0
+
+
 class SplitRecorder:
     """One full splitting pass over all non-root vertices, replayable per threshold.
 
-    Vertices are split in nondecreasing order of their relaxation values with
-    vertex-id tie-break; the state at every vertex boundary is kept so any
-    threshold maps to a stored prefix of the recorded operations.
+    The state at every vertex boundary is kept so any threshold maps to a
+    stored prefix of the recorded operations.
     """
 
-    def __init__(self, pg: PreprocessedGraph, sol: LpSolution, precision: float = PRECISION):
-        self.pg = pg
-        self.root = pg.root
-        self.aux_copy = pg.vertex_count
+    def __init__(self, pg: PreprocessedGraph, sol: LpSolution):
         self.y = dict(sol.y)
-        self.order = tuple(
-            sorted((v for v in range(pg.vertex_count) if v != pg.root), key=lambda v: (self.y[v], v))
-        )
         x = {k: val for k, val in sol.x.items() if val != 0.0}
         deg_r = sum(val for k, val in x.items() if pg.root in k)
-        e0 = 2.0 - 0.5 * deg_r
-        self.states: list[tuple[dict, float]] = [(dict(x), e0)]
-        groups: list[tuple[int, int]] = []
-        ops: list[SplitOp] = []
-        pending = list(self.order)
-        while pending:
-            v = pending.pop(0)
-            demands = {t: 2.0 * self.y[t] for t in pending if self.y[t] > 1e-12}
-            x, vops, e0 = complete_split(
-                x, pg.root, v, demands, aux_copy=self.aux_copy, e0=e0, precision=precision
-            )
-            ops.extend(vops)
-            groups.append((v, len(vops)))
-            self.states.append((dict(x), e0))
-        residue = sum(abs(val) for val in x.values())
-        if residue > 1e-6:
-            raise SplitError(f"residual mass {residue} left after splitting every vertex")
-        self.ops = tuple(ops)
-        self.groups = tuple(groups)
+        self.ops, self.groups, self.states, _ = split_every_vertex(
+            x, 2.0 - 0.5 * deg_r, self.y, pg.root, pg.vertex_count
+        )
         self.prefix = [0]
-        for _, cnt in groups:
+        for _, cnt in self.groups:
             self.prefix.append(self.prefix[-1] + cnt)
 
     def boundary(self, delta: float) -> int:

@@ -4,25 +4,28 @@ A feasible relaxation vector is lifted to an auxiliary graph that carries a
 copy of the root joined by a zero-length chord.  Splitting every other vertex
 off and then undoing the recorded operations in reverse yields a weighted
 tree list whose edge and vertex marginals track the current vector minus one
-unit on the chord.  Undoing one operation moves chord mass of the operation
-back through the restored vertex: trees holding the chord and missing the
-vertex take it as a two-edge detour; trees already holding the vertex swap
-the chord for the side edge that keeps them acyclic, and the other side edge
-is booked as a pendant on a tree that misses the vertex.  Merging the root
-copy back projects the list onto the preprocessed graph.
+unit on the chord.  The splitting is the threshold-split recorder's loop,
+run in its merged view, so a fresh decomposition and a replay of the
+recorder undo the same operations.  Undoing one operation moves chord mass
+of the operation back through the restored vertex: trees holding the chord
+and missing the vertex take it as a two-edge detour; trees already holding
+the vertex swap the chord for the side edge that keeps them acyclic, and
+the other side edge is booked as a pendant on a tree that misses the
+vertex.  Merging the root copy back projects the list onto the preprocessed
+graph.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import ekey
+from .core import bfs, ekey, neighbours
 from .lp import max_flow_min_cut
 from .preprocess import PreprocessedGraph
-from .splitoff import SplitOp, SplitRecorder, complete_split
+from .splitoff import SplitOp, SplitRecorder, split_every_vertex
 
 MARGIN_TOL = 1e-6
 WEIGHT_FLOOR = 1e-12
@@ -157,24 +160,6 @@ def _contains(edges: frozenset, z: int, root: int) -> bool:
     return any(z in key for key in edges)
 
 
-def _in_component(edges, start: int, target: int) -> bool:
-    seen = {start}
-    queue = deque([start])
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    while queue:
-        w = queue.popleft()
-        if w == target:
-            return True
-        for nxt in adj.get(w, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return target in seen
-
-
 def _undo_step(trees: list, op: SplitOp, root: int) -> None:
     v, eps = op.vertex, op.amount
     chord = ekey(op.left, op.right)
@@ -198,7 +183,7 @@ def _undo_step(trees: list, op: SplitOp, root: int) -> None:
         take = min(need, w)
         if i in busy_set:
             remainder = edges - {chord}
-            if _in_component(remainder, op.left, v):
+            if v in bfs(neighbours(remainder), op.left):
                 newedges = remainder | {side_right}
                 pendants.append((side_left, op.left, take))
             else:
@@ -292,84 +277,36 @@ def _verify_aux_marginals(dist: TreeDistribution, xbar, ybar, aux: AuxGraph, tol
             raise DecompositionError(f"vertex marginal {v}: {got} != {want}")
 
 
-def _is_balanced(xbar, aux: AuxGraph) -> bool:
-    root, copy = aux.root, aux.copy_id
-    others = set()
-    for k in xbar:
-        if root in k or copy in k:
-            other = k[0] if k[1] in (root, copy) else k[1]
-            if other not in (root, copy):
-                others.add(other)
-    for v in others:
-        if xbar.get(ekey(root, v), 0.0) != xbar.get(ekey(copy, v), 0.0):
-            return False
-    return True
-
-
-def decompose(xbar, ybar, aux: AuxGraph, verify: bool = True) -> TreeDistribution:
+def decompose(xbar, ybar, aux: AuxGraph) -> TreeDistribution:
     """Tree distribution on the auxiliary graph matching the given marginals.
 
-    Splits every vertex other than the root and its copy in nondecreasing
-    order of the vertex values, then undoes the recorded operations.  A
-    balanced input (equal mass on each root edge and its mirror) runs in the
-    merged view so the recorded operations agree bit for bit with the
-    threshold-split recorder.
+    Merges each root edge with its mirror half at the root copy, splits off
+    every vertex other than the root and its copy through the recorder's
+    loop, and undoes the recorded operations.  Mass left after splitting
+    raises SplitError.  The undone trees always split root mass evenly
+    between the two halves, so an input whose halves differ fails the
+    marginal check with DecompositionError.
     """
     root, copy = aux.root, aux.copy_id
-    order = sorted(
-        (v for v in ybar if v not in (root, copy)), key=lambda v: (ybar[v], v)
-    )
-    ops: list[SplitOp] = []
-    if _is_balanced(xbar, aux):
-        x = {}
-        e0 = xbar.get(aux.e0, 0.0)
-        for k, val in xbar.items():
-            if val == 0.0 or k == aux.e0:
-                continue
-            if copy in k:
-                continue
-            if root in k:
-                other = k[0] if k[1] == root else k[1]
-                x[k] = val + xbar.get(ekey(copy, other), 0.0)
-            else:
-                x[k] = val
-        pending = list(order)
-        while pending:
-            v = pending.pop(0)
-            demands = {t: 2.0 * ybar[t] for t in pending if ybar[t] > 1e-12}
-            x, vops, e0 = complete_split(x, root, v, demands, aux_copy=copy, e0=e0)
-            ops.extend(vops)
-        residue = sum(abs(val) for val in x.values())
-        chord_mass = e0
-    else:
-        x = {k: val for k, val in xbar.items() if val != 0.0}
-        pending = list(order)
-        while pending:
-            v = pending.pop(0)
-            demands = {t: 2.0 * ybar[t] for t in pending if ybar[t] > 1e-12}
-            demands[copy] = 2.0
-            x, vops, _ = complete_split(x, root, v, demands)
-            ops.extend(vops)
-        residue = sum(abs(val) for k, val in x.items() if k != aux.e0)
-        chord_mass = x.get(aux.e0, 0.0)
-    if residue > 1e-6:
-        raise DecompositionError(f"splitting left residual mass {residue}")
-
-    trees = _undo_distribution(ops, 0, aux, chord_mass=chord_mass)
-    dist = _to_distribution(trees)
-    if len(dist.trees) > 2 * len(ops) + aux.copy_id + 2:
+    x: dict[tuple[int, int], float] = {}
+    for k, val in xbar.items():
+        if val == 0.0 or k == aux.e0:
+            continue
+        if root in k or copy in k:
+            k = ekey(root, k[0] if k[1] in (root, copy) else k[1])
+        x[k] = x.get(k, 0.0) + val
+    ops, _, _, chord_mass = split_every_vertex(x, xbar.get(aux.e0, 0.0), ybar, root, copy)
+    dist = _to_distribution(_undo_distribution(ops, 0, aux, chord_mass=chord_mass))
+    if len(dist.trees) > 2 * len(ops) + copy + 2:
         raise DecompositionError("tree support exceeds its size bound")
-    if verify:
-        _verify_aux_marginals(dist, xbar, ybar, aux, MARGIN_TOL)
+    _verify_aux_marginals(dist, xbar, ybar, aux, MARGIN_TOL)
     return dist
 
 
 def stage_distribution(recorder: SplitRecorder, boundary: int, aux: AuxGraph) -> TreeDistribution:
     """Replay the recorded splitting back to a vertex boundary."""
     chord_mass = recorder.states[-1][1]
-    trees = _undo_distribution(
-        list(recorder.ops), recorder.prefix[boundary], aux, chord_mass=chord_mass
-    )
+    trees = _undo_distribution(recorder.ops, recorder.prefix[boundary], aux, chord_mass=chord_mass)
     return _to_distribution(trees)
 
 

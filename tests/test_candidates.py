@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from pcrpp import candidates
 from pcrpp.candidates import (
     CoreTree,
     build_candidate,
@@ -12,7 +13,7 @@ from pcrpp.candidates import (
     min_perfect_matching,
     min_tjoin,
 )
-from pcrpp.core import Multigraph, ekey, odd_vertices, parse_instance
+from pcrpp.core import Multigraph, Walk, ekey, odd_vertices, parse_instance
 from pcrpp.preprocess import preprocess
 from pcrpp.treedecomp import RootedTree
 from conftest import random_suite
@@ -219,3 +220,24 @@ def test_candidate_walks_are_valid_random():
         check_walk(inst, cand.walk)
         m = Multigraph(cand.walk.edge_multiset())
         assert odd_vertices(m) == frozenset()
+
+
+def test_build_candidate_disconnected_join_fallback(monkeypatch):
+    # positive root edge r-a (moved to the copy 5 by preprocessing) and a
+    # triangle 2-3-4 hanging off a; a join with the right parity plus the
+    # detached triangle forces the uncancelled path fallback
+    inst = parse_instance("5 5 1\n1 2 1 5\n2 3 1 0\n3 4 1 0\n4 5 1 0\n3 5 1 0\n")
+    pg = preprocess(inst)
+    core = CoreTree(frozenset({(0, 5), (1, 5)}))  # tether + positive edge
+    want = build_candidate(inst, pg, core, ("t",))
+    calls = []
+
+    def detached_join(inst, targets, sp_cache=None):
+        calls.append(sorted(targets))
+        return Multigraph([(0, 1), (2, 3), (3, 4), (2, 4)])
+
+    monkeypatch.setattr(candidates, "min_tjoin", detached_join)
+    got = build_candidate(inst, pg, core, ("t",))
+    assert calls == [[0, 1]]
+    assert got.walk == want.walk == Walk((0, 1, 0))
+    assert got.value == want.value == 2.0

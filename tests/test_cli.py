@@ -12,7 +12,7 @@ from pcrpp.cli import (
 )
 from pcrpp.core import parse_instance, serialize_instance
 from pcrpp.solvers import exact_oracle
-from conftest import barrier_text
+from conftest import FRACTIONAL_INSTANCES, barrier_text
 
 
 def test_convert_optimum_formula():
@@ -165,6 +165,13 @@ def test_cli_oracle_and_reduce(tmp_path, capsys):
     assert "value 1.300000" in capsys.readouterr().out
     assert main(["reduce", str(path)]) == 0
     assert "value 2.100000" in capsys.readouterr().out
+
+
+def test_cli_reduce_greedy_fallback(tmp_path, capsys):
+    path = tmp_path / "f.txt"
+    path.write_text(serialize_instance(FRACTIONAL_INSTANCES[1]))
+    assert main(["reduce", "--cap", "1", str(path)]) == 0
+    assert "exact_pctsp 0" in capsys.readouterr().out
 
 
 def test_cli_bench_exit_codes(tmp_path, capsys):

@@ -5,6 +5,8 @@ from collections import Counter
 import pytest
 
 from pcrpp.core import (
+    Edge,
+    Instance,
     Multigraph,
     ParseError,
     Walk,
@@ -43,11 +45,33 @@ def test_parse_barrier_matches_construction(barrier):
         ("3 1 1\n2 2 1 0\n", "loop edge"),
         ("3 1 4\n1 2 1 0\n", "root out of range"),
         ("2 2 1\n1 2 1 0\n", "expected 2 edge lines"),
+        ("3 1 1\n1 2 nan 0\n", "non-finite length"),
+        ("3 1 1\n1 2 inf 0\n", "non-finite length"),
+        ("3 1 1\n1 2 1 nan\n", "non-finite profit"),
+        ("3 1 1\n1 2 1 inf\n", "non-finite profit"),
+        ("3 1 1\n1 4 1 0\n", "edge endpoint out of range"),
     ],
 )
 def test_parse_errors(text, message):
     with pytest.raises(ParseError, match=message):
         parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((2, 5, (Edge(0, 7, -1.0, math.nan),)), "root out of range"),
+        ((2, 0, (Edge(0, 7, 1.0, 0.0),)), "edge endpoint out of range"),
+        ((2, 0, (Edge(1, 1, 1.0, 0.0),)), "loop edge"),
+        ((2, 0, (Edge(0, 1, math.nan, 0.0),)), "non-finite length"),
+        ((2, 0, (Edge(0, 1, 1.0, math.inf),)), "non-finite profit"),
+        ((2, 0, (Edge(0, 1, 1.0, -1.0),)), "negative profit"),
+        ((2, 0, (Edge(0, 1, 1.0, 0.0), Edge(1, 0, 2.0, 0.0))), "duplicate edge"),
+    ],
+)
+def test_instance_rejects_model_violations(args, message):
+    with pytest.raises(ParseError, match=message):
+        Instance(*args)
 
 
 def test_parse_comments_and_optmax():

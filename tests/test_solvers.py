@@ -1,6 +1,6 @@
 import pytest
 
-from pcrpp.core import parse_instance
+from pcrpp.core import objective, parse_instance
 from pcrpp.solvers import (
     best_of_many,
     exact_oracle,
@@ -72,6 +72,23 @@ def test_reduction_single_positive(single_pos):
     sol = pctsp_reduction(single_pos)
     assert sol.value == pytest.approx(2.0)
     assert sol.walk.vertices == (0, 1, 0)
+
+
+def test_reduction_greedy_fallback():
+    # cap=1 sends every instance with two or more positive edges to the
+    # greedy PCTSP.  Its walk need not be worse than the exact one (on frac1
+    # it is 45 against 48): the stitched walk's value is not the PCTSP tour
+    # value the exact solver minimizes.
+    instances = list(FRACTIONAL_INSTANCES) + [
+        inst for inst in random_suite(12, base_seed=1000) if len(inst.positive_edges()) >= 2
+    ]
+    assert len(instances) >= 5
+    for inst in instances:
+        sol = pctsp_reduction(inst, cap=1)
+        assert sol.stats["exact"] is False
+        assert sol.walk.vertices[0] == sol.walk.vertices[-1] == inst.root
+        assert objective(inst, sol.walk) == sol.value
+        assert exact_oracle(inst).value - 1e-9 <= sol.value
 
 
 def test_best_of_many_barrier(barrier):
