@@ -251,7 +251,7 @@ def _cmd_solve(args) -> int:
         verify=not args.no_verify,
     )
     if args.dump_lp or args.dump_trees:
-        _debug_dumps(inst, args)
+        _debug_dumps(inst, cfg, args)
     sol = best_of_many(inst, cfg)
     print(f"value {sol.value:.6f}")
     print(f"lower_bound {sol.lower_bound:.6f}")
@@ -266,9 +266,14 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _debug_dumps(inst, args) -> None:
+def _debug_dumps(inst, cfg: SolverConfig, args) -> None:
     pg = preprocess(inst)
-    sol, cert = solve_pcrpp_lp(pg)
+    sol, cert = solve_pcrpp_lp(
+        pg,
+        max_rounds=cfg.lp_max_rounds,
+        feas_tol=cfg.lp_feas_tol,
+        price_tol=cfg.lp_price_tol,
+    )
     if args.dump_lp:
         from .lp import write_lp_text
 

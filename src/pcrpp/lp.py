@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 from scipy.optimize import linprog
@@ -159,6 +160,63 @@ def initial_variables(pg: PreprocessedGraph) -> list[tuple[int, int]]:
     return sorted(keys)
 
 
+def _pair_index(n: int, keys) -> np.ndarray:
+    """Index of each pair key (u, v), u < v, in ``np.triu_indices(n, 1)`` order."""
+    k = np.array(keys, dtype=np.intp).reshape(-1, 2)
+    u, v = k[:, 0], k[:, 1]
+    return u * (2 * n - u - 1) // 2 + v - u - 1
+
+
+@dataclass(frozen=True, eq=False)
+class PairArrays:
+    """Per-pair data of the complete graph, indexed like ``np.triu_indices(n, 1)``.
+
+    That index order is the sorted order of the pair keys (u, v) with u < v,
+    so a boolean mask over pairs lists its pairs in sorted key order.
+    ``lengths_order`` holds the pair index of each key of ``pg.lengths`` in
+    that dict's order.
+    """
+
+    vertex_count: int
+    root: int
+    u: np.ndarray
+    v: np.ndarray
+    lengths: np.ndarray
+    profits: np.ndarray
+    positive: np.ndarray
+    at_root: np.ndarray
+    lengths_order: np.ndarray
+
+    @classmethod
+    def of(cls, pg: PreprocessedGraph) -> PairArrays:
+        n = pg.vertex_count
+        u, v = np.triu_indices(n, 1)
+        keys = list(zip(u.tolist(), v.tolist()))
+        return cls(
+            vertex_count=n,
+            root=pg.root,
+            u=u,
+            v=v,
+            lengths=np.array([pg.lengths[k] for k in keys], dtype=float),
+            profits=np.array([pg.profits[k] for k in keys], dtype=float),
+            positive=np.array([k in pg.pos_edges for k in keys], dtype=bool),
+            at_root=(u == pg.root) | (v == pg.root),
+            lengths_order=_pair_index(n, list(pg.lengths)),
+        )
+
+    def index(self, keys) -> np.ndarray:
+        return _pair_index(self.vertex_count, keys)
+
+    def keys(self, idx=slice(None)) -> list[tuple[int, int]]:
+        return list(zip(self.u[idx].tolist(), self.v[idx].tolist()))
+
+    def crossing(self, side: frozenset) -> np.ndarray:
+        """Which pairs have exactly one endpoint in ``side``."""
+        inside = np.zeros(self.vertex_count, dtype=bool)
+        inside[list(side)] = True
+        return inside[self.u] != inside[self.v]
+
+
 def separate_cuts(
     pg: PreprocessedGraph,
     x: dict[tuple[int, int], float],
@@ -182,18 +240,11 @@ def separate_cuts(
     return violated
 
 
-def _solution_dicts(pg, keys, values):
-    x = {k: 0.0 for k in pg.lengths}
-    for k, val in zip(keys, values):
-        x[k] = float(val)
-    y = {}
-    yvals = values[len(keys):]
-    idx = 0
-    for v in range(pg.vertex_count):
-        if v == pg.root:
-            continue
-        y[v] = float(yvals[idx])
-        idx += 1
+def _solution_dicts(pg, pairs, cols, x_vals, y_vals, y_vertices):
+    values = np.zeros(len(pairs.u))
+    values[cols] = x_vals
+    x = dict(zip(pg.lengths, values[pairs.lengths_order].tolist()))
+    y = dict(zip(y_vertices, y_vals.tolist()))
     y[pg.root] = 1.0
     return x, y
 
@@ -242,129 +293,99 @@ def solve_pcrpp_lp(
         sol = LpSolution({k: 0.0 for k in pg.lengths}, {root: 1.0}, 0.0)
         return sol, CutCertificate(())
 
-    active = initial_variables(pg)
+    pairs = PairArrays.of(pg)
+    active = np.zeros(len(pairs.u), dtype=bool)
+    active[pairs.index(initial_variables(pg))] = True
     cuts: list[tuple[frozenset, int, float]] = []
     cut_keys: set[tuple[frozenset, int]] = set()
+    crossing = np.zeros((0, len(pairs.u)), dtype=bool)
 
     for _ in range(max_rounds):
-        x_vals, y_vals, duals = _solve_master(pg, backend, active, cuts, y_vertices)
-        x, y = _solution_dicts(pg, active, np.concatenate([x_vals, y_vals]))
+        cols = np.flatnonzero(active)
+        x_vals, y_vals, mu, rho, cut_duals = _solve_master(
+            pairs, backend, cols, crossing, cuts, y_vertices
+        )
+        x, y = _solution_dicts(pg, pairs, cols, x_vals, y_vals, y_vertices)
 
         new_cuts = separate_cuts(pg, x, y, tol=feas_tol)
         new_cuts = [(side, v) for side, v in new_cuts if (side, v) not in cut_keys]
-        priced = _price_variables(pg, active, cuts, duals, y_vertices, price_tol)
+        priced = _price_variables(pairs, active, crossing, mu, rho, cut_duals, price_tol)
         if not new_cuts and not priced:
             x, y = canonicalize(pg, x, y)
             objective = lp_objective(pg, x)
             sol = LpSolution(x, y, objective)
             return sol, CutCertificate(tuple(cuts))
+        rows = []
         for side, v in new_cuts:
-            slack = sum(x[k] for k in x if _crosses(k, side)) - 2.0 * y[v]
-            cuts.append((side, v, slack))
+            row = pairs.crossing(side)
+            crossed = compress(x.values(), row[pairs.lengths_order].tolist())
+            cuts.append((side, v, sum(crossed) - 2.0 * y[v]))
             cut_keys.add((side, v))
-        for key in priced:
-            active.append(key)
-        active.sort()
+            rows.append(row)
+        if rows:
+            crossing = np.vstack([crossing, rows])
+        active[pairs.index(priced)] = True
     raise LpError(f"cutting-plane loop did not converge within {max_rounds} rounds")
 
 
-def _crosses(key: tuple[int, int], side: frozenset) -> bool:
-    return (key[0] in side) != (key[1] in side)
+def _solve_master(pairs, backend, cols, crossing, cuts, y_vertices):
+    """Solve the master over the active columns ``cols`` and the recorded cuts.
 
-
-def _solve_master(pg, backend, active, cuts, y_vertices):
-    root = pg.root
-    nx = len(active)
+    Returns the x and y values, the degree duals by vertex (0 at the root),
+    the root-degree dual and the cut duals in recorded order.
+    """
+    root = pairs.root
+    nx = len(cols)
     ny = len(y_vertices)
-    ycol = {v: nx + i for i, v in enumerate(y_vertices)}
-    xcol = {k: i for i, k in enumerate(active)}
+    u, v = pairs.u[cols], pairs.v[cols]
+    yidx = np.zeros(pairs.vertex_count, dtype=np.intp)
+    yidx[y_vertices] = np.arange(ny)
 
     c = np.zeros(nx + ny)
-    for k, i in xcol.items():
-        c[i] = pg.lengths[k] - (pg.profits[k] if k in pg.pos_edges else 0.0)
+    c[:nx] = pairs.lengths[cols] - pairs.profits[cols]
 
-    eq_rows: list[np.ndarray] = []
-    eq_rhs: list[float] = []
-    for v in y_vertices:
-        row = np.zeros(nx + ny)
-        for k, i in xcol.items():
-            if v in k:
-                row[i] = 1.0
-        row[ycol[v]] = -2.0
-        eq_rows.append(row)
-        eq_rhs.append(0.0)
-    for u, v in sorted(pg.pos_edges):
-        for endpoint in (u, v):
-            row = np.zeros(nx + ny)
-            row[ycol[endpoint]] = 1.0
-            row[xcol[(u, v)]] = -1.0
-            eq_rows.append(row)
-            eq_rhs.append(0.0)
+    # degree rows x(delta(v)) - 2 y_v = 0, then y_a = x_ab = y_b per positive edge
+    pos_cols = np.flatnonzero(pairs.positive[cols])
+    a_eq = np.zeros((ny + 2 * len(pos_cols), nx + ny))
+    for ends in (u, v):
+        at = np.flatnonzero(ends != root)
+        a_eq[yidx[ends[at]], at] = 1.0
+    a_eq[np.arange(ny), nx + np.arange(ny)] = -2.0
+    rows = ny + np.arange(2 * len(pos_cols))
+    a_eq[rows, nx + yidx[np.column_stack([u[pos_cols], v[pos_cols]]).ravel()]] = 1.0
+    a_eq[rows, np.repeat(pos_cols, 2)] = -1.0
 
-    ub_rows: list[np.ndarray] = []
-    ub_rhs: list[float] = []
-    row = np.zeros(nx + ny)
-    for k, i in xcol.items():
-        if root in k:
-            row[i] = 1.0
-    ub_rows.append(row)
-    ub_rhs.append(2.0)
-    for side, v, _ in cuts:
-        row = np.zeros(nx + ny)
-        for k, i in xcol.items():
-            if _crosses(k, side):
-                row[i] = -1.0
-        row[ycol[v]] = 2.0
-        ub_rows.append(row)
-        ub_rhs.append(0.0)
+    # root degree at most 2, then one row 2 y_w - x(delta(S)) <= 0 per cut
+    a_ub = np.zeros((1 + len(cuts), nx + ny))
+    a_ub[0, :nx] = pairs.at_root[cols]
+    a_ub[1:, :nx] = np.where(crossing[:, cols], -1.0, 0.0)
+    a_ub[np.arange(1, 1 + len(cuts)), nx + yidx[[w for _, w, _ in cuts]]] = 2.0
+    b_ub = np.zeros(1 + len(cuts))
+    b_ub[0] = 2.0
 
-    bounds = []
-    for k in active:
-        bounds.append((0.0, 1.0) if k in pg.pos_edges else (0.0, None))
+    bounds = [(0.0, 1.0) if p else (0.0, None) for p in pairs.positive[cols].tolist()]
     bounds.extend([(0.0, 1.0)] * ny)
 
-    res = backend.solve(
-        c,
-        np.array(eq_rows) if eq_rows else None,
-        np.array(eq_rhs),
-        np.array(ub_rows) if ub_rows else None,
-        np.array(ub_rhs),
-        bounds,
-    )
-    duals = {
-        "degree": {v: res.eq_duals[i] for i, v in enumerate(y_vertices)},
-        "root": res.ub_duals[0],
-        "cuts": res.ub_duals[1:],
-    }
-    return res.x[:nx], res.x[nx:], duals
+    res = backend.solve(c, a_eq, np.zeros(len(a_eq)), a_ub, b_ub, bounds)
+    mu = np.zeros(pairs.vertex_count)
+    mu[y_vertices] = res.eq_duals[:ny]
+    return res.x[:nx], res.x[nx:], mu, res.ub_duals[0], res.ub_duals[1:]
 
 
-def _price_variables(pg, active, cuts, duals, y_vertices, tol):
-    """Omitted zero-profit variables with reduced cost below -tol."""
-    root = pg.root
-    active_set = set(active)
-    mu = duals["degree"]
-    rho = duals["root"]
-    cut_duals = duals["cuts"]
-    added = []
-    for u in range(pg.vertex_count):
-        for v in range(u + 1, pg.vertex_count):
-            key = (u, v)
-            if key in active_set or key in pg.pos_edges:
-                continue
-            rc = pg.lengths[key]
-            if u != root:
-                rc -= mu[u]
-            if v != root:
-                rc -= mu[v]
-            if root in key:
-                rc -= rho
-            for (side, _, _), dual in zip(cuts, cut_duals):
-                if _crosses(key, side):
-                    rc += dual
-            if rc < -tol:
-                added.append(key)
-    return added
+def _price_variables(pairs, active, crossing, mu, rho, cut_duals, tol):
+    """Omitted zero-profit pairs with reduced cost below -tol, in pair order.
+
+    rc = L - mu[u] - mu[v] - rho [root in pair] + sum_j dual_j [pair crosses
+    cut j].  The cut terms are added one cut at a time in recorded order, so
+    every reduced cost is summed in the same order as a per-pair loop.
+    """
+    rc = pairs.lengths - mu[pairs.u] - mu[pairs.v]
+    rc[pairs.at_root] -= rho
+    for row, dual in zip(crossing, cut_duals):
+        if dual != 0.0:
+            np.add(rc, dual, out=rc, where=row)
+    priced = ~active & ~pairs.positive & (rc < -tol)
+    return pairs.keys(np.flatnonzero(priced))
 
 
 def write_lp_text(pg: PreprocessedGraph, cert: CutCertificate) -> str:
@@ -389,10 +410,10 @@ def write_lp_text(pg: PreprocessedGraph, cert: CutCertificate) -> str:
     for u, v in sorted(pg.pos_edges):
         lines.append(f" cpl_{u}_{v}_a: y_{u} - {xname((u, v))} = 0")
         lines.append(f" cpl_{u}_{v}_b: y_{v} - {xname((u, v))} = 0")
+    pairs = PairArrays.of(pg)
+    names = [xname(k) for k in pairs.keys()]
     for i, (side, wit, _) in enumerate(cert.cuts):
-        body = " + ".join(
-            xname(k) for k in sorted(pg.lengths) if _crosses(k, side)
-        )
+        body = " + ".join(compress(names, pairs.crossing(side).tolist()))
         lines.append(f" cut_{i}: {body} - 2 y_{wit} >= 0")
     lines.append("Bounds")
     for k in sorted(pg.lengths):

@@ -11,6 +11,7 @@ from pcrpp.cli import (
     run_bench,
 )
 from pcrpp.core import parse_instance, serialize_instance
+from pcrpp.lp import LpError
 from pcrpp.solvers import exact_oracle
 from conftest import FRACTIONAL_INSTANCES, barrier_text
 
@@ -156,6 +157,16 @@ def test_cli_solve_dumps(tmp_path, capsys):
     ]) == 0
     assert lp_path.read_text().startswith("Minimize")
     json.loads(trees_path.read_text())
+
+
+def test_cli_dumps_use_lp_settings(tmp_path):
+    # the dumps solve the LP with the same round cap as the solve itself
+    path = tmp_path / "frac1.txt"
+    path.write_text(serialize_instance(FRACTIONAL_INSTANCES[0]))
+    lp_path = tmp_path / "model.lp"
+    with pytest.raises(LpError, match="did not converge within 1 rounds"):
+        main(["solve", str(path), "--lp-max-rounds", "1", "--dump-lp", str(lp_path)])
+    assert not lp_path.exists()
 
 
 def test_cli_oracle_and_reduce(tmp_path, capsys):

@@ -1,10 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from pcrpp.core import parse_instance
 from pcrpp.lp import (
+    PairArrays,
+    _price_variables,
     check_lp_solution,
+    initial_variables,
     max_flow_min_cut,
     separate_cuts,
     solve_pcrpp_lp,
@@ -12,7 +16,7 @@ from pcrpp.lp import (
 )
 from pcrpp.preprocess import preprocess
 from pcrpp.solvers import exact_oracle
-from conftest import dense_lp_value, random_suite
+from conftest import FRACTIONAL_INSTANCES, dense_lp_value, random_suite
 
 
 def test_max_flow_two_vertices():
@@ -136,3 +140,87 @@ def test_lp_text_dump(barrier):
     text = write_lp_text(pg, cert)
     assert text.startswith("Minimize")
     assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
+
+    # one cut row per recorded cut, listing exactly the pairs across its side
+    frac = preprocess(FRACTIONAL_INSTANCES[0])
+    _, cert = solve_pcrpp_lp(frac)
+    rows = [
+        line for line in write_lp_text(frac, cert).splitlines() if line.startswith(" cut_")
+    ]
+    assert cert.cuts and len(rows) == len(cert.cuts)
+    n = frac.vertex_count
+    for i, ((side, wit, _), line) in enumerate(zip(cert.cuts, rows)):
+        body = " + ".join(
+            f"x_{u}_{v}"
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (u in side) != (v in side)
+        )
+        assert line == f" cut_{i}: {body} - 2 y_{wit} >= 0"
+
+
+def _price_oracle(pg, active, sides, mu, rho, cut_duals, tol):
+    """Per-pair scalar pricing: omitted zero-profit pairs with rc below -tol."""
+    root = pg.root
+    active_set = set(active)
+    added = []
+    for u in range(pg.vertex_count):
+        for v in range(u + 1, pg.vertex_count):
+            key = (u, v)
+            if key in active_set or key in pg.pos_edges:
+                continue
+            rc = pg.lengths[key]
+            if u != root:
+                rc -= mu[u]
+            if v != root:
+                rc -= mu[v]
+            if root in key:
+                rc -= rho
+            for side, dual in zip(sides, cut_duals):
+                if (u in side) != (v in side):
+                    rc += dual
+            if rc < -tol:
+                added.append(key)
+    return added
+
+
+def test_pricing_matches_scalar_oracle():
+    # integer lengths with half-integer degree duals put many reduced costs at
+    # or near zero, where the tiny cut duals decide the sign
+    rng = random.Random(4400)
+    dual_choices = (0.0, 0.0, -0.0, -1.0, -0.5, 1e-7, -1e-7, 3e-8, -2e-7, 0.25)
+    nonempty = empty = 0
+    for inst in random_suite(40, base_seed=4400, max_n=7, max_m=12):
+        pg = preprocess(inst)
+        n = pg.vertex_count
+        if n < 2:
+            continue
+        pairs = PairArrays.of(pg)
+        for _ in range(5):
+            # the solver always keeps the root pairs active; a random subset
+            # without them also exercises the root dual
+            active = {k for k in pg.lengths if rng.random() < 0.3}
+            if rng.random() < 0.5:
+                active.update(initial_variables(pg))
+            active = sorted(active)
+            mask = np.zeros(len(pairs.u), dtype=bool)
+            mask[pairs.index(active)] = True
+            mu = {v: rng.choice((0.0, 0.5, 1.0, 2.5, -1.0, 1e-7)) for v in range(n)}
+            mu[pg.root] = 0.0
+            rho = rng.choice((0.0, -1.0, -0.5, -1e-7, 1.0))
+            sides = [
+                frozenset(v for v in range(n) if v != pg.root and rng.random() < 0.5)
+                for _ in range(rng.randrange(0, 12))
+            ]
+            cut_duals = np.array([rng.choice(dual_choices) for _ in sides])
+            crossing = np.array(
+                [pairs.crossing(side) for side in sides], dtype=bool
+            ).reshape(len(sides), len(pairs.u))
+            mu_arr = np.array([mu[v] for v in range(n)])
+            got = _price_variables(pairs, mask, crossing, mu_arr, rho, cut_duals, 1e-7)
+            want = _price_oracle(pg, active, sides, mu, rho, cut_duals, 1e-7)
+            assert got == want
+            assert all(type(a) is int and type(b) is int for a, b in got)
+            nonempty += bool(want)
+            empty += not want
+    assert nonempty >= 20 and empty >= 20
