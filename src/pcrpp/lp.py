@@ -4,8 +4,11 @@ The program keeps a working set of edge variables (all positive edges, all
 root-incident edges and the tether edges at first), separates violated
 connectivity cuts with min-cut computations, and prices the omitted
 zero-profit variables through their reduced costs.  The backend is any LP
-solver that returns an optimal basic solution with duals; the default wraps
-HiGHS through scipy.
+solver that returns an optimal basic solution with row duals.  The default,
+``HighsBackend``, drives the HiGHS build bundled with scipy through its
+private bindings (``scipy.optimize._highspy._core``, verified with scipy 1.17
+and HiGHS 1.12); it hands HiGHS the same model and options that
+``scipy.optimize.linprog(method="highs")`` would.
 """
 from __future__ import annotations
 
@@ -14,7 +17,15 @@ from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (
+    HighsDebugLevel,
+    HighsLp,
+    HighsModelStatus,
+    HighsOptions,
+    MatrixFormat,
+    _Highs,
+    simplex_constants,
+)
 
 from .core import bfs, ekey
 from .preprocess import PreprocessedGraph
@@ -47,28 +58,70 @@ class CutCertificate:
 class BackendResult:
     x: np.ndarray
     objective: float
-    eq_duals: np.ndarray
-    ub_duals: np.ndarray
+    row_duals: np.ndarray
+
+
+def _linprog_options() -> HighsOptions:
+    """The options ``linprog(method="highs")`` sets: presolve on, dual simplex, no output."""
+    options = HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    return options
+
+
+HIGHS_OPTIONS = _linprog_options()
 
 
 class HighsBackend:
-    """scipy/HiGHS backend returning primal values and row duals."""
+    """HiGHS through scipy's private bindings, returning primal values and row duals.
 
-    def solve(self, c, a_eq, b_eq, a_ub, b_ub, bounds) -> BackendResult:
-        res = linprog(
-            c,
-            A_ub=a_ub if a_ub is not None and len(a_ub) else None,
-            b_ub=b_ub if b_ub is not None and len(b_ub) else None,
-            A_eq=a_eq if a_eq is not None and len(a_eq) else None,
-            b_eq=b_eq if b_eq is not None and len(b_eq) else None,
-            bounds=bounds,
-            method="highs",
+    ``solve`` takes a minimization over columns x >= 0 with upper bounds
+    ``col_upper`` (inf for none), rows ``row_lower <= A x <= row_upper`` and A
+    in CSC form.  It passes HiGHS the model and options that ``linprog``
+    passes for the same LP with its rows split into A_ub (lower bound -inf)
+    followed by A_eq, so both return the same solution.  ``linprog`` remains
+    only as the reference in the tests and in the ``decompose_by_lp`` oracle.
+    Each call uses a fresh HiGHS instance that is dropped when it returns; one
+    instance kept across the rounds of a solve raised peak memory by a fifth.
+    """
+
+    def solve(self, cost, col_upper, row_lower, row_upper, indptr, indices, values) -> BackendResult:
+        ncols, nrows = len(cost), len(row_lower)
+        model = HighsLp()
+        model.num_col_ = ncols
+        model.num_row_ = nrows
+        model.col_cost_ = cost
+        model.col_lower_ = np.zeros(ncols)
+        model.col_upper_ = col_upper
+        model.row_lower_ = row_lower
+        model.row_upper_ = row_upper
+        matrix = model.a_matrix_
+        matrix.num_col_ = ncols
+        matrix.num_row_ = nrows
+        matrix.format_ = MatrixFormat.kColwise
+        # pybind11 fills these vectors from a list about twice as fast as from an array
+        matrix.start_ = indptr.tolist()
+        matrix.index_ = indices.tolist()
+        matrix.value_ = values.tolist()
+        highs = _Highs()
+        highs.passOptions(HIGHS_OPTIONS)
+        highs.passModel(model)
+        highs.run()
+        status = highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise LpError(
+                f"LP backend failed: HiGHS model status {highs.modelStatusToString(status)!r}"
+                f" on a {nrows} x {ncols} master (rows x columns)"
+            )
+        solution = highs.getSolution()
+        return BackendResult(
+            np.array(solution.col_value),
+            highs.getInfo().objective_function_value,
+            np.array(solution.row_dual),
         )
-        if not res.success:
-            raise LpError(f"LP backend failed: {res.message}")
-        eq_duals = res.eqlin.marginals if a_eq is not None and len(a_eq) else np.zeros(0)
-        ub_duals = res.ineqlin.marginals if a_ub is not None and len(a_ub) else np.zeros(0)
-        return BackendResult(res.x, res.fun, np.asarray(eq_duals), np.asarray(ub_duals))
 
 
 def _residual(capacities: dict[tuple[int, int], float]) -> dict[int, dict[int, float]]:
@@ -331,45 +384,61 @@ def solve_pcrpp_lp(
 def _solve_master(pairs, backend, cols, crossing, cuts, y_vertices):
     """Solve the master over the active columns ``cols`` and the recorded cuts.
 
-    Returns the x and y values, the degree duals by vertex (0 at the root),
-    the root-degree dual and the cut duals in recorded order.
+    Columns are ``cols`` then ``y_vertices``.  Rows are root degree at most
+    2, one row 2 y_w - x(delta(S)) <= 0 per cut, the degree rows
+    x(delta(v)) - 2 y_v = 0, then y_a = x_ab = y_b as two rows per positive
+    column: linprog's A_ub over A_eq, an order on which HiGHS's choice among
+    optimal vertices depends.  Returns the x and y values, the degree duals by
+    vertex (0 at the root), the root-degree dual and the cut duals in
+    recorded order.
     """
     root = pairs.root
-    nx = len(cols)
-    ny = len(y_vertices)
+    nx, ny, ncuts = len(cols), len(y_vertices), len(cuts)
     u, v = pairs.u[cols], pairs.v[cols]
     yidx = np.zeros(pairs.vertex_count, dtype=np.intp)
     yidx[y_vertices] = np.arange(ny)
-
-    c = np.zeros(nx + ny)
-    c[:nx] = pairs.lengths[cols] - pairs.profits[cols]
-
-    # degree rows x(delta(v)) - 2 y_v = 0, then y_a = x_ab = y_b per positive edge
     pos_cols = np.flatnonzero(pairs.positive[cols])
-    a_eq = np.zeros((ny + 2 * len(pos_cols), nx + ny))
-    for ends in (u, v):
-        at = np.flatnonzero(ends != root)
-        a_eq[yidx[ends[at]], at] = 1.0
-    a_eq[np.arange(ny), nx + np.arange(ny)] = -2.0
-    rows = ny + np.arange(2 * len(pos_cols))
-    a_eq[rows, nx + yidx[np.column_stack([u[pos_cols], v[pos_cols]]).ravel()]] = 1.0
-    a_eq[rows, np.repeat(pos_cols, 2)] = -1.0
+    deg0 = 1 + ncuts
+    cpl0 = deg0 + ny
+    nrows = cpl0 + 2 * len(pos_cols)
 
-    # root degree at most 2, then one row 2 y_w - x(delta(S)) <= 0 per cut
-    a_ub = np.zeros((1 + len(cuts), nx + ny))
-    a_ub[0, :nx] = pairs.at_root[cols]
-    a_ub[1:, :nx] = np.where(crossing[:, cols], -1.0, 0.0)
-    a_ub[np.arange(1, 1 + len(cuts)), nx + yidx[[w for _, w, _ in cuts]]] = 2.0
-    b_ub = np.zeros(1 + len(cuts))
-    b_ub[0] = 2.0
+    # (columns, rows, value) of the nonzeros, block by block
+    at_root = np.flatnonzero(pairs.at_root[cols])
+    cut_cols, cut_rows = np.nonzero(crossing[:, cols].T)
+    u_cols = np.flatnonzero(u != root)
+    v_cols = np.flatnonzero(v != root)
+    cpl_rows = cpl0 + np.arange(2 * len(pos_cols))
+    blocks = (
+        (at_root, np.zeros_like(at_root), 1.0),
+        (cut_cols, 1 + cut_rows, -1.0),
+        (nx + yidx[[w for _, w, _ in cuts]], 1 + np.arange(ncuts), 2.0),
+        (u_cols, deg0 + yidx[u[u_cols]], 1.0),
+        (v_cols, deg0 + yidx[v[v_cols]], 1.0),
+        (nx + np.arange(ny), deg0 + np.arange(ny), -2.0),
+        (np.repeat(pos_cols, 2), cpl_rows, -1.0),
+        (nx + yidx[np.column_stack([u[pos_cols], v[pos_cols]]).ravel()], cpl_rows, 1.0),
+    )
+    col = np.concatenate([c for c, _, _ in blocks])
+    row = np.concatenate([r for _, r, _ in blocks])
+    val = np.concatenate([np.full(len(c), a) for c, _, a in blocks])
+    # Each (column, row) occurs once.  Most blocks are already sorted runs
+    # of this key, which the stable sort merges in linear time.
+    order = np.argsort(col * nrows + row, kind="stable")
+    indptr = np.zeros(nx + ny + 1, dtype=np.intp)
+    np.cumsum(np.bincount(col, minlength=nx + ny), out=indptr[1:])
 
-    bounds = [(0.0, 1.0) if p else (0.0, None) for p in pairs.positive[cols].tolist()]
-    bounds.extend([(0.0, 1.0)] * ny)
+    cost = np.zeros(nx + ny)
+    cost[:nx] = pairs.lengths[cols] - pairs.profits[cols]
+    col_upper = np.concatenate((np.where(pairs.positive[cols], 1.0, np.inf), np.ones(ny)))
+    row_lower = np.zeros(nrows)
+    row_lower[:deg0] = -np.inf
+    row_upper = np.zeros(nrows)
+    row_upper[0] = 2.0
 
-    res = backend.solve(c, a_eq, np.zeros(len(a_eq)), a_ub, b_ub, bounds)
+    res = backend.solve(cost, col_upper, row_lower, row_upper, indptr, row[order], val[order])
     mu = np.zeros(pairs.vertex_count)
-    mu[y_vertices] = res.eq_duals[:ny]
-    return res.x[:nx], res.x[nx:], mu, res.ub_duals[0], res.ub_duals[1:]
+    mu[y_vertices] = res.row_duals[deg0:cpl0]
+    return res.x[:nx], res.x[nx:], mu, res.row_duals[0], res.row_duals[1:deg0]
 
 
 def _price_variables(pairs, active, crossing, mu, rho, cut_duals, tol):

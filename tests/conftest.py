@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from pcrpp.cli import gen_random
 from pcrpp.core import Edge, Instance, parse_instance
@@ -149,3 +150,23 @@ def dense_lp_value(pg) -> float:
     )
     assert res.success, res.message
     return res.fun + const
+
+
+def linprog_master(cost, col_upper, row_lower, row_upper, indptr, indices, values):
+    """Reference solve of a ``HighsBackend.solve`` master with ``linprog``.
+
+    The rows with lower bound -inf come first and become A_ub; the rest are
+    equality rows and become A_eq, which ``linprog`` stacks below A_ub, so
+    HiGHS sees the rows in the master's order.  Returns linprog's result and
+    the number of A_ub rows.
+    """
+    a = csc_array((values, indices, indptr), shape=(len(row_lower), len(cost))).toarray()
+    n_ub = int(np.isinf(row_lower).sum())
+    assert np.isinf(row_lower[:n_ub]).all()
+    assert np.array_equal(row_lower[n_ub:], row_upper[n_ub:])
+    bounds = [(0.0, None if np.isinf(hi) else hi) for hi in col_upper.tolist()]
+    res = linprog(
+        cost, A_ub=a[:n_ub], b_ub=row_upper[:n_ub], A_eq=a[n_ub:], b_eq=row_upper[n_ub:],
+        bounds=bounds, method="highs",
+    )
+    return res, n_ub

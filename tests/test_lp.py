@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from pcrpp.core import parse_instance
 from pcrpp.lp import (
+    HighsBackend,
+    LpError,
     PairArrays,
     _price_variables,
     check_lp_solution,
@@ -16,7 +19,7 @@ from pcrpp.lp import (
 )
 from pcrpp.preprocess import preprocess
 from pcrpp.solvers import exact_oracle
-from conftest import FRACTIONAL_INSTANCES, dense_lp_value, random_suite
+from conftest import FRACTIONAL_INSTANCES, dense_lp_value, linprog_master, random_suite
 
 
 def test_max_flow_two_vertices():
@@ -132,6 +135,45 @@ def test_round_cap_reports_nonconvergence():
     pg = preprocess(FRACTIONAL_INSTANCES[0])
     with pytest.raises(LpError, match="did not converge"):
         solve_pcrpp_lp(pg, max_rounds=1)
+
+
+class RecordingBackend(HighsBackend):
+    def __init__(self):
+        self.calls = []
+
+    def solve(self, *master):
+        res = super().solve(*master)
+        self.calls.append((master, res))
+        return res
+
+
+def test_backend_matches_linprog_reference():
+    # every master of the cutting-plane loop, solved again through linprog:
+    # the same model and options must give the same vertex and duals
+    backend = RecordingBackend()
+    insts = FRACTIONAL_INSTANCES + tuple(random_suite(30, base_seed=4500, max_n=8, max_m=16))
+    for inst in insts:
+        solve_pcrpp_lp(preprocess(inst), backend=backend)
+    assert len(backend.calls) > len(insts)
+    for master, res in backend.calls:
+        cost, _, row_lower, _, indptr, indices, values = master
+        ref, n_ub = linprog_master(*master)
+        dense = csc_array((values, indices, indptr), shape=(len(row_lower), len(cost)))
+        canonical = csc_array(dense.toarray())
+        assert np.array_equal(canonical.indptr, indptr)
+        assert np.array_equal(canonical.indices, indices)
+        assert np.array_equal(canonical.data, values)
+        assert np.array_equal(res.x, ref.x)
+        assert np.array_equal(res.row_duals[:n_ub], ref.ineqlin.marginals)
+        assert np.array_equal(res.row_duals[n_ub:], ref.eqlin.marginals)
+        assert res.objective == ref.fun
+
+
+def test_backend_reports_failed_status():
+    # x <= 1 and the row x = 2 admit no solution
+    one = np.array([1.0])
+    with pytest.raises(LpError, match=r"model status 'Infeasible' on a 1 x 1 master"):
+        HighsBackend().solve(one, one, 2 * one, 2 * one, np.array([0, 1]), np.array([0]), one)
 
 
 def test_lp_text_dump(barrier):
