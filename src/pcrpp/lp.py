@@ -75,6 +75,41 @@ def _linprog_options() -> HighsOptions:
 HIGHS_OPTIONS = _linprog_options()
 
 
+def _check_model(ncols, nrows, col_upper, row_upper, indptr, indices, values) -> None:
+    """Reject a model HiGHS would read out of bounds: it does not check the CSC arrays.
+
+    A row index at or past the row count made ``_Highs.run`` raise a C++
+    ``vector::reserve`` error or crash the interpreter with a segmentation
+    fault instead of returning a status.
+    """
+    if len(col_upper) != ncols:
+        raise LpError(f"LP model has {len(col_upper)} column upper bounds for {ncols} columns")
+    if len(row_upper) != nrows:
+        raise LpError(f"LP model has {len(row_upper)} row upper bounds for {nrows} rows")
+    if len(indptr) != ncols + 1:
+        raise LpError(f"LP model has {len(indptr)} column starts for {ncols} columns")
+    starts, rows = np.asarray(indptr), np.asarray(indices)
+    if starts[0] != 0:
+        raise LpError(f"LP model column 0 starts at entry {starts[0]}, not 0")
+    back = np.flatnonzero(starts[1:] < starts[:-1])
+    if back.size:
+        j = int(back[0]) + 1
+        raise LpError(
+            f"LP model column {j} starts at entry {starts[j]}, before column {j - 1} at {starts[j - 1]}"
+        )
+    if not starts[-1] == len(rows) == len(values):
+        raise LpError(
+            f"LP model columns end at entry {starts[-1]} but it has {len(rows)} row indices"
+            f" and {len(values)} values"
+        )
+    if rows.size and (rows.min() < 0 or rows.max() >= nrows):
+        k = int(np.flatnonzero((rows < 0) | (rows >= nrows))[0])
+        col = int(np.searchsorted(starts, k, side="right")) - 1
+        raise LpError(
+            f"LP model entry {k} (column {col}) has row index {rows[k]}, outside the {nrows} rows"
+        )
+
+
 class HighsBackend:
     """HiGHS through scipy's private bindings, returning primal values and row duals.
 
@@ -86,10 +121,12 @@ class HighsBackend:
     only as the reference in the tests and in the ``decompose_by_lp`` oracle.
     Each call uses a fresh HiGHS instance that is dropped when it returns; one
     instance kept across the rounds of a solve raised peak memory by a fifth.
+    A malformed model raises ``LpError`` before HiGHS sees it.
     """
 
     def solve(self, cost, col_upper, row_lower, row_upper, indptr, indices, values) -> BackendResult:
         ncols, nrows = len(cost), len(row_lower)
+        _check_model(ncols, nrows, col_upper, row_upper, indptr, indices, values)
         model = HighsLp()
         model.num_col_ = ncols
         model.num_row_ = nrows

@@ -204,6 +204,18 @@ def test_cli_verify_ratio_coarse(capsys):
     assert "certified=" in out
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--step", "nan"], "error: step must be finite and positive, got nan"),
+    (["--beta", "nan"], "error: beta must be finite, got nan"),
+    (["--kappa", "1.0"], "error: the slope bound 32/(1 - kappa) is infinite at kappa = 1"),
+])
+def test_cli_verify_ratio_rejects_bad_input(args, message, capsys):
+    assert main(["verify-ratio", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == message
+
+
 def test_cli_gen_random_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "inst.txt"
     assert main([

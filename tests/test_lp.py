@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +178,55 @@ def test_backend_reports_failed_status():
     one = np.array([1.0])
     with pytest.raises(LpError, match=r"model status 'Infeasible' on a 1 x 1 master"):
         HighsBackend().solve(one, one, 2 * one, 2 * one, np.array([0, 1]), np.array([0]), one)
+
+
+MALFORMED_MODELS = """
+import numpy as np
+from pcrpp.lp import HighsBackend, LpError
+
+one, two = np.array([1.0]), np.ones(2)
+cases = [
+    # a 1-row model whose second column points at row 5
+    (two, two, one, one, np.array([0, 1, 2]), np.array([0, 5]), two),
+    (two, one, one, one, np.array([0, 1, 2]), np.array([0, 0]), two),
+    (two, two, one, two, np.array([0, 1, 2]), np.array([0, 0]), two),
+    (two, two, one, one, np.array([0, 2]), np.array([0, 0]), two),
+    (two, two, one, one, np.array([1, 1, 2]), np.array([0, 0]), two),
+    (two, two, one, one, np.array([0, 2, 1]), np.array([0, 0]), two),
+    (two, two, one, one, np.array([0, 1, 3]), np.array([0, 0]), two),
+    (two, two, one, one, np.array([0, 1, 2]), np.array([0, 0]), one),
+    (two, two, one, one, np.array([0, 1, 2]), np.array([-1, 0]), two),
+]
+for case in cases:
+    try:
+        HighsBackend().solve(*case)
+    except LpError as exc:
+        print(exc)
+    else:
+        print("accepted")
+"""
+
+
+def test_backend_rejects_malformed_model():
+    # HiGHS reads the CSC arrays unchecked, so a bad index can crash the
+    # interpreter: probe in a child process, where a crash fails the test
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", MALFORMED_MODELS],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "LP model entry 1 (column 1) has row index 5, outside the 1 rows",
+        "LP model has 1 column upper bounds for 2 columns",
+        "LP model has 2 row upper bounds for 1 rows",
+        "LP model has 2 column starts for 2 columns",
+        "LP model column 0 starts at entry 1, not 0",
+        "LP model column 2 starts at entry 1, before column 1 at 2",
+        "LP model columns end at entry 3 but it has 2 row indices and 2 values",
+        "LP model columns end at entry 2 but it has 2 row indices and 1 values",
+        "LP model entry 0 (column 0) has row index -1, outside the 1 rows",
+    ]
 
 
 def test_lp_text_dump(barrier):

@@ -1,11 +1,20 @@
 import math
 import random
+import re
 
 import mpmath
+import numpy as np
 import pytest
 
+from pcrpp import ratiocheck
 from pcrpp.ratiocheck import (
+    FILTER_BOUND,
+    LD,
+    FilterBoundError,
     RatioParams,
+    _curve_array,
+    _grid,
+    _grid_count,
     alpha_components,
     curve_value,
     density,
@@ -27,6 +36,28 @@ def test_param_validation():
         RatioParams(0.5, 0.4, 1.0)
     with pytest.raises(ValueError):
         RatioParams(0.1, 0.9, -1.0)
+
+
+@pytest.mark.parametrize("field", ["kappa0", "kappa", "beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_param_validation_rejects_non_finite(field, value):
+    kwargs = {"kappa0": 0.2, "kappa": 0.8, "beta": 1.5, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        RatioParams(**kwargs)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_verify_bound_rejects_bad_step(step):
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        verify_bound(PAPER, step)
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        sweep_curve(PAPER, step)
+
+
+def test_verify_bound_rejects_kappa_one():
+    # the slope bound 32/(1 - kappa) has no finite value at kappa = 1
+    with pytest.raises(ValueError, match="infinite at kappa = 1"):
+        verify_bound(RatioParams(0.38, 1.0, 2.0), 1e-4)
 
 
 def test_length_factor_below_reported_bound():
@@ -183,3 +214,187 @@ def test_sweep_parallel_matches_serial():
     serial = sweep_curve(PAPER, 1e-5, jobs=1, chunk=1 << 14)
     parallel = sweep_curve(PAPER, 1e-5, jobs=2, chunk=1 << 14)
     assert serial == parallel
+
+
+def _sweep_oracle(p: RatioParams, step: float, chunk: int = 1 << 20) -> tuple[float, float]:
+    """The sweep evaluated in longdouble at every grid point, chunk by chunk."""
+    count = _grid_count(p, step)
+    top_x = LD(p.kappa) if p.kappa < 1.0 else LD(1.0) - LD(1e-12)
+    results = []
+    for lo in range(0, count, chunk):
+        idx = np.arange(lo, min(lo + chunk, count), dtype=np.int64)
+        xs = np.minimum(LD(p.kappa0) + idx.astype(LD) * LD(step), top_x)
+        vals = ratiocheck._curve_array(p, xs)
+        top = int(np.argmax(vals))
+        results.append((float(vals[top]), float(xs[top])))
+    best_val, best_arg = results[0]
+    for val, arg in results[1:]:
+        if val > best_val or (val == best_val and arg < best_arg):
+            best_val, best_arg = val, arg
+    end_val = curve_value(p, p.kappa) if p.kappa < 1.0 else curve_value(p, 1.0)
+    if end_val > best_val:
+        best_val, best_arg = end_val, p.kappa
+    return best_val, best_arg
+
+
+def _grid_index(p: RatioParams, step: float, xi: float) -> int:
+    i = int(round((xi - p.kappa0) / step))
+    assert float(_grid(p, step, i, i + 1)[0]) == xi
+    return i
+
+
+def _oracle_cases():
+    fixed = [
+        (PAPER, 1e-5, 1 << 10, 1),
+        (PAPER, 1e-5, 1 << 20, 1),
+        (PAPER, 1e-6, 1 << 16, 1),
+        (PAPER, 1e-6, 1 << 17, 2),
+        (PAPER, 3e-6, 4095, 1),
+        (PAPER, 3e-6, 4097, 2),
+        (PAPER, PAPER.span / (4096 * 50), 3 * 4096 + 1, 1),
+        (RatioParams(0.38, 1.0, 2.0), 1e-5, 1 << 12, 1),
+        (RatioParams(0.38, 1.0, 2.0), 1e-5, 1 << 20, 2),
+        (RatioParams(0.1, 1.0, 0.5), 2e-5, 5000, 1),
+        (RatioParams(0.2, 0.8, 0.5), 1e-5, 1 << 14, 1),
+        (RatioParams(0.3, 0.95, 0.25), 1e-5, 1 << 11, 2),
+    ]
+    rng = random.Random(23)
+    seeded = []
+    for _ in range(12):
+        k0 = rng.uniform(0.0, 0.5)
+        k = 1.0 if rng.random() < 0.25 else rng.uniform(k0 + 0.2, 0.999)
+        p = RatioParams(k0, k, rng.uniform(0.3, 3.0))
+        step = 10 ** rng.uniform(-5.5, -4.0)
+        seeded.append((p, step, 1 << rng.randint(10, 20), rng.choice((1, 2))))
+    return fixed + seeded
+
+
+@pytest.mark.parametrize("p, step, chunk, jobs", _oracle_cases())
+def test_sweep_matches_longdouble_oracle(p, step, chunk, jobs, monkeypatch):
+    want = _sweep_oracle(p, step, chunk)
+    assert sweep_curve(p, step, jobs=jobs, chunk=chunk) == want
+    if p.kappa < 1.0:
+        got = verify_bound(p, step, jobs=jobs)
+        monkeypatch.setattr(ratiocheck, "sweep_curve", lambda p, step, jobs: _sweep_oracle(p, step))
+        assert got == verify_bound(p, step, jobs=jobs)
+
+
+@pytest.mark.parametrize("p", [PAPER, RatioParams(0.1, 1.0, 0.5), RatioParams(0.2, 0.8, 0.5)])
+def test_sweep_matches_oracle_with_maximum_on_block_edges(p):
+    # chunk boundaries put the oracle maximum first or last in a block
+    step = 1e-5
+    _, arg = _sweep_oracle(p, step)
+    i = _grid_index(p, step, arg)
+    for chunk in (i, i + 1, i - 4096 + 1):
+        assert sweep_curve(p, step, chunk=chunk) == _sweep_oracle(p, step, chunk)
+
+
+@pytest.mark.parametrize("chunk", [1 << 10, 8192, 3 * 4096 + 5, 1 << 20])
+def test_sweep_plateau_keeps_first_maximum(chunk, monkeypatch):
+    # a flat curve ties every point: the first maximum of each chunk, then the
+    # smallest xi across chunks, so kappa0
+    monkeypatch.setattr(ratiocheck, "_curve_array", lambda p, xs, dtype=LD: np.ones(len(xs), dtype))
+    want = _sweep_oracle(PAPER, 1e-5, chunk)
+    assert want == (1.0, PAPER.kappa0)
+    assert sweep_curve(PAPER, 1e-5, chunk=chunk) == want
+
+
+@pytest.mark.parametrize("p", [PAPER, RatioParams(0.1, 1.0, 0.5), RatioParams(0.3, 0.95, 0.25)])
+def test_filter_brackets_longdouble_values(p):
+    # max(f - m) is a lower bound on the chunk maximum, and max(f + m) an
+    # upper bound on every longdouble value of its block
+    step = 1e-5
+    count = _grid_count(p, step)
+    for lo in range(0, count, 1 << 14):
+        hi = min(lo + (1 << 14), count)
+        lower, uppers = ratiocheck._filter_chunk((p.kappa0, p.kappa, p.beta, step, lo, hi))
+        exact = _curve_array(p, _grid(p, step, lo, hi))
+        assert lower <= exact.max()
+        assert len(uppers) == -(-(hi - lo) // ratiocheck.BLOCK)
+        for j, upper in enumerate(uppers):
+            block = exact[j * ratiocheck.BLOCK:(j + 1) * ratiocheck.BLOCK]
+            assert upper >= block.max()
+
+
+@pytest.mark.parametrize("p", [
+    PAPER,
+    RatioParams(0.38, 1.0, 2.0),
+    RatioParams(0.2, 0.8, 1.5),
+    RatioParams(0.1, 0.9, 0.5),
+    RatioParams(0.0, 0.999, 3.0),
+])
+def test_float64_error_within_filter_bound(p):
+    # the whole grid at 1e-6: the float64 filter against longdouble, scaled by 1 - xi
+    step = 1e-6
+    count = _grid_count(p, step)
+    worst = LD(0.0)
+    for lo in range(0, count, 1 << 18):
+        hi = min(lo + (1 << 18), count)
+        xs = _grid(p, step, lo, hi)
+        approx = _curve_array(p, _grid(p, step, lo, hi, np.float64), np.float64)
+        err = np.abs(approx.astype(LD) - _curve_array(p, xs)) * (LD(1.0) - xs)
+        worst = max(worst, err.max())
+    assert worst <= FILTER_BOUND / 64
+
+
+@pytest.mark.parametrize("where, delta", [("max", 1e-6), ("max", -1e-6), ("low", math.nan)])
+def test_wrong_float64_value_trips_filter_check(where, delta, monkeypatch):
+    # a float64 value off by more than the bound, at the maximum or (NaN) far
+    # from it, lies in a block evaluated again and must raise, naming xi
+    step = 1e-5
+    _, arg = _sweep_oracle(PAPER, step)
+    i = _grid_index(PAPER, step, arg) if where == "max" else 10
+    xi = float(_grid(PAPER, step, i, i + 1)[0])
+    target = _grid(PAPER, step, i, i + 1, np.float64)[0]
+    real = ratiocheck._curve_array
+
+    def corrupted(p, xs, dtype=LD):
+        vals = real(p, xs, dtype)
+        if dtype is np.float64:
+            vals = np.where(xs == target, vals + delta, vals)
+        return vals
+
+    monkeypatch.setattr(ratiocheck, "_curve_array", corrupted)
+    with pytest.raises(FilterBoundError, match=re.escape(f"at xi {xi!r}:")):
+        verify_bound(PAPER, step)
+
+
+class _RecordingContext:
+    """Stands in for a multiprocessing context: records pool sizes, starts no process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return [func(item) for item in items]
+
+
+def test_sweep_pool_capped_at_chunk_count(monkeypatch):
+    ctx = _RecordingContext()
+    monkeypatch.setattr(ratiocheck, "get_context", lambda method: ctx)
+    count = _grid_count(PAPER, 1e-4)
+    assert 4096 < count <= 2 * 4096
+    got = sweep_curve(PAPER, 1e-4, jobs=64, chunk=4096)
+    assert ctx.sizes == [2]
+    assert got == sweep_curve(PAPER, 1e-4, jobs=2, chunk=4096) == _sweep_oracle(PAPER, 1e-4, 4096)
+    assert ctx.sizes == [2, 2]
+    sweep_curve(PAPER, 1e-4, jobs=64)  # one chunk: no pool
+    assert ctx.sizes == [2, 2]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        sweep_curve(PAPER, 1e-4, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        verify_bound(PAPER, 1e-4, jobs=jobs)
