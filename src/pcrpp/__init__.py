@@ -15,14 +15,13 @@ from .core import (
 )
 from .preprocess import PreprocessedGraph, complete, copy_vertices, preprocess, restore
 from .lp import CutCertificate, LpError, LpSolution, max_flow_min_cut, separate_cuts, solve_pcrpp_lp
-from .splitoff import SplitError, SplitOp, SplitRecorder, SplitTrace, apply_threshold_split, complete_split
+from .splitoff import SplitError, SplitOp, SplitRecorder, complete_split
 from .treedecomp import (
     AuxGraph,
     DecompositionError,
     RootedTree,
     TreeDistribution,
     decompose,
-    decompose_by_lp,
     lift_to_aux,
     project_to_hat,
     stage_distribution,

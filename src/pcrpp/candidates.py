@@ -4,8 +4,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .core import (
     ABS_TOL,
     Instance,
@@ -75,6 +73,8 @@ def min_perfect_matching(points, dist) -> list[tuple[int, int]]:
         return []
     if len(points) == 2:
         return [(points[0], points[1])]
+    import networkx as nx  # here, so that `import pcrpp` does not pay ~0.14 s for it
+
     graph = nx.Graph()
     graph.add_nodes_from(points)
     for i, a in enumerate(points):
@@ -82,32 +82,6 @@ def min_perfect_matching(points, dist) -> list[tuple[int, int]]:
             graph.add_edge(a, b, weight=pair_lookup(dist, a, b))
     matching = nx.min_weight_matching(graph)
     return sorted(ekey(a, b) for a, b in matching)
-
-
-def matching_by_dp(points, dist) -> tuple[float, list[tuple[int, int]]]:
-    """Exhaustive pairing oracle for small point sets (bitmask over pairs)."""
-    points = sorted(points)
-    k = len(points)
-    if k % 2 != 0:
-        raise ValueError("odd number of points cannot be perfectly matched")
-    if k > 16:
-        raise ValueError("oracle limited to 16 points")
-    full = (1 << k) - 1
-    best: dict[int, tuple[float, list]] = {0: (0.0, [])}
-    for mask in range(1, full + 1):
-        if bin(mask).count("1") % 2 != 0:
-            continue
-        i = (mask & -mask).bit_length() - 1
-        entries = []
-        for j in range(i + 1, k):
-            if mask & (1 << j):
-                rest = mask & ~(1 << i) & ~(1 << j)
-                if rest in best:
-                    cost, pairs = best[rest]
-                    entries.append((cost + pair_lookup(dist, points[i], points[j]), pairs + [ekey(points[i], points[j])]))
-        if entries:
-            best[mask] = min(entries, key=lambda t: (t[0], t[1]))
-    return best[full]
 
 
 def _pairing_paths(inst: Instance, targets, sp_cache) -> Counter:

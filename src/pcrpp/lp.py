@@ -8,24 +8,25 @@ solver that returns an optimal basic solution with row duals.  The default,
 ``HighsBackend``, drives the HiGHS build bundled with scipy through its
 private bindings (``scipy.optimize._highspy._core``, verified with scipy 1.17
 and HiGHS 1.12); it hands HiGHS the same model and options that
-``scipy.optimize.linprog(method="highs")`` would.
+``scipy.optimize.linprog(method="highs")`` would.  ``linprog`` itself is used
+only in the tests, as the reference.
+
+The bindings are loaded from their file, without running
+``scipy/optimize/__init__.py``: that file imports all of ``scipy.optimize``,
+about 0.6 s that a solve does not need.
 """
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
 from itertools import compress
+from pathlib import Path
 
 import numpy as np
-from scipy.optimize._highspy._core import (
-    HighsDebugLevel,
-    HighsLp,
-    HighsModelStatus,
-    HighsOptions,
-    MatrixFormat,
-    _Highs,
-    simplex_constants,
-)
+import scipy
 
 from .core import bfs, ekey
 from .preprocess import PreprocessedGraph
@@ -34,6 +35,45 @@ FEAS_TOL = 1e-7
 PRICE_TOL = 1e-7
 SNAP_TOL = 1e-9
 MAX_ROUNDS = 10_000
+
+
+HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core(directory: Path):
+    """scipy's HiGHS extension module, loaded from ``directory`` by its spec.
+
+    An entry already in ``sys.modules`` (a prior ``import scipy.optimize``)
+    is reused.  Otherwise the module is registered under its own name before
+    it runs, so a later ``import scipy.optimize`` reuses it instead of
+    initialising a second copy of the pybind11 module.
+    """
+    module = sys.modules.get(HIGHS_CORE)
+    if module is not None:
+        return module
+    stem = HIGHS_CORE.rpartition(".")[2]
+    for suffix in EXTENSION_SUFFIXES:
+        path = directory / (stem + suffix)
+        if path.is_file():
+            break
+    else:
+        raise ImportError(
+            f"scipy {scipy.__version__} has no HiGHS extension {stem}.* in {directory}"
+            f" (suffixes tried: {', '.join(EXTENSION_SUFFIXES)})",
+            name=HIGHS_CORE,
+        )
+    spec = spec_from_file_location(HIGHS_CORE, path)
+    module = module_from_spec(spec)
+    sys.modules[HIGHS_CORE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[HIGHS_CORE]
+        raise
+    return module
+
+
+_core = _load_highs_core(Path(scipy.__file__).parent / "optimize" / "_highspy")
 
 
 class LpError(RuntimeError):
@@ -61,12 +101,12 @@ class BackendResult:
     row_duals: np.ndarray
 
 
-def _linprog_options() -> HighsOptions:
+def _linprog_options() -> _core.HighsOptions:
     """The options ``linprog(method="highs")`` sets: presolve on, dual simplex, no output."""
-    options = HighsOptions()
+    options = _core.HighsOptions()
     options.presolve = "on"
-    options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
+    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = False
     options.output_flag = False
     return options
@@ -117,8 +157,9 @@ class HighsBackend:
     ``col_upper`` (inf for none), rows ``row_lower <= A x <= row_upper`` and A
     in CSC form.  It passes HiGHS the model and options that ``linprog``
     passes for the same LP with its rows split into A_ub (lower bound -inf)
-    followed by A_eq, so both return the same solution.  ``linprog`` remains
-    only as the reference in the tests and in the ``decompose_by_lp`` oracle.
+    followed by A_eq, so both return the same solution.  ``linprog`` is used
+    only in the tests: as this backend's reference and in the
+    ``decompose_by_lp`` oracle (``tests/oracles.py``).
     Each call uses a fresh HiGHS instance that is dropped when it returns; one
     instance kept across the rounds of a solve raised peak memory by a fifth.
     A malformed model raises ``LpError`` before HiGHS sees it.
@@ -127,7 +168,7 @@ class HighsBackend:
     def solve(self, cost, col_upper, row_lower, row_upper, indptr, indices, values) -> BackendResult:
         ncols, nrows = len(cost), len(row_lower)
         _check_model(ncols, nrows, col_upper, row_upper, indptr, indices, values)
-        model = HighsLp()
+        model = _core.HighsLp()
         model.num_col_ = ncols
         model.num_row_ = nrows
         model.col_cost_ = cost
@@ -138,17 +179,17 @@ class HighsBackend:
         matrix = model.a_matrix_
         matrix.num_col_ = ncols
         matrix.num_row_ = nrows
-        matrix.format_ = MatrixFormat.kColwise
+        matrix.format_ = _core.MatrixFormat.kColwise
         # pybind11 fills these vectors from a list about twice as fast as from an array
         matrix.start_ = indptr.tolist()
         matrix.index_ = indices.tolist()
         matrix.value_ = values.tolist()
-        highs = _Highs()
+        highs = _core._Highs()
         highs.passOptions(HIGHS_OPTIONS)
         highs.passModel(model)
         highs.run()
         status = highs.getModelStatus()
-        if status != HighsModelStatus.kOptimal:
+        if status != _core.HighsModelStatus.kOptimal:
             raise LpError(
                 f"LP backend failed: HiGHS model status {highs.modelStatusToString(status)!r}"
                 f" on a {nrows} x {ncols} master (rows x columns)"

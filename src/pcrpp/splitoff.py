@@ -40,12 +40,6 @@ class SplitOp:
     amount: float
 
 
-@dataclass(frozen=True)
-class SplitTrace:
-    ops: tuple[SplitOp, ...]
-    order: tuple[int, ...]
-
-
 def _adjacency(x: dict[tuple[int, int], float]) -> dict[int, dict[int, float]]:
     adj: dict[int, dict[int, float]] = {}
     for (u, v), val in x.items():
@@ -259,53 +253,3 @@ class SplitRecorder:
     def state(self, boundary: int) -> tuple[dict, float]:
         x, e0 = self.states[boundary]
         return dict(x), e0
-
-
-def apply_threshold_split(
-    sol: LpSolution,
-    delta: float,
-    pg: PreprocessedGraph,
-    recorder: SplitRecorder | None = None,
-) -> tuple[dict[tuple[int, int], float], dict[int, float], SplitTrace]:
-    """Split off every vertex whose relaxation value lies below the threshold.
-
-    Returns the post-split edge vector on the preprocessed graph, the vertex
-    vector after the below-threshold values drop to zero, and the recorded
-    trace of auxiliary-graph operations.
-    """
-    recorder = recorder or SplitRecorder(pg, sol)
-    b = recorder.boundary(delta)
-    x, _ = recorder.state(b)
-    y = {
-        v: (val if v == pg.root or val >= delta else 0.0) for v, val in sol.y.items()
-    }
-    trace = SplitTrace(recorder.ops_prefix(b), tuple(v for v, _ in recorder.groups[:b]))
-    return x, y, trace
-
-
-def check_threshold_split(pg, sol, delta, xt, yt, tol=1e-6):
-    """Assert the five post-split guarantees; raises AssertionError otherwise."""
-    from .lp import check_lp_solution
-
-    root = pg.root
-    full = {k: xt.get(k, 0.0) for k in pg.lengths}
-    check_lp_solution(pg, LpSolution(full, dict(yt), 0.0), tol=tol)
-    for v, val in sol.y.items():
-        if v == root:
-            continue
-        want = 0.0 if val < delta else val
-        if abs(yt[v] - want) > tol:
-            raise AssertionError(f"vertex dichotomy violated at {v}")
-        if val < delta:
-            deg = sum(x for k, x in xt.items() if v in k)
-            if deg > tol:
-                raise AssertionError(f"split vertex {v} keeps degree {deg}")
-    for key in pg.pos_edges:
-        star = sol.x[key]
-        want = 0.0 if star < delta else star
-        if abs(xt.get(key, 0.0) - want) > tol:
-            raise AssertionError(f"positive-edge dichotomy violated on {key}")
-    before = sum(pg.lengths[k] * val for k, val in sol.x.items())
-    after = sum(pg.lengths[k] * val for k, val in xt.items())
-    if after > before + tol:
-        raise AssertionError(f"split increased total length {before} -> {after}")

@@ -19,9 +19,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import linprog
-
 from .core import bfs, ekey, neighbours
 from .lp import max_flow_min_cut
 from .preprocess import PreprocessedGraph
@@ -384,83 +381,3 @@ def project_to_hat(dist: TreeDistribution, pg: PreprocessedGraph) -> TreeDistrib
             if present != (u in verts) or present != (v in verts):
                 raise DecompositionError(f"coupling violated on {key}")
     return out
-
-
-def _enumerate_rooted_trees(support: list, root: int, cap: int) -> list:
-    """All subtrees of the support that contain the root, empty tree included."""
-    found = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        base = frontier.pop()
-        verts = {root}
-        for u, v in base:
-            verts.add(u)
-            verts.add(v)
-        for key in support:
-            u, v = key
-            if key in base:
-                continue
-            if (u in verts) == (v in verts):
-                continue
-            grown = base | {key}
-            if grown not in found:
-                found.add(grown)
-                if len(found) > cap:
-                    raise ValueError("support too rich for tree enumeration")
-                frontier.append(grown)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
-def decompose_by_lp(xbar, ybar, aux: AuxGraph, cap: int = 200_000) -> TreeDistribution:
-    """Desk-scale oracle: solve for tree weights directly from the marginals."""
-    root, copy = aux.root, aux.copy_id
-    support = sorted(
-        k for k, val in xbar.items() if val > 1e-12 and (k != aux.e0 or val > 1.0 + 1e-12)
-    )
-    targets_edge = {k: xbar[k] - (1.0 if k == aux.e0 else 0.0) for k in support}
-    trees = _enumerate_rooted_trees(support, root, cap)
-
-    vert_rows = []
-    for v, val in sorted(ybar.items()):
-        if v in (root, copy):
-            continue
-        if val > 1e-12 or any(v in k for k in support):
-            vert_rows.append((v, val))
-
-    n = len(trees)
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for key in support:
-        row = np.zeros(n)
-        for j, tr in enumerate(trees):
-            if key in tr:
-                row[j] = 1.0
-        rows.append(row)
-        rhs.append(targets_edge[key])
-    for v, val in vert_rows:
-        row = np.zeros(n)
-        for j, tr in enumerate(trees):
-            if v == root or any(v in k for k in tr):
-                row[j] = 1.0
-        rows.append(row)
-        rhs.append(val)
-    rows.append(np.ones(n))
-    rhs.append(1.0)
-
-    m = len(rows)
-    a_eq = np.zeros((m, n + 2 * m))
-    a_eq[:, :n] = np.array(rows)
-    for i in range(m):
-        a_eq[i, n + 2 * i] = 1.0
-        a_eq[i, n + 2 * i + 1] = -1.0
-    c = np.zeros(n + 2 * m)
-    c[n:] = 1.0
-    res = linprog(c, A_eq=a_eq, b_eq=np.array(rhs), bounds=[(0.0, None)] * (n + 2 * m), method="highs")
-    if not res.success or res.fun > 1e-7:
-        raise DecompositionError("no tree distribution matches the marginals")
-    weights = res.x[:n]
-    keep = [(trees[j], weights[j]) for j in range(n) if weights[j] > 1e-9]
-    return TreeDistribution(
-        trees=tuple(RootedTree(edges) for edges, _ in keep),
-        weights=tuple(w for _, w in keep),
-    )

@@ -1,0 +1,182 @@
+"""Test-only oracles and checkers, independent of the solver paths they check.
+
+``decompose_by_lp`` solves for tree weights with ``scipy.optimize.linprog``
+over every rooted subtree of the support; ``matching_by_dp`` pairs points by
+exhaustive dynamic programming; ``apply_threshold_split`` and
+``check_threshold_split`` replay one threshold of a ``SplitRecorder`` and
+assert the post-split guarantees.  None of them runs in a solve, so they
+live here rather than in the ``pcrpp`` package, whose import then stays free
+of ``scipy.optimize``.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.optimize import linprog
+
+from pcrpp.core import ekey, pair_lookup
+from pcrpp.lp import LpSolution, check_lp_solution
+from pcrpp.preprocess import PreprocessedGraph
+from pcrpp.splitoff import SplitOp, SplitRecorder
+from pcrpp.treedecomp import AuxGraph, DecompositionError, RootedTree, TreeDistribution
+
+
+@dataclass(frozen=True)
+class SplitTrace:
+    ops: tuple[SplitOp, ...]
+    order: tuple[int, ...]
+
+
+def apply_threshold_split(
+    sol: LpSolution,
+    delta: float,
+    pg: PreprocessedGraph,
+    recorder: SplitRecorder | None = None,
+) -> tuple[dict[tuple[int, int], float], dict[int, float], SplitTrace]:
+    """Split off every vertex whose relaxation value lies below the threshold.
+
+    Returns the post-split edge vector on the preprocessed graph, the vertex
+    vector after the below-threshold values drop to zero, and the recorded
+    trace of auxiliary-graph operations.
+    """
+    recorder = recorder or SplitRecorder(pg, sol)
+    b = recorder.boundary(delta)
+    x, _ = recorder.state(b)
+    y = {
+        v: (val if v == pg.root or val >= delta else 0.0) for v, val in sol.y.items()
+    }
+    trace = SplitTrace(recorder.ops_prefix(b), tuple(v for v, _ in recorder.groups[:b]))
+    return x, y, trace
+
+
+def check_threshold_split(pg, sol, delta, xt, yt, tol=1e-6):
+    """Assert the five post-split guarantees; raises AssertionError otherwise."""
+    root = pg.root
+    full = {k: xt.get(k, 0.0) for k in pg.lengths}
+    check_lp_solution(pg, LpSolution(full, dict(yt), 0.0), tol=tol)
+    for v, val in sol.y.items():
+        if v == root:
+            continue
+        want = 0.0 if val < delta else val
+        if abs(yt[v] - want) > tol:
+            raise AssertionError(f"vertex dichotomy violated at {v}")
+        if val < delta:
+            deg = sum(x for k, x in xt.items() if v in k)
+            if deg > tol:
+                raise AssertionError(f"split vertex {v} keeps degree {deg}")
+    for key in pg.pos_edges:
+        star = sol.x[key]
+        want = 0.0 if star < delta else star
+        if abs(xt.get(key, 0.0) - want) > tol:
+            raise AssertionError(f"positive-edge dichotomy violated on {key}")
+    before = sum(pg.lengths[k] * val for k, val in sol.x.items())
+    after = sum(pg.lengths[k] * val for k, val in xt.items())
+    if after > before + tol:
+        raise AssertionError(f"split increased total length {before} -> {after}")
+
+
+def matching_by_dp(points, dist) -> tuple[float, list[tuple[int, int]]]:
+    """Exhaustive pairing oracle for small point sets (bitmask over pairs)."""
+    points = sorted(points)
+    k = len(points)
+    if k % 2 != 0:
+        raise ValueError("odd number of points cannot be perfectly matched")
+    if k > 16:
+        raise ValueError("oracle limited to 16 points")
+    full = (1 << k) - 1
+    best: dict[int, tuple[float, list]] = {0: (0.0, [])}
+    for mask in range(1, full + 1):
+        if bin(mask).count("1") % 2 != 0:
+            continue
+        i = (mask & -mask).bit_length() - 1
+        entries = []
+        for j in range(i + 1, k):
+            if mask & (1 << j):
+                rest = mask & ~(1 << i) & ~(1 << j)
+                if rest in best:
+                    cost, pairs = best[rest]
+                    entries.append((cost + pair_lookup(dist, points[i], points[j]), pairs + [ekey(points[i], points[j])]))
+        if entries:
+            best[mask] = min(entries, key=lambda t: (t[0], t[1]))
+    return best[full]
+
+
+def _enumerate_rooted_trees(support: list, root: int, cap: int) -> list:
+    """All subtrees of the support that contain the root, empty tree included."""
+    found = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        base = frontier.pop()
+        verts = {root}
+        for u, v in base:
+            verts.add(u)
+            verts.add(v)
+        for key in support:
+            u, v = key
+            if key in base:
+                continue
+            if (u in verts) == (v in verts):
+                continue
+            grown = base | {key}
+            if grown not in found:
+                found.add(grown)
+                if len(found) > cap:
+                    raise ValueError("support too rich for tree enumeration")
+                frontier.append(grown)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def decompose_by_lp(xbar, ybar, aux: AuxGraph, cap: int = 200_000) -> TreeDistribution:
+    """Desk-scale oracle: solve for tree weights directly from the marginals."""
+    root, copy = aux.root, aux.copy_id
+    support = sorted(
+        k for k, val in xbar.items() if val > 1e-12 and (k != aux.e0 or val > 1.0 + 1e-12)
+    )
+    targets_edge = {k: xbar[k] - (1.0 if k == aux.e0 else 0.0) for k in support}
+    trees = _enumerate_rooted_trees(support, root, cap)
+
+    vert_rows = []
+    for v, val in sorted(ybar.items()):
+        if v in (root, copy):
+            continue
+        if val > 1e-12 or any(v in k for k in support):
+            vert_rows.append((v, val))
+
+    n = len(trees)
+    rows: list[np.ndarray] = []
+    rhs: list[float] = []
+    for key in support:
+        row = np.zeros(n)
+        for j, tr in enumerate(trees):
+            if key in tr:
+                row[j] = 1.0
+        rows.append(row)
+        rhs.append(targets_edge[key])
+    for v, val in vert_rows:
+        row = np.zeros(n)
+        for j, tr in enumerate(trees):
+            if v == root or any(v in k for k in tr):
+                row[j] = 1.0
+        rows.append(row)
+        rhs.append(val)
+    rows.append(np.ones(n))
+    rhs.append(1.0)
+
+    m = len(rows)
+    a_eq = np.zeros((m, n + 2 * m))
+    a_eq[:, :n] = np.array(rows)
+    for i in range(m):
+        a_eq[i, n + 2 * i] = 1.0
+        a_eq[i, n + 2 * i + 1] = -1.0
+    c = np.zeros(n + 2 * m)
+    c[n:] = 1.0
+    res = linprog(c, A_eq=a_eq, b_eq=np.array(rhs), bounds=[(0.0, None)] * (n + 2 * m), method="highs")
+    if not res.success or res.fun > 1e-7:
+        raise DecompositionError("no tree distribution matches the marginals")
+    weights = res.x[:n]
+    keep = [(trees[j], weights[j]) for j in range(n) if weights[j] > 1e-9]
+    return TreeDistribution(
+        trees=tuple(RootedTree(edges) for edges, _ in keep),
+        weights=tuple(w for _, w in keep),
+    )

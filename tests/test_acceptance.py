@@ -26,7 +26,7 @@ from pcrpp.ratiocheck import (
     verify_bound,
 )
 from pcrpp.solvers import best_of_many, exact_oracle, pctsp_reduction
-from pcrpp.splitoff import SplitRecorder, apply_threshold_split, check_threshold_split
+from pcrpp.splitoff import SplitRecorder
 from pcrpp.treedecomp import (
     AuxGraph,
     decompose,
@@ -35,6 +35,7 @@ from pcrpp.treedecomp import (
     stage_distribution,
 )
 from conftest import FRACTIONAL_INSTANCES, barrier_text, random_suite
+from oracles import apply_threshold_split, check_threshold_split
 
 
 @contextmanager

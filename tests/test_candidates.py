@@ -9,7 +9,6 @@ from pcrpp.candidates import (
     CoreTree,
     build_candidate,
     edge_profit_core,
-    matching_by_dp,
     min_perfect_matching,
     min_tjoin,
 )
@@ -17,6 +16,7 @@ from pcrpp.core import Multigraph, Walk, ekey, odd_vertices, parse_instance
 from pcrpp.preprocess import preprocess
 from pcrpp.treedecomp import RootedTree
 from conftest import random_suite
+from oracles import matching_by_dp
 
 
 def test_core_no_positive_edge(barrier):

@@ -1,0 +1,92 @@
+"""What ``import pcrpp`` loads, and how it shares scipy's HiGHS extension."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+import scipy
+from scipy.optimize import linprog
+
+from pcrpp import lp
+from pcrpp.core import serialize_instance
+from pcrpp.solvers import best_of_many
+from conftest import FRACTIONAL_INSTANCES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# One small LP for linprog, and best_of_many on the instance text in argv[1].
+SOLVE_BOTH = """
+from scipy.optimize import linprog
+from pcrpp import best_of_many, parse_instance
+
+res = linprog([-1.0, -2.0], A_ub=[[1.0, 1.0]], b_ub=[1.0], bounds=(0, 1), method="highs")
+sol = best_of_many(parse_instance(sys.argv[1]))
+report["linprog"] = [res.status, res.fun]
+report["solve"] = [sol.value, sol.lower_bound, list(sol.walk.vertices)]
+print(json.dumps(report))
+"""
+
+PCRPP_FIRST = """
+import json, sys
+import pcrpp, pcrpp.cli
+
+report = {"loaded": sorted(m for m in ("scipy.optimize", "networkx") if m in sys.modules)}
+import scipy.optimize
+report["shared"] = sys.modules["scipy.optimize._highspy._core"] is pcrpp.lp._core
+""" + SOLVE_BOTH
+
+SCIPY_FIRST = """
+import json, sys
+import scipy.optimize
+core = sys.modules["scipy.optimize._highspy._core"]
+import pcrpp
+
+report = {"shared": pcrpp.lp._core is core}
+""" + SOLVE_BOTH
+
+
+def run_child(script: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", script, serialize_instance(FRACTIONAL_INSTANCES[0])],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def expected():
+    res = linprog([-1.0, -2.0], A_ub=[[1.0, 1.0]], b_ub=[1.0], bounds=(0, 1), method="highs")
+    sol = best_of_many(FRACTIONAL_INSTANCES[0])
+    return {
+        "linprog": [res.status, res.fun],
+        "solve": [sol.value, sol.lower_bound, list(sol.walk.vertices)],
+    }
+
+
+def test_import_loads_neither_scipy_optimize_nor_networkx(expected):
+    report = run_child(PCRPP_FIRST)
+    assert report["loaded"] == []
+    # a later scipy.optimize reuses the extension module pcrpp loaded
+    assert report["shared"] is True
+    assert report["linprog"] == expected["linprog"]
+    assert report["solve"] == expected["solve"]
+
+
+def test_import_after_scipy_optimize_reuses_its_extension(expected):
+    report = run_child(SCIPY_FIRST)
+    assert report["shared"] is True
+    assert report["linprog"] == expected["linprog"]
+    assert report["solve"] == expected["solve"]
+
+
+def test_missing_highs_extension_names_version_and_directory(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, lp.HIGHS_CORE)
+    with pytest.raises(ImportError) as info:
+        lp._load_highs_core(tmp_path)
+    assert f"scipy {scipy.__version__}" in str(info.value)
+    assert str(tmp_path) in str(info.value)
+    assert info.value.name == lp.HIGHS_CORE
+    assert lp.HIGHS_CORE not in sys.modules

@@ -8,11 +8,10 @@ from pcrpp.splitoff import (
     SplitError,
     SplitOp,
     SplitRecorder,
-    apply_threshold_split,
-    check_threshold_split,
     complete_split,
 )
 from conftest import random_suite
+from oracles import apply_threshold_split, check_threshold_split
 
 
 def test_complete_split_forced_pairing():

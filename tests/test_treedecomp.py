@@ -3,18 +3,18 @@ import pytest
 from pcrpp.core import ekey
 from pcrpp.lp import solve_pcrpp_lp
 from pcrpp.preprocess import preprocess
-from pcrpp.splitoff import SplitRecorder, apply_threshold_split
+from pcrpp.splitoff import SplitRecorder
 from pcrpp.treedecomp import (
     AuxGraph,
     RootedTree,
     check_pctsp_feasible,
     decompose,
-    decompose_by_lp,
     lift_to_aux,
     project_to_hat,
     stage_distribution,
 )
 from conftest import FRACTIONAL_INSTANCES, random_suite
+from oracles import apply_threshold_split, decompose_by_lp
 
 
 def aux_base_y(pg):

@@ -1,0 +1,106 @@
+"""Write every solver output for a fixed instance set as canonical JSON.
+
+Run from the repository root against the sources under ``src``:
+
+    python3 tools/bitcheck.py OUT.json
+
+The instances are the 200 of the acceptance suite (``tests/conftest.py``),
+the 80 stored ``frac-small`` instances and the 5 ``lp-ladder`` instances of
+the benchmark (``perfbench/workloads.py``).  For each one the file holds:
+
+- ``best_of_many``: value, lower bound, walk and stats without the ``t_*``
+  timings;
+- ``solve_pcrpp_lp``: x, y and the cut certificate (side, witness, slack);
+- a SHA-256 of ``write_lp_text`` for that certificate;
+- the ``pctsp_reduction`` and ``exact_oracle`` values.
+
+A call that raises is recorded as ``"Type: message"``.  Floats are written
+with ``repr``, dicts with sorted keys and cut sides as sorted lists, so two
+runs agree byte for byte exactly when every output agrees bit for bit.
+Compare two source trees by running this script in each and comparing the
+files with ``cmp``.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+
+from conftest import FRACTIONAL_INSTANCES, random_suite  # noqa: E402
+import workloads  # noqa: E402
+
+from pcrpp.lp import solve_pcrpp_lp, write_lp_text  # noqa: E402
+from pcrpp.preprocess import preprocess  # noqa: E402
+from pcrpp.solvers import best_of_many, exact_oracle, pctsp_reduction  # noqa: E402
+
+
+def instances() -> list:
+    """(label, instance) for every instance checked, in a fixed order."""
+    suite = random_suite(198, base_seed=1000) + list(FRACTIONAL_INSTANCES)
+    out = [(f"acceptance/{i:03d}-{inst.name}", inst) for i, inst in enumerate(suite)]
+    out += [(f"frac-small/{name}", inst) for name, inst in workloads.corpus_instances()]
+    out += [(f"lp-ladder/{name}", inst) for name, inst in workloads.ladder_instances()]
+    return out
+
+
+def _pairs(table: dict) -> list:
+    return [[list(k) if isinstance(k, tuple) else k, v] for k, v in sorted(table.items())]
+
+
+def _guard(fn):
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the error is part of the output
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _best(inst) -> dict:
+    sol = best_of_many(inst)
+    stats = {k: v for k, v in sol.stats.items() if not k.startswith("t_")}
+    return {
+        "value": sol.value,
+        "lower_bound": sol.lower_bound,
+        "walk": list(sol.walk.vertices),
+        "stats": stats,
+    }
+
+
+def _lp(inst) -> dict:
+    pg = preprocess(inst)
+    sol, cert = solve_pcrpp_lp(pg)
+    return {
+        "x": _pairs(sol.x),
+        "y": _pairs(sol.y),
+        "objective": sol.objective,
+        "cuts": [[sorted(side), wit, slack] for side, wit, slack in cert.cuts],
+        "lp_text_sha256": hashlib.sha256(write_lp_text(pg, cert).encode()).hexdigest(),
+    }
+
+
+def record(inst) -> dict:
+    return {
+        "best_of_many": _guard(lambda: _best(inst)),
+        "lp": _guard(lambda: _lp(inst)),
+        "pctsp_reduction": _guard(lambda: pctsp_reduction(inst).value),
+        "exact_oracle": _guard(lambda: exact_oracle(inst).value),
+    }
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 tools/bitcheck.py OUT.json", file=sys.stderr)
+        return 2
+    out = {label: record(inst) for label, inst in instances()}
+    text = json.dumps(out, sort_keys=True, indent=1)
+    Path(args[0]).write_text(text + "\n")
+    print(f"{len(out)} instances -> {args[0]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
