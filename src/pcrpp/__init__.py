@@ -14,7 +14,15 @@ from .core import (
     shortest_paths,
 )
 from .preprocess import PreprocessedGraph, complete, copy_vertices, preprocess, restore
-from .lp import CutCertificate, LpError, LpSolution, max_flow_min_cut, separate_cuts, solve_pcrpp_lp
+from .lp import (
+    CutCertificate,
+    LpError,
+    LpSolution,
+    capacity_adjacency,
+    max_flow_min_cut,
+    separate_cuts,
+    solve_pcrpp_lp,
+)
 from .splitoff import SplitError, SplitOp, SplitRecorder, complete_split
 from .treedecomp import (
     AuxGraph,

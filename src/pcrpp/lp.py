@@ -17,8 +17,8 @@ about 0.6 s that a solve does not need.
 """
 from __future__ import annotations
 
+import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import module_from_spec, spec_from_file_location
@@ -202,7 +202,13 @@ class HighsBackend:
         )
 
 
-def _residual(capacities: dict[tuple[int, int], float]) -> dict[int, dict[int, float]]:
+def capacity_adjacency(capacities: dict[tuple[int, int], float]) -> dict[int, dict[int, float]]:
+    """Symmetric capacity rows ``{u: {v: cap}}`` of an undirected capacity map.
+
+    Pairs with capacity at most zero are left out, and the two orientations
+    of a pair add up.  ``max_flow_min_cut`` takes these rows, so a caller
+    that asks several flows on one network converts it once.
+    """
     adj: dict[int, dict[int, float]] = {}
     for (u, v), cap in capacities.items():
         if cap <= 0.0:
@@ -212,44 +218,71 @@ def _residual(capacities: dict[tuple[int, int], float]) -> dict[int, dict[int, f
     return adj
 
 
-def _augment(res: dict[int, dict[int, float]], s: int, t: int) -> float:
-    """One BFS augmentation; returns the pushed amount (0 when t unreachable)."""
-    pred = {s: s}
-    queue = deque([s])
-    while queue and t not in pred:
-        v = queue.popleft()
-        for u in sorted(res.get(v, {})):
-            if u not in pred and res[v][u] > 1e-12:
-                pred[u] = v
-                queue.append(u)
-    if t not in pred:
-        return 0.0
-    path = [t]
-    while path[-1] != s:
-        path.append(pred[path[-1]])
-    path.reverse()
-    push = min(res[a][b] for a, b in zip(path, path[1:]))
-    for a, b in zip(path, path[1:]):
-        res[a][b] -= push
-        res[b][a] = res[b].get(a, 0.0) + push
-    return push
+def _flow(
+    adj: dict[int, dict[int, float]], s: int, t: int, need: float
+) -> tuple[float, dict[int, dict[int, float]]]:
+    """Edmonds-Karp s-t flow on symmetric rows, augmenting while the value is below ``need``.
+
+    Returns the flow value and the residual rows.  Each row is copied once
+    per flow, and its keys are sorted once, when a breadth-first search
+    first visits it: a symmetric residual never gains a key, so every search
+    scans neighbours in increasing id order.  An arc is usable while its
+    residual exceeds 1e-12.  The value only grows, so it reaches ``need``
+    exactly when the full flow does.
+    """
+    if s == t:
+        raise ValueError("source equals sink")
+    res = {v: row.copy() for v, row in adj.items()}
+    res.setdefault(s, {})
+    order: dict[int, list[int]] = {}
+    value = 0.0
+    while value < need:
+        pred = {s: s}
+        queue = [s]
+        for v in queue:
+            nbrs = order.get(v)
+            if nbrs is None:
+                nbrs = order[v] = sorted(res[v])
+            row = res[v]
+            for u in nbrs:
+                if u not in pred and row[u] > 1e-12:
+                    pred[u] = v
+                    queue.append(u)
+            if t in pred:
+                break
+        else:
+            break
+        push = math.inf
+        b = t
+        while b != s:
+            a = pred[b]
+            if res[a][b] < push:
+                push = res[a][b]
+            b = a
+        b = t
+        while b != s:
+            a = pred[b]
+            res[a][b] -= push
+            res[b][a] += push
+            b = a
+        value += push
+    return value, res
 
 
 def max_flow_min_cut(
-    capacities: dict[tuple[int, int], float], s: int, t: int
-) -> tuple[float, frozenset]:
-    """Exact max s-t flow and a minimum cut S with s inside and t outside."""
-    if s == t:
-        raise ValueError("source equals sink")
-    res = _residual(capacities)
-    res.setdefault(s, {})
-    res.setdefault(t, {})
-    value = 0.0
-    while True:
-        push = _augment(res, s, t)
-        if push <= 0.0:
-            break
-        value += push
+    adj: dict[int, dict[int, float]], s: int, t: int, need: float = math.inf
+) -> tuple[float, frozenset | None]:
+    """Max s-t flow on ``capacity_adjacency`` rows and a minimum cut S with s inside.
+
+    With ``need`` given the flow stops once its value reaches ``need`` and
+    the result is ``(value, None)``: the cut is at least ``need``.  Otherwise
+    the value is the exact maximum and the side is the set reached from s in
+    the residual graph.  ``adj`` is not changed.  ``cut_at_least`` asks the
+    same question with a 1e-12 slack and without the side.
+    """
+    value, res = _flow(adj, s, t, need)
+    if not value < need:  # a NaN demand counts as met, as the flow loop's exit test has it
+        return value, None
     side = bfs(res, s, lambda a, b: res[a][b] > 1e-12)
     return value, frozenset(side)
 
@@ -257,19 +290,11 @@ def max_flow_min_cut(
 def cut_at_least(
     adj: dict[int, dict[int, float]], s: int, t: int, need: float
 ) -> bool:
-    """True when the min s-t cut is at least ``need``; stops flowing early."""
+    """True when the min s-t cut on the symmetric rows ``adj`` is at least ``need``."""
     if need <= 1e-12:
         return True
-    res = {v: dict(nbrs) for v, nbrs in adj.items()}
-    res.setdefault(s, {})
-    res.setdefault(t, {})
-    value = 0.0
-    while value < need - 1e-12:
-        push = _augment(res, s, t)
-        if push <= 0.0:
-            return False
-        value += push
-    return True
+    need -= 1e-12
+    return not _flow(adj, s, t, need)[0] < need
 
 
 def _tether_pairs(pg: PreprocessedGraph) -> list[tuple[int, int]]:
@@ -357,16 +382,18 @@ def separate_cuts(
     """Connectivity cuts violated by (x, y), one witness vertex at a time.
 
     For every v with positive y the min root-v cut under x is compared with
-    the demand 2*y_v; an empty result certifies the cut constraints.
+    the demand 2*y_v; an empty result certifies the cut constraints.  The
+    support is converted to capacity rows once per call, and each flow stops
+    as soon as it meets its demand.
     """
     root = pg.root
     violated = []
-    support = {k: val for k, val in x.items() if val > 1e-12}
+    support = capacity_adjacency({k: val for k, val in x.items() if val > 1e-12})
     for v in sorted(y):
         if v == root or y[v] <= tol:
             continue
-        value, side = max_flow_min_cut(support, v, root)
-        if value < 2.0 * y[v] - tol:
+        _, side = max_flow_min_cut(support, v, root, need=2.0 * y[v] - tol)
+        if side is not None:
             violated.append((side, v))
     return violated
 
@@ -573,30 +600,3 @@ def write_lp_text(pg: PreprocessedGraph, cert: CutCertificate) -> str:
             lines.append(f" 0 <= y_{v} <= 1")
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-def check_lp_solution(pg: PreprocessedGraph, sol: LpSolution, tol: float = 1e-6) -> None:
-    """Replay feasibility of a returned solution; raises on any violation."""
-    root = pg.root
-    x, y = sol.x, sol.y
-    for v in range(pg.vertex_count):
-        deg = sum(val for k, val in x.items() if v in k)
-        if v == root:
-            if deg > 2.0 + tol:
-                raise AssertionError(f"root degree {deg} exceeds 2")
-        elif abs(deg - 2.0 * y[v]) > tol:
-            raise AssertionError(f"degree constraint violated at {v}")
-    for u, v in pg.pos_edges:
-        val = x[(u, v)]
-        if not (-tol <= val <= 1.0 + tol):
-            raise AssertionError(f"positive edge {u, v} out of bounds")
-        if abs(y[u] - val) > tol or abs(y[v] - val) > tol:
-            raise AssertionError(f"coupling violated on {u, v}")
-    for k, val in x.items():
-        if val < -tol:
-            raise AssertionError(f"negative edge value on {k}")
-    for v, val in y.items():
-        if not (-tol <= val <= 1.0 + tol):
-            raise AssertionError(f"vertex value out of bounds at {v}")
-    if separate_cuts(pg, x, y, tol=tol):
-        raise AssertionError("a connectivity cut is still violated")

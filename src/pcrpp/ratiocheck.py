@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing import get_context
 
 import numpy as np
@@ -112,6 +113,36 @@ def skip_factor(p: RatioParams) -> float:
     return float(LD(1.0) / (LD(1.0) - LD(p.kappa0)))
 
 
+@lru_cache(maxsize=16)
+def _curve_constants(p: RatioParams, dtype) -> tuple:
+    """The scalars of ``_curve_array`` in dtype, computed once per (params, dtype).
+
+    A 1e-7 sweep calls ``_curve_array`` 770 times with the same params and
+    dtype, and computing these scalars, the longdouble powers of ``_nu_ld``
+    included, took about a fifth of a one-point call.  The tests replace
+    ``_curve_array`` by stand-ins with its signature, so the scalars are
+    memoized here rather than passed in.
+    """
+    k0, k, b = dtype(p.kappa0), dtype(p.kappa), dtype(p.beta)
+    span = k - k0
+    nu = dtype(_nu_ld(p))
+    three = dtype(3.0)
+    return (
+        k,
+        b + 1,
+        b + 2,
+        span ** (b + 2),
+        span ** (b + 1),
+        span,
+        three - k0,
+        (three - k0 - k) * (three - k0),
+        three - k,
+        (three - k - k) * (three - k),
+        nu,
+        dtype(1.0),
+    )
+
+
 def _curve_array(p: RatioParams, xs: np.ndarray, dtype=LD) -> np.ndarray:
     """Profit-miss ratio h/(1-xi) on a grid inside [kappa0, kappa], computed in dtype.
 
@@ -122,24 +153,22 @@ def _curve_array(p: RatioParams, xs: np.ndarray, dtype=LD) -> np.ndarray:
     threshold: freed temporaries were trimmed from the heap and faulted in
     again on every slice, 25k minor page faults in a 1e-7 sweep.
     """
-    k0, k, b = dtype(p.kappa0), dtype(p.kappa), dtype(p.beta)
-    span = k - k0
-    nu = dtype(_nu_ld(p))
-    three = dtype(3.0)
-    one = dtype(1.0)
+    k, b1, b2, span_b2, span_b1, span, low, low_num, high, high_num, nu, one = _curve_constants(
+        p, dtype
+    )
     xs = np.asarray(xs, dtype)
     t = np.subtract(k, xs)
-    tb1 = np.power(t, b + 1)
+    tb1 = np.power(t, b1)
     a_term = np.multiply(tb1, t, out=t)  # t^(b+2) for now
-    np.subtract(span ** (b + 2), a_term, out=a_term)
-    np.divide(a_term, b + 2, out=a_term)
-    b_term = np.subtract(span ** (b + 1), tb1, out=tb1)
+    np.subtract(span_b2, a_term, out=a_term)
+    np.divide(a_term, b2, out=a_term)
+    b_term = np.subtract(span_b1, tb1, out=tb1)
     np.multiply(span, b_term, out=b_term)
-    np.divide(b_term, b + 1, out=b_term)
-    phi_low = np.subtract(three - k0, xs)
-    np.divide((three - k0 - k) * (three - k0), phi_low, out=phi_low)
-    phi_high = np.subtract(three - k, xs)
-    np.divide((three - k - k) * (three - k), phi_high, out=phi_high)
+    np.divide(b_term, b1, out=b_term)
+    phi_low = np.subtract(low, xs)
+    np.divide(low_num, phi_low, out=phi_low)
+    phi_high = np.subtract(high, xs)
+    np.divide(high_num, phi_high, out=phi_high)
     # h = 1 - (xs nu / span) ((phi_low - phi_high) a_term + phi_high b_term)
     h = np.subtract(phi_low, phi_high, out=phi_low)
     np.multiply(h, a_term, out=h)

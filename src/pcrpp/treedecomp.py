@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import bfs, ekey, neighbours
-from .lp import max_flow_min_cut
+from .lp import capacity_adjacency, max_flow_min_cut
 from .preprocess import PreprocessedGraph
 from .splitoff import SplitOp, SplitRecorder, split_every_vertex
 
@@ -142,12 +142,12 @@ def check_pctsp_feasible(xbar, ybar, aux: AuxGraph, tol: float = MARGIN_TOL) -> 
             continue
         if abs(degrees.get(v, 0.0) - 2.0 * val) > tol:
             raise ValueError(f"degree mismatch at {v}")
-    support = {k: val for k, val in xbar.items() if val > 1e-12}
+    support = capacity_adjacency({k: val for k, val in xbar.items() if val > 1e-12})
     for v, val in sorted(ybar.items()):
         if v == root or val <= tol:
             continue
-        cut, _ = max_flow_min_cut(support, v, root)
-        if cut < 2.0 * val - tol:
+        _, side = max_flow_min_cut(support, v, root, need=2.0 * val - tol)
+        if side is not None:
             raise ValueError(f"connectivity cut violated for {v}")
 
 

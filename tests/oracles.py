@@ -4,22 +4,123 @@
 over every rooted subtree of the support; ``matching_by_dp`` pairs points by
 exhaustive dynamic programming; ``apply_threshold_split`` and
 ``check_threshold_split`` replay one threshold of a ``SplitRecorder`` and
-assert the post-split guarantees.  None of them runs in a solve, so they
-live here rather than in the ``pcrpp`` package, whose import then stays free
-of ``scipy.optimize``.
+assert the post-split guarantees; ``check_lp_solution`` replays the
+feasibility of a relaxation solution; ``max_flow_by_dict`` and
+``cut_at_least_by_dict`` are the Edmonds-Karp flow the solver used before
+its single early-exit kernel, kept to check that kernel bit for bit.  None
+of them runs in a solve, so they live here rather than in the ``pcrpp``
+package, whose import then stays free of ``scipy.optimize``.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from pcrpp.core import ekey, pair_lookup
-from pcrpp.lp import LpSolution, check_lp_solution
+from pcrpp.core import bfs, ekey, pair_lookup
+from pcrpp.lp import LpSolution, separate_cuts
 from pcrpp.preprocess import PreprocessedGraph
 from pcrpp.splitoff import SplitOp, SplitRecorder
 from pcrpp.treedecomp import AuxGraph, DecompositionError, RootedTree, TreeDistribution
+
+
+def _residual(capacities: dict[tuple[int, int], float]) -> dict[int, dict[int, float]]:
+    adj: dict[int, dict[int, float]] = {}
+    for (u, v), cap in capacities.items():
+        if cap <= 0.0:
+            continue
+        adj.setdefault(u, {})[v] = adj.setdefault(u, {}).get(v, 0.0) + cap
+        adj.setdefault(v, {})[u] = adj.setdefault(v, {}).get(u, 0.0) + cap
+    return adj
+
+
+def _augment(res: dict[int, dict[int, float]], s: int, t: int) -> float:
+    """One BFS augmentation; returns the pushed amount (0 when t unreachable)."""
+    pred = {s: s}
+    queue = deque([s])
+    while queue and t not in pred:
+        v = queue.popleft()
+        for u in sorted(res.get(v, {})):
+            if u not in pred and res[v][u] > 1e-12:
+                pred[u] = v
+                queue.append(u)
+    if t not in pred:
+        return 0.0
+    path = [t]
+    while path[-1] != s:
+        path.append(pred[path[-1]])
+    path.reverse()
+    push = min(res[a][b] for a, b in zip(path, path[1:]))
+    for a, b in zip(path, path[1:]):
+        res[a][b] -= push
+        res[b][a] = res[b].get(a, 0.0) + push
+    return push
+
+
+def max_flow_by_dict(
+    capacities: dict[tuple[int, int], float], s: int, t: int
+) -> tuple[float, frozenset]:
+    """Exact max s-t flow and a minimum cut S with s inside and t outside."""
+    if s == t:
+        raise ValueError("source equals sink")
+    res = _residual(capacities)
+    res.setdefault(s, {})
+    res.setdefault(t, {})
+    value = 0.0
+    while True:
+        push = _augment(res, s, t)
+        if push <= 0.0:
+            break
+        value += push
+    side = bfs(res, s, lambda a, b: res[a][b] > 1e-12)
+    return value, frozenset(side)
+
+
+def cut_at_least_by_dict(
+    adj: dict[int, dict[int, float]], s: int, t: int, need: float
+) -> bool:
+    """True when the min s-t cut is at least ``need``; stops flowing early."""
+    if need <= 1e-12:
+        return True
+    res = {v: dict(nbrs) for v, nbrs in adj.items()}
+    res.setdefault(s, {})
+    res.setdefault(t, {})
+    value = 0.0
+    while value < need - 1e-12:
+        push = _augment(res, s, t)
+        if push <= 0.0:
+            return False
+        value += push
+    return True
+
+
+def check_lp_solution(pg: PreprocessedGraph, sol: LpSolution, tol: float = 1e-6) -> None:
+    """Replay feasibility of a returned solution; raises on any violation."""
+    root = pg.root
+    x, y = sol.x, sol.y
+    for v in range(pg.vertex_count):
+        deg = sum(val for k, val in x.items() if v in k)
+        if v == root:
+            if deg > 2.0 + tol:
+                raise AssertionError(f"root degree {deg} exceeds 2")
+        elif abs(deg - 2.0 * y[v]) > tol:
+            raise AssertionError(f"degree constraint violated at {v}")
+    for u, v in pg.pos_edges:
+        val = x[(u, v)]
+        if not (-tol <= val <= 1.0 + tol):
+            raise AssertionError(f"positive edge {u, v} out of bounds")
+        if abs(y[u] - val) > tol or abs(y[v] - val) > tol:
+            raise AssertionError(f"coupling violated on {u, v}")
+    for k, val in x.items():
+        if val < -tol:
+            raise AssertionError(f"negative edge value on {k}")
+    for v, val in y.items():
+        if not (-tol <= val <= 1.0 + tol):
+            raise AssertionError(f"vertex value out of bounds at {v}")
+    if separate_cuts(pg, x, y, tol=tol):
+        raise AssertionError("a connectivity cut is still violated")
 
 
 @dataclass(frozen=True)

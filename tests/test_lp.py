@@ -14,7 +14,7 @@ from pcrpp.lp import (
     LpError,
     PairArrays,
     _price_variables,
-    check_lp_solution,
+    capacity_adjacency,
     initial_variables,
     max_flow_min_cut,
     separate_cuts,
@@ -24,16 +24,17 @@ from pcrpp.lp import (
 from pcrpp.preprocess import preprocess
 from pcrpp.solvers import exact_oracle
 from conftest import FRACTIONAL_INSTANCES, dense_lp_value, linprog_master, random_suite
+from oracles import check_lp_solution
 
 
 def test_max_flow_two_vertices():
-    value, side = max_flow_min_cut({(0, 1): 3.0}, 0, 1)
+    value, side = max_flow_min_cut(capacity_adjacency({(0, 1): 3.0}), 0, 1)
     assert value == pytest.approx(3.0)
     assert side == frozenset({0})
 
 
 def test_max_flow_bottleneck_path():
-    value, side = max_flow_min_cut({(0, 1): 2.0, (1, 2): 1.0}, 0, 2)
+    value, side = max_flow_min_cut(capacity_adjacency({(0, 1): 2.0, (1, 2): 1.0}), 0, 2)
     assert value == pytest.approx(1.0)
     assert side in (frozenset({0}), frozenset({0, 1}))
     assert 0 in side and 2 not in side
@@ -43,7 +44,7 @@ def test_max_flow_barrier_cut():
     # x on the barrier triangle; the two cuts separating a from r have
     # values 2 ({a}) and 2 ({a,b}), so the flow is 2
     caps = {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}
-    value, side = max_flow_min_cut(caps, 1, 0)
+    value, side = max_flow_min_cut(capacity_adjacency(caps), 1, 0)
     assert value == pytest.approx(2.0)
     assert 1 in side and 0 not in side
 

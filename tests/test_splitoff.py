@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pcrpp.lp import LpSolution, max_flow_min_cut, solve_pcrpp_lp
+from pcrpp.lp import LpSolution, capacity_adjacency, max_flow_min_cut, solve_pcrpp_lp
 from pcrpp.preprocess import preprocess
 from pcrpp.splitoff import (
     SplitError,
@@ -33,10 +33,10 @@ def test_complete_split_rejects_unsplittable_degree():
 def test_complete_split_chain_preserves_cut():
     # chain r-c-a with unit values; the r-a min cut is 1 and must survive
     x = {(0, 1): 1.0, (1, 2): 1.0}
-    before, _ = max_flow_min_cut({k: v for k, v in x.items() if v > 0}, 0, 2)
+    before, _ = max_flow_min_cut(capacity_adjacency({k: v for k, v in x.items() if v > 0}), 0, 2)
     out, ops, _ = complete_split(x, 0, 1, {2: before})
     assert ops == [SplitOp(1, 0, 2, 1.0)]
-    after, _ = max_flow_min_cut({k: v for k, v in out.items() if v > 0}, 0, 2)
+    after, _ = max_flow_min_cut(capacity_adjacency({k: v for k, v in out.items() if v > 0}), 0, 2)
     assert after == pytest.approx(before) == pytest.approx(1.0)
 
 
@@ -102,7 +102,7 @@ def test_cut_preservation_sampled():
         for t in sorted(yt):
             if t == pg.root or yt[t] <= 1e-12:
                 continue
-            cut, _ = max_flow_min_cut(support, t, pg.root)
+            cut, _ = max_flow_min_cut(capacity_adjacency(support), t, pg.root)
             assert cut >= 2.0 * yt[t] - 1e-6
         checked += 1
 

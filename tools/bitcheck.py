@@ -12,6 +12,9 @@ the benchmark (``perfbench/workloads.py``).  For each one the file holds:
   timings;
 - ``solve_pcrpp_lp``: x, y and the cut certificate (side, witness, slack);
 - a SHA-256 of ``write_lp_text`` for that certificate;
+- the ``SplitRecorder`` pass over that LP solution: every operation as
+  ``[vertex, left, right, repr(amount)]``, the (vertex, operation count)
+  groups and the final chord mass;
 - the ``pctsp_reduction`` and ``exact_oracle`` values.
 
 A call that raises is recorded as ``"Type: message"``.  Floats are written
@@ -36,6 +39,7 @@ import workloads  # noqa: E402
 from pcrpp.lp import solve_pcrpp_lp, write_lp_text  # noqa: E402
 from pcrpp.preprocess import preprocess  # noqa: E402
 from pcrpp.solvers import best_of_many, exact_oracle, pctsp_reduction  # noqa: E402
+from pcrpp.splitoff import SplitRecorder  # noqa: E402
 
 
 def instances() -> list:
@@ -69,9 +73,12 @@ def _best(inst) -> dict:
     }
 
 
-def _lp(inst) -> dict:
+def _solve(inst) -> tuple:
     pg = preprocess(inst)
-    sol, cert = solve_pcrpp_lp(pg)
+    return (pg, *solve_pcrpp_lp(pg))
+
+
+def _lp(pg, sol, cert) -> dict:
     return {
         "x": _pairs(sol.x),
         "y": _pairs(sol.y),
@@ -81,10 +88,22 @@ def _lp(inst) -> dict:
     }
 
 
+def _split(pg, sol) -> dict:
+    rec = SplitRecorder(pg, sol)
+    return {
+        "ops": [[op.vertex, op.left, op.right, repr(op.amount)] for op in rec.ops],
+        "groups": [list(group) for group in rec.groups],
+        "chord": rec.state(len(rec.groups))[1],
+    }
+
+
 def record(inst) -> dict:
+    solved = _guard(lambda: _solve(inst))
+    failed = solved if isinstance(solved, str) else None
     return {
         "best_of_many": _guard(lambda: _best(inst)),
-        "lp": _guard(lambda: _lp(inst)),
+        "lp": failed or _guard(lambda: _lp(*solved)),
+        "split": failed or _guard(lambda: _split(*solved[:2])),
         "pctsp_reduction": _guard(lambda: pctsp_reduction(inst).value),
         "exact_oracle": _guard(lambda: exact_oracle(inst).value),
     }
