@@ -29,8 +29,6 @@ from .treedecomp import (
     DecompositionError,
     RootedTree,
     TreeDistribution,
-    decompose,
-    lift_to_aux,
     project_to_hat,
     stage_distribution,
 )

@@ -96,7 +96,7 @@ def _gap(value: float, opt: float) -> float | None:
 
 def bench_instance(inst: Instance, cfg: SolverConfig) -> BenchRecord:
     rec = BenchRecord(name=inst.name or "?", vertices=inst.vertex_count, edges=len(inst.edges))
-    alg = best_of_many(inst, cfg)
+    alg = best_of_many(inst)
     red = pctsp_reduction(inst, cap=cfg.pctsp_cap)
     rec.alg = alg.value
     rec.red = red.value
@@ -244,15 +244,9 @@ def _walk_str(walk) -> str:
 
 def _cmd_solve(args) -> int:
     inst = parse_instance(Path(args.instance).read_text(), name=Path(args.instance).stem)
-    cfg = SolverConfig(
-        lp_max_rounds=args.lp_max_rounds,
-        lp_feas_tol=args.feas_tol,
-        lp_price_tol=args.price_tol,
-        verify=not args.no_verify,
-    )
     if args.dump_lp or args.dump_trees:
-        _debug_dumps(inst, cfg, args)
-    sol = best_of_many(inst, cfg)
+        _debug_dumps(inst, args)
+    sol = best_of_many(inst)
     print(f"value {sol.value:.6f}")
     print(f"lower_bound {sol.lower_bound:.6f}")
     print(f"walk {_walk_str(sol.walk)}")
@@ -266,14 +260,9 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _debug_dumps(inst, cfg: SolverConfig, args) -> None:
+def _debug_dumps(inst, args) -> None:
     pg = preprocess(inst)
-    sol, cert = solve_pcrpp_lp(
-        pg,
-        max_rounds=cfg.lp_max_rounds,
-        feas_tol=cfg.lp_feas_tol,
-        price_tol=cfg.lp_price_tol,
-    )
+    sol, cert = solve_pcrpp_lp(pg)
     if args.dump_lp:
         from .lp import write_lp_text
 
@@ -356,10 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the best-of-many solver on one instance")
     p.add_argument("instance")
-    p.add_argument("--lp-max-rounds", type=int, default=10_000)
-    p.add_argument("--feas-tol", type=float, default=1e-7)
-    p.add_argument("--price-tol", type=float, default=1e-7)
-    p.add_argument("--no-verify", action="store_true")
     p.add_argument("--dump-lp", metavar="PATH")
     p.add_argument("--dump-trees", metavar="PATH")
     p.set_defaults(func=_cmd_solve)

@@ -49,6 +49,8 @@ class Instance:
         if bad is not None:
             i, message = bad
             raise ParseError(f"{message}: {self.edges[i] if i >= 0 else self.root}")
+        if self.opt_max is not None and not math.isfinite(self.opt_max):
+            raise ParseError(f"non-finite opt_max: {self.opt_max}")
 
     @property
     def total_profit(self) -> float:
@@ -348,7 +350,14 @@ def parse_instance(text, name: str = "") -> Instance:
         if toks[0].upper() == "OPTMAX":
             if len(toks) != 2:
                 raise ParseError(f"malformed OPTMAX line: {ln!r}")
-            opt_max = float(toks[1])
+            if opt_max is not None:
+                raise ParseError(f"repeated OPTMAX line: {ln!r}")
+            try:
+                opt_max = float(toks[1])
+            except ValueError as exc:
+                raise ParseError(f"malformed OPTMAX line: {ln!r}") from exc
+            if not math.isfinite(opt_max):
+                raise ParseError(f"non-finite OPTMAX: {ln!r}")
             continue
         if len(toks) != 4:
             raise ParseError(f"malformed edge line: {ln!r}")

@@ -438,9 +438,6 @@ def lp_objective(pg: PreprocessedGraph, x: dict[tuple[int, int], float]) -> floa
 def solve_pcrpp_lp(
     pg: PreprocessedGraph,
     backend=None,
-    max_rounds: int = MAX_ROUNDS,
-    feas_tol: float = FEAS_TOL,
-    price_tol: float = PRICE_TOL,
 ) -> tuple[LpSolution, CutCertificate]:
     """Optimize the relaxation by separation and pricing until both are clean."""
     backend = backend or HighsBackend()
@@ -458,16 +455,16 @@ def solve_pcrpp_lp(
     cut_keys: set[tuple[frozenset, int]] = set()
     crossing = np.zeros((0, len(pairs.u)), dtype=bool)
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         cols = np.flatnonzero(active)
         x_vals, y_vals, mu, rho, cut_duals = _solve_master(
             pairs, backend, cols, crossing, cuts, y_vertices
         )
         x, y = _solution_dicts(pg, pairs, cols, x_vals, y_vals, y_vertices)
 
-        new_cuts = separate_cuts(pg, x, y, tol=feas_tol)
+        new_cuts = separate_cuts(pg, x, y, tol=FEAS_TOL)
         new_cuts = [(side, v) for side, v in new_cuts if (side, v) not in cut_keys]
-        priced = _price_variables(pairs, active, crossing, mu, rho, cut_duals, price_tol)
+        priced = _price_variables(pairs, active, crossing, mu, rho, cut_duals, PRICE_TOL)
         if not new_cuts and not priced:
             x, y = canonicalize(pg, x, y)
             objective = lp_objective(pg, x)
@@ -483,7 +480,7 @@ def solve_pcrpp_lp(
         if rows:
             crossing = np.vstack([crossing, rows])
         active[pairs.index(priced)] = True
-    raise LpError(f"cutting-plane loop did not converge within {max_rounds} rounds")
+    raise LpError(f"cutting-plane loop did not converge within {MAX_ROUNDS} rounds")
 
 
 def _solve_master(pairs, backend, cols, crossing, cuts, y_vertices):

@@ -46,7 +46,6 @@ class PreprocessedGraph:
     profits: dict[tuple[int, int], float]
     pos_edges: frozenset
     path_map: dict[tuple[int, int], tuple[int, ...]]
-    origin_edge: dict[tuple[int, int], int]
 
     @property
     def vertex_count(self) -> int:
@@ -55,12 +54,6 @@ class PreprocessedGraph:
     @property
     def root(self) -> int:
         return self.copied.root
-
-    def pairs(self):
-        n = self.vertex_count
-        for u in range(n):
-            for v in range(u + 1, n):
-                yield (u, v)
 
 
 def copy_vertices(inst: Instance) -> CopiedGraph:
@@ -124,14 +117,12 @@ def complete(copied: CopiedGraph) -> PreprocessedGraph:
     lengths: dict[tuple[int, int], float] = {}
     profits: dict[tuple[int, int], float] = {}
     pos: set[tuple[int, int]] = set()
-    origin_edge: dict[tuple[int, int], int] = {}
-    for i, e in enumerate(copied.edges):
+    for e in copied.edges:
         if e.profit > 0.0:
             key = ekey(e.u, e.v)
             lengths[key] = e.length
             profits[key] = e.profit
             pos.add(key)
-            origin_edge[key] = copied.origin[i]  # type: ignore[assignment]
 
     path_map: dict[tuple[int, int], tuple[int, ...]] = {}
     for u in range(n):
@@ -153,7 +144,6 @@ def complete(copied: CopiedGraph) -> PreprocessedGraph:
         profits=profits,
         pos_edges=frozenset(pos),
         path_map=path_map,
-        origin_edge=origin_edge,
     )
     _check_properties(pg)
     return pg

@@ -33,12 +33,8 @@ VALUE_TIE = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    lp_max_rounds: int = 10_000
-    lp_feas_tol: float = 1e-7
-    lp_price_tol: float = 1e-7
     oracle_cap: int = 12
     pctsp_cap: int = 12
-    verify: bool = True
 
 
 @dataclass(frozen=True)
@@ -57,7 +53,7 @@ def _better(cand: Candidate, best: Candidate) -> bool:
     return False
 
 
-def best_of_many(inst: Instance, cfg: SolverConfig | None = None) -> Solution:
+def best_of_many(inst: Instance) -> Solution:
     """Enumerate candidates over outer thresholds, trees and inner thresholds.
 
     The splitting work is recorded once; each outer threshold replays the
@@ -65,16 +61,10 @@ def best_of_many(inst: Instance, cfg: SolverConfig | None = None) -> Solution:
     cheapest candidate, never worse than the trivial walk, and its value is
     checked against 1.6 times the relaxation bound.
     """
-    cfg = cfg or SolverConfig()
     t_start = time.perf_counter()
     pg = preprocess(inst)
     t0 = time.perf_counter()
-    sol, cert = solve_pcrpp_lp(
-        pg,
-        max_rounds=cfg.lp_max_rounds,
-        feas_tol=cfg.lp_feas_tol,
-        price_tol=cfg.lp_price_tol,
-    )
+    sol, cert = solve_pcrpp_lp(pg)
     t_lp = time.perf_counter() - t0
 
     trivial = Candidate(Walk.trivial(inst.root), objective(inst, Walk.trivial(inst.root)), ("trivial",))
@@ -102,8 +92,7 @@ def best_of_many(inst: Instance, cfg: SolverConfig | None = None) -> Solution:
             for v, val in sol.y.items()
         }
         ghat = project_to_hat(dist_aux, pg)
-        if cfg.verify:
-            _check_stage(ghat, xt, yt, pg)
+        _check_stage(ghat, xt, yt, pg)
         for ti, tree in enumerate(ghat.trees):
             gammas = sorted(
                 {xt.get(k, 0.0) for k in tree.edges if k in pg.pos_edges and xt.get(k, 0.0) > 0.0}
@@ -299,13 +288,13 @@ def _pctsp_greedy(nodes, dist, penalties, root) -> list:
     return visited
 
 
-def pctsp_reduction(inst: Instance, pctsp=None, cap: int = 12) -> Solution:
+def pctsp_reduction(inst: Instance, cap: int = 12) -> Solution:
     """Baseline: one representative vertex per positive edge, then stitch back.
 
     Builds the subdivided graph with two half-length edges per positive edge,
-    takes the metric complete graph on the root and the representatives, runs
-    the plugged PCTSP solver, and walks the selected edges in tour order via
-    the nearer endpoint each time.
+    takes the metric complete graph on the root and the representatives,
+    solves PCTSP on it exactly (greedily above ``cap`` representatives), and
+    walks the selected edges in tour order via the nearer endpoint each time.
 
     The stitched walk is deliberately not compared with the trivial walk at
     the root, even when it costs more: the baseline reports what the
@@ -339,18 +328,13 @@ def pctsp_reduction(inst: Instance, pctsp=None, cap: int = 12) -> Solution:
     penalties = {rep_of[i]: inst.edges[i].profit for i in positive}
 
     exact = True
-    if pctsp is None:
-        try:
-            visited = pctsp_solve_exact(
-                [rep_of[i] for i in positive], dist, penalties, inst.root, cap=cap
-            )
-        except ValueError:
-            visited = _pctsp_greedy(
-                [rep_of[i] for i in positive], dist, penalties, inst.root
-            )
-            exact = False
-    else:
-        visited = pctsp([rep_of[i] for i in positive], dist, penalties, inst.root)
+    try:
+        visited = pctsp_solve_exact(
+            [rep_of[i] for i in positive], dist, penalties, inst.root, cap=cap
+        )
+    except ValueError:
+        visited = _pctsp_greedy([rep_of[i] for i in positive], dist, penalties, inst.root)
+        exact = False
 
     edge_of_rep = {rep_of[i]: i for i in positive}
     orig_adj = inst.adjacency()

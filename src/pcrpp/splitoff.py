@@ -7,14 +7,13 @@ scanned by descending value and the first pair admitting positive mass is
 taken with the largest admissible amount, found by bisection over min-cut
 probes.
 
-The splitting loop shared by the recorder and the tree decomposition works
-in a merged view of the root-copy construction: the working vector lives on
-the preprocessed graph while the mass retired onto the distinguished
-root-copy chord is tracked in a scalar.  Each merged operation expands into
-one or two recorded operations on the auxiliary graph (a root-incident pair
-expands into the two balanced halves, a root drop becomes the pair of the
-root with its copy), which is exactly the shape the decomposition later
-undoes.
+The splitting loop works in a merged view of the root-copy construction:
+the working vector lives on the preprocessed graph while the mass retired
+onto the distinguished root-copy chord is tracked in a scalar.  Each merged
+operation expands into one or two recorded operations on the auxiliary
+graph (a root-incident pair expands into the two balanced halves, a root
+drop becomes the pair of the root with its copy), which is exactly the shape
+the tree decomposition later undoes.
 """
 from __future__ import annotations
 
@@ -89,12 +88,12 @@ def _max_feasible(x, adj, delta_fn, demands, root, hi):
     return lo
 
 
-def _candidates(adj, root, v, merged):
+def _candidates(adj, root, v):
     """Ordered candidate operations at v.
 
-    Entries are sorted by descending edge value with vertex-id tie-break; in
-    the merged view the root mass counts as the two balanced halves so a root
-    entry and its mirror sit at half the merged value.
+    Entries are sorted by descending edge value with vertex-id tie-break; the
+    root mass counts as the two balanced halves, so a root entry and its
+    mirror sit at half the merged value.
     """
     nbrs = adj.get(v, {})
     entries = []
@@ -103,7 +102,7 @@ def _candidates(adj, root, v, merged):
         val = nbrs[u]
         if val <= 1e-12:
             continue
-        if merged and u == root:
+        if u == root:
             entries.append((val / 2.0, root, "root"))
             entries.append((val / 2.0, -1, "rootcopy"))
         else:
@@ -131,21 +130,19 @@ def complete_split(
     root: int,
     v: int,
     demands: dict[int, float],
-    aux_copy: int | None = None,
-    e0: float | None = None,
-) -> tuple[dict[tuple[int, int], float], list[SplitOp], float | None]:
+    aux_copy: int,
+    e0: float,
+) -> tuple[dict[tuple[int, int], float], list[SplitOp], float]:
     """Zero out the degree of v while preserving all demanded root cuts.
 
-    With ``aux_copy``/``e0`` given, the merged view is active: a root drop is
-    allowed and recorded as the pair of the root with its copy.  Raises
-    SplitError when the remaining degree cannot be split, which for feasible
-    relaxation solutions indicates a bug or inconsistent demands.
+    ``aux_copy`` is the root copy and ``e0`` the mass on its chord: a root
+    drop moves mass onto the chord and is recorded as the pair of the root
+    with its copy.  Raises SplitError when the remaining degree cannot be
+    split, which for feasible relaxation solutions indicates a bug or
+    inconsistent demands.
     """
     if v == root or v in demands or root in demands:
         raise ValueError("demands must exclude the root and the split vertex")
-    merged = aux_copy is not None
-    if merged and e0 is None:
-        raise ValueError("merged mode requires the root-copy mass")
     x = dict(x)
     adj = _adjacency(x)
     ops: list[SplitOp] = []
@@ -158,7 +155,7 @@ def complete_split(
         if guard > 64 * (len(adj) + 2):
             raise SplitError(f"splitting at vertex {v} did not converge")
         chosen = None
-        for kind, a, b, cap in _candidates(adj, root, v, merged):
+        for kind, a, b, cap in _candidates(adj, root, v):
             if cap <= PRECISION:
                 continue
             if kind == "pair" or kind == "rootpair":
@@ -189,7 +186,7 @@ def complete_split(
             ops.append(SplitOp(v, *ekey(root, b), half))
             ops.append(SplitOp(v, *ekey(aux_copy, b), half))
         else:
-            e0 = e0 + eps  # type: ignore[operator]
+            e0 = e0 + eps
             ops.append(SplitOp(v, *ekey(root, aux_copy), eps))
     return x, ops, e0
 
@@ -199,9 +196,9 @@ def split_every_vertex(x, e0: float, y: dict[int, float], root: int, copy: int):
 
     Vertices go in nondecreasing order of their values with vertex-id
     tie-break, each keeping the root cuts of the vertices still pending.
-    Returns the operations, the (vertex, operation count) groups, the
-    (edge vector, chord mass) state at every vertex boundary and the final
-    chord mass.  Raises SplitError when mass is left after the last vertex.
+    Returns the operations, the (vertex, operation count) groups and the
+    (edge vector, chord mass) state at every vertex boundary.  Raises
+    SplitError when mass is left after the last vertex.
     """
     order = sorted((v for v in y if v not in (root, copy)), key=lambda v: (y[v], v))
     states: list[tuple[dict, float]] = [(dict(x), e0)]
@@ -209,14 +206,14 @@ def split_every_vertex(x, e0: float, y: dict[int, float], root: int, copy: int):
     ops: list[SplitOp] = []
     for i, v in enumerate(order):
         demands = {t: 2.0 * y[t] for t in order[i + 1:] if y[t] > 1e-12}
-        x, vops, e0 = complete_split(x, root, v, demands, aux_copy=copy, e0=e0)
+        x, vops, e0 = complete_split(x, root, v, demands, copy, e0)
         ops.extend(vops)
         groups.append((v, len(vops)))
         states.append((dict(x), e0))
     residue = sum(abs(val) for val in x.values())
     if residue > 1e-6:
         raise SplitError(f"residual mass {residue} left after splitting every vertex")
-    return tuple(ops), tuple(groups), states, e0
+    return tuple(ops), tuple(groups), states
 
 
 class SplitRecorder:
@@ -230,7 +227,7 @@ class SplitRecorder:
         self.y = dict(sol.y)
         x = {k: val for k, val in sol.x.items() if val != 0.0}
         deg_r = sum(val for k, val in x.items() if pg.root in k)
-        self.ops, self.groups, self.states, _ = split_every_vertex(
+        self.ops, self.groups, self.states = split_every_vertex(
             x, 2.0 - 0.5 * deg_r, self.y, pg.root, pg.vertex_count
         )
         self.prefix = [0]
@@ -246,9 +243,6 @@ class SplitRecorder:
             else:
                 break
         return count
-
-    def ops_prefix(self, boundary: int) -> tuple[SplitOp, ...]:
-        return self.ops[: self.prefix[boundary]]
 
     def state(self, boundary: int) -> tuple[dict, float]:
         x, e0 = self.states[boundary]

@@ -1,12 +1,10 @@
 """Tree distributions that preserve the profit-edge coupling.
 
-A feasible relaxation vector is lifted to an auxiliary graph that carries a
-copy of the root joined by a zero-length chord.  Splitting every other vertex
-off and then undoing the recorded operations in reverse yields a weighted
-tree list whose edge and vertex marginals track the current vector minus one
-unit on the chord.  The splitting is the threshold-split recorder's loop,
-run in its merged view, so a fresh decomposition and a replay of the
-recorder undo the same operations.  Undoing one operation moves chord mass
+The threshold-split recorder splits every non-root vertex off an auxiliary
+graph that carries a copy of the root joined by a zero-length chord.
+Undoing the recorded operations in reverse from a vertex boundary yields a
+weighted tree list whose edge and vertex marginals track that boundary's
+vector minus one unit on the chord.  Undoing one operation moves chord mass
 of the operation back through the restored vertex: trees holding the chord
 and missing the vertex take it as a two-edge detour; trees already holding
 the vertex swap the chord for the side edge that keeps them acyclic, and
@@ -20,11 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import bfs, ekey, neighbours
-from .lp import capacity_adjacency, max_flow_min_cut
 from .preprocess import PreprocessedGraph
-from .splitoff import SplitOp, SplitRecorder, split_every_vertex
+from .splitoff import SplitOp, SplitRecorder
 
-MARGIN_TOL = 1e-6
 WEIGHT_FLOOR = 1e-12
 
 
@@ -46,15 +42,6 @@ class AuxGraph:
     @property
     def e0(self) -> tuple[int, int]:
         return ekey(self.pg.root, self.copy_id)
-
-    def length(self, key: tuple[int, int]) -> float:
-        u, v = key
-        if self.copy_id in key:
-            other = u if v == self.copy_id else v
-            if other == self.pg.root:
-                return 0.0
-            return self.pg.lengths[ekey(self.pg.root, other)]
-        return self.pg.lengths[key]
 
 
 @dataclass(frozen=True)
@@ -97,58 +84,6 @@ class TreeDistribution:
     @property
     def total_weight(self) -> float:
         return sum(self.weights)
-
-
-def lift_to_aux(x, y, pg: PreprocessedGraph):
-    """Lift a feasible pair onto the auxiliary graph, halving the root edges."""
-    aux = AuxGraph(pg, pg.vertex_count)
-    root = pg.root
-    xbar: dict[tuple[int, int], float] = {}
-    deg_r = 0.0
-    for k, val in x.items():
-        if val == 0.0:
-            continue
-        if root in k:
-            other = k[0] if k[1] == root else k[1]
-            half = val / 2.0
-            xbar[ekey(root, other)] = half
-            xbar[ekey(aux.copy_id, other)] = half
-            deg_r += val
-        else:
-            xbar[k] = val
-    xbar[aux.e0] = 2.0 - 0.5 * deg_r
-    ybar = dict(y)
-    ybar[aux.copy_id] = 1.0
-    check_pctsp_feasible(xbar, ybar, aux)
-    return xbar, ybar, aux
-
-
-def check_pctsp_feasible(xbar, ybar, aux: AuxGraph, tol: float = MARGIN_TOL) -> None:
-    root = aux.root
-    if abs(ybar.get(aux.copy_id, 0.0) - 1.0) > tol:
-        raise ValueError("root copy must have vertex value one")
-    if xbar.get(aux.e0, 0.0) < 1.0 - tol:
-        raise ValueError("chord value below one")
-    degrees: dict[int, float] = {}
-    for (u, v), val in xbar.items():
-        if val < -tol:
-            raise ValueError(f"negative edge value on {(u, v)}")
-        degrees[u] = degrees.get(u, 0.0) + val
-        degrees[v] = degrees.get(v, 0.0) + val
-    if degrees.get(root, 0.0) > 2.0 + tol:
-        raise ValueError("root degree exceeds two")
-    for v, val in ybar.items():
-        if v == root:
-            continue
-        if abs(degrees.get(v, 0.0) - 2.0 * val) > tol:
-            raise ValueError(f"degree mismatch at {v}")
-    support = capacity_adjacency({k: val for k, val in xbar.items() if val > 1e-12})
-    for v, val in sorted(ybar.items()):
-        if v == root or val <= tol:
-            continue
-        _, side = max_flow_min_cut(support, v, root, need=2.0 * val - tol)
-        if side is not None:
-            raise ValueError(f"connectivity cut violated for {v}")
 
 
 def _contains(edges: frozenset, z: int, root: int) -> bool:
@@ -229,7 +164,7 @@ def _compact(trees: list) -> None:
     trees[:] = [[w, edges] for edges, w in merged.items()]
 
 
-def _undo_distribution(ops, boundary_count: int, aux: AuxGraph, chord_mass: float = 2.0) -> list:
+def _undo_distribution(ops, boundary_count: int, aux: AuxGraph, chord_mass: float) -> list:
     """Undo the recorded operations back to the given prefix length.
 
     The base carries the residual chord mass: weight chord_mass - 1 on the
@@ -250,61 +185,14 @@ def _undo_distribution(ops, boundary_count: int, aux: AuxGraph, chord_mass: floa
     return trees
 
 
-def _to_distribution(trees: list) -> TreeDistribution:
+def stage_distribution(recorder: SplitRecorder, boundary: int, aux: AuxGraph) -> TreeDistribution:
+    """Replay the recorded splitting back to a vertex boundary."""
+    chord_mass = recorder.states[-1][1]
+    trees = _undo_distribution(recorder.ops, recorder.prefix[boundary], aux, chord_mass)
     return TreeDistribution(
         trees=tuple(RootedTree(edges) for _, edges in trees),
         weights=tuple(w for w, _ in trees),
     )
-
-
-def _verify_aux_marginals(dist: TreeDistribution, xbar, ybar, aux: AuxGraph, tol: float):
-    edge_marg = dist.edge_marginals()
-    keys = set(edge_marg) | {k for k, val in xbar.items() if abs(val) > tol}
-    for key in keys:
-        want = xbar.get(key, 0.0) - (1.0 if key == aux.e0 else 0.0)
-        got = edge_marg.get(key, 0.0)
-        if abs(got - want) > tol:
-            raise DecompositionError(f"edge marginal {key}: {got} != {want}")
-    vert_marg = dist.vertex_marginals(aux.root)
-    for v, want in ybar.items():
-        if v in (aux.root, aux.copy_id):
-            continue
-        got = vert_marg.get(v, 0.0)
-        if abs(got - want) > tol:
-            raise DecompositionError(f"vertex marginal {v}: {got} != {want}")
-
-
-def decompose(xbar, ybar, aux: AuxGraph) -> TreeDistribution:
-    """Tree distribution on the auxiliary graph matching the given marginals.
-
-    Merges each root edge with its mirror half at the root copy, splits off
-    every vertex other than the root and its copy through the recorder's
-    loop, and undoes the recorded operations.  Mass left after splitting
-    raises SplitError.  The undone trees always split root mass evenly
-    between the two halves, so an input whose halves differ fails the
-    marginal check with DecompositionError.
-    """
-    root, copy = aux.root, aux.copy_id
-    x: dict[tuple[int, int], float] = {}
-    for k, val in xbar.items():
-        if val == 0.0 or k == aux.e0:
-            continue
-        if root in k or copy in k:
-            k = ekey(root, k[0] if k[1] in (root, copy) else k[1])
-        x[k] = x.get(k, 0.0) + val
-    ops, _, _, chord_mass = split_every_vertex(x, xbar.get(aux.e0, 0.0), ybar, root, copy)
-    dist = _to_distribution(_undo_distribution(ops, 0, aux, chord_mass=chord_mass))
-    if len(dist.trees) > 2 * len(ops) + copy + 2:
-        raise DecompositionError("tree support exceeds its size bound")
-    _verify_aux_marginals(dist, xbar, ybar, aux, MARGIN_TOL)
-    return dist
-
-
-def stage_distribution(recorder: SplitRecorder, boundary: int, aux: AuxGraph) -> TreeDistribution:
-    """Replay the recorded splitting back to a vertex boundary."""
-    chord_mass = recorder.states[-1][1]
-    trees = _undo_distribution(recorder.ops, recorder.prefix[boundary], aux, chord_mass=chord_mass)
-    return _to_distribution(trees)
 
 
 def _find_cycle(edges: set) -> set:

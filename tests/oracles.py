@@ -1,8 +1,10 @@
 """Test-only oracles and checkers, independent of the solver paths they check.
 
-``decompose_by_lp`` solves for tree weights with ``scipy.optimize.linprog``
-over every rooted subtree of the support; ``matching_by_dp`` pairs points by
-exhaustive dynamic programming; ``apply_threshold_split`` and
+``lift_to_aux`` lifts a relaxation pair onto the auxiliary graph and
+``check_pctsp_feasible`` checks the lifted pair; ``decompose_by_lp`` solves
+for tree weights with ``scipy.optimize.linprog`` over every rooted subtree of
+its support; ``matching_by_dp`` pairs points by exhaustive dynamic
+programming; ``apply_threshold_split`` and
 ``check_threshold_split`` replay one threshold of a ``SplitRecorder`` and
 assert the post-split guarantees; ``check_lp_solution`` replays the
 feasibility of a relaxation solution; ``max_flow_by_dict`` and
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from pcrpp.core import bfs, ekey, pair_lookup
-from pcrpp.lp import LpSolution, separate_cuts
+from pcrpp.lp import LpSolution, capacity_adjacency, max_flow_min_cut, separate_cuts
 from pcrpp.preprocess import PreprocessedGraph
 from pcrpp.splitoff import SplitOp, SplitRecorder
 from pcrpp.treedecomp import AuxGraph, DecompositionError, RootedTree, TreeDistribution
@@ -147,7 +149,7 @@ def apply_threshold_split(
     y = {
         v: (val if v == pg.root or val >= delta else 0.0) for v, val in sol.y.items()
     }
-    trace = SplitTrace(recorder.ops_prefix(b), tuple(v for v, _ in recorder.groups[:b]))
+    trace = SplitTrace(recorder.ops[: recorder.prefix[b]], tuple(v for v, _ in recorder.groups[:b]))
     return x, y, trace
 
 
@@ -226,6 +228,59 @@ def _enumerate_rooted_trees(support: list, root: int, cap: int) -> list:
                     raise ValueError("support too rich for tree enumeration")
                 frontier.append(grown)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def lift_to_aux(x, y, pg: PreprocessedGraph):
+    """Lift a feasible pair onto the auxiliary graph, halving the root edges."""
+    aux = AuxGraph(pg, pg.vertex_count)
+    root = pg.root
+    xbar: dict[tuple[int, int], float] = {}
+    deg_r = 0.0
+    for k, val in x.items():
+        if val == 0.0:
+            continue
+        if root in k:
+            other = k[0] if k[1] == root else k[1]
+            half = val / 2.0
+            xbar[ekey(root, other)] = half
+            xbar[ekey(aux.copy_id, other)] = half
+            deg_r += val
+        else:
+            xbar[k] = val
+    xbar[aux.e0] = 2.0 - 0.5 * deg_r
+    ybar = dict(y)
+    ybar[aux.copy_id] = 1.0
+    check_pctsp_feasible(xbar, ybar, aux)
+    return xbar, ybar, aux
+
+
+def check_pctsp_feasible(xbar, ybar, aux: AuxGraph, tol: float = 1e-6) -> None:
+    """Raise ValueError unless the lifted pair is feasible on the auxiliary graph."""
+    root = aux.root
+    if abs(ybar.get(aux.copy_id, 0.0) - 1.0) > tol:
+        raise ValueError("root copy must have vertex value one")
+    if xbar.get(aux.e0, 0.0) < 1.0 - tol:
+        raise ValueError("chord value below one")
+    degrees: dict[int, float] = {}
+    for (u, v), val in xbar.items():
+        if val < -tol:
+            raise ValueError(f"negative edge value on {(u, v)}")
+        degrees[u] = degrees.get(u, 0.0) + val
+        degrees[v] = degrees.get(v, 0.0) + val
+    if degrees.get(root, 0.0) > 2.0 + tol:
+        raise ValueError("root degree exceeds two")
+    for v, val in ybar.items():
+        if v == root:
+            continue
+        if abs(degrees.get(v, 0.0) - 2.0 * val) > tol:
+            raise ValueError(f"degree mismatch at {v}")
+    support = capacity_adjacency({k: val for k, val in xbar.items() if val > 1e-12})
+    for v, val in sorted(ybar.items()):
+        if v == root or val <= tol:
+            continue
+        _, side = max_flow_min_cut(support, v, root, need=2.0 * val - tol)
+        if side is not None:
+            raise ValueError(f"connectivity cut violated for {v}")
 
 
 def decompose_by_lp(xbar, ybar, aux: AuxGraph, cap: int = 200_000) -> TreeDistribution:

@@ -50,6 +50,10 @@ def test_parse_barrier_matches_construction(barrier):
         ("3 1 1\n1 2 1 nan\n", "non-finite profit"),
         ("3 1 1\n1 2 1 inf\n", "non-finite profit"),
         ("3 1 1\n1 4 1 0\n", "edge endpoint out of range"),
+        ("3 1 1\n1 2 1 0\nOPTMAX nan\n", "non-finite OPTMAX: 'OPTMAX nan'"),
+        ("3 1 1\n1 2 1 0\nOPTMAX inf\n", "non-finite OPTMAX: 'OPTMAX inf'"),
+        ("3 1 1\n1 2 1 0\nOPTMAX 2\nOPTMAX 3\n", "repeated OPTMAX line: 'OPTMAX 3'"),
+        ("3 1 1\n1 2 1 0\nOPTMAX two\n", "malformed OPTMAX line: 'OPTMAX two'"),
     ],
 )
 def test_parse_errors(text, message):
@@ -67,6 +71,8 @@ def test_parse_errors(text, message):
         ((2, 0, (Edge(0, 1, 1.0, math.inf),)), "non-finite profit"),
         ((2, 0, (Edge(0, 1, 1.0, -1.0),)), "negative profit"),
         ((2, 0, (Edge(0, 1, 1.0, 0.0), Edge(1, 0, 2.0, 0.0))), "duplicate edge"),
+        ((2, 0, (Edge(0, 1, 1.0, 0.0),), 0.0, math.nan), "non-finite opt_max"),
+        ((2, 0, (Edge(0, 1, 1.0, 0.0),), 0.0, -math.inf), "non-finite opt_max"),
     ],
 )
 def test_instance_rejects_model_violations(args, message):

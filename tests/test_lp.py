@@ -133,13 +133,14 @@ def test_objective_invariant_under_vertex_permutation():
         assert other == pytest.approx(base, abs=1e-6)
 
 
-def test_round_cap_reports_nonconvergence():
-    from pcrpp.lp import LpError
+def test_round_cap_reports_nonconvergence(monkeypatch):
+    from pcrpp import lp
     from conftest import FRACTIONAL_INSTANCES
 
+    monkeypatch.setattr(lp, "MAX_ROUNDS", 1)
     pg = preprocess(FRACTIONAL_INSTANCES[0])
-    with pytest.raises(LpError, match="did not converge"):
-        solve_pcrpp_lp(pg, max_rounds=1)
+    with pytest.raises(lp.LpError, match="did not converge within 1 rounds"):
+        solve_pcrpp_lp(pg)
 
 
 class RecordingBackend(HighsBackend):

@@ -15,27 +15,38 @@ from oracles import apply_threshold_split, check_threshold_split
 
 
 def test_complete_split_forced_pairing():
-    # degree at v forces the single pair; the chord picks up the mass
+    # degree at v forces the root pair; the chord r-2 picks up the mass as
+    # two balanced halves, one at the root and one at its copy 3
     x = {(0, 1): 0.7, (1, 2): 0.7}
-    out, ops, _ = complete_split(x, 0, 1, {})
-    assert ops == [SplitOp(1, 0, 2, 0.7)]
+    out, ops, e0 = complete_split(x, 0, 1, {}, 3, 1.65)
+    assert ops == [SplitOp(1, 0, 2, 0.35), SplitOp(1, 2, 3, 0.35)]
     assert out[(0, 1)] == pytest.approx(0.0)
     assert out[(1, 2)] == pytest.approx(0.0)
     assert out[(0, 2)] == pytest.approx(0.7)
+    assert e0 == 1.65
+
+
+def test_complete_split_root_drop():
+    # a doubled root edge has only its two halves to pair: the mass moves
+    # onto the chord between the root and its copy
+    out, ops, e0 = complete_split({(0, 1): 2.0}, 0, 1, {}, 2, 1.0)
+    assert ops == [SplitOp(1, 0, 2, 1.0)]
+    assert out[(0, 1)] == pytest.approx(0.0)
+    assert e0 == pytest.approx(2.0)
 
 
 def test_complete_split_rejects_unsplittable_degree():
     # a lone incident edge admits no pair; degree parity cannot hold
     with pytest.raises(SplitError):
-        complete_split({(1, 2): 1.0}, 0, 1, {})
+        complete_split({(1, 2): 1.0}, 0, 1, {}, 3, 2.0)
 
 
 def test_complete_split_chain_preserves_cut():
     # chain r-c-a with unit values; the r-a min cut is 1 and must survive
     x = {(0, 1): 1.0, (1, 2): 1.0}
     before, _ = max_flow_min_cut(capacity_adjacency({k: v for k, v in x.items() if v > 0}), 0, 2)
-    out, ops, _ = complete_split(x, 0, 1, {2: before})
-    assert ops == [SplitOp(1, 0, 2, 1.0)]
+    out, ops, _ = complete_split(x, 0, 1, {2: before}, 3, 1.5)
+    assert ops == [SplitOp(1, 0, 2, 0.5), SplitOp(1, 2, 3, 0.5)]
     after, _ = max_flow_min_cut(capacity_adjacency({k: v for k, v in out.items() if v > 0}), 0, 2)
     assert after == pytest.approx(before) == pytest.approx(1.0)
 

@@ -1,27 +1,17 @@
 import pytest
 
 from pcrpp.core import ekey
-from pcrpp.lp import solve_pcrpp_lp
+from pcrpp.lp import LpSolution, solve_pcrpp_lp
 from pcrpp.preprocess import preprocess
 from pcrpp.splitoff import SplitRecorder
-from pcrpp.treedecomp import (
-    AuxGraph,
-    RootedTree,
-    check_pctsp_feasible,
-    decompose,
-    lift_to_aux,
-    project_to_hat,
-    stage_distribution,
-)
+from pcrpp.treedecomp import AuxGraph, RootedTree, project_to_hat, stage_distribution
 from conftest import FRACTIONAL_INSTANCES, random_suite
-from oracles import apply_threshold_split, decompose_by_lp
+from oracles import apply_threshold_split, check_pctsp_feasible, decompose_by_lp, lift_to_aux
 
 
-def aux_base_y(pg):
-    y = {v: 0.0 for v in range(pg.vertex_count) if v != pg.root}
-    y[pg.root] = 1.0
-    y[pg.vertex_count] = 1.0
-    return y
+def fresh_distribution(pg, x, y):
+    """Tree distribution of (x, y) built from a recorder of its own."""
+    return stage_distribution(SplitRecorder(pg, LpSolution(x, y, 0.0)), 0, AuxGraph(pg, pg.vertex_count))
 
 
 def test_lift_zero_vector(single_pos):
@@ -74,23 +64,29 @@ def test_lift_rejects_infeasible(single_pos):
 
 
 def test_decompose_chord_only_cases(single_pos):
+    # the zero vector and the boundary past every vertex both leave the
+    # whole chord mass on the two-vertex chord tree
     pg = preprocess(single_pos)
     aux = AuxGraph(pg, pg.vertex_count)
-    dist = decompose({aux.e0: 2.0}, aux_base_y(pg), aux)
-    assert len(dist.trees) == 1
-    assert dist.trees[0].edges == frozenset({aux.e0})
-    assert dist.weights[0] == pytest.approx(1.0)
+    zero = {v: 0.0 for v in range(pg.vertex_count)}
+    zero[pg.root] = 1.0
+    dist = fresh_distribution(pg, {k: 0.0 for k in pg.lengths}, zero)
+    assert dist.trees == (RootedTree(frozenset({aux.e0})),)
+    assert dist.weights == (1.0,)
+    assert project_to_hat(dist, pg).trees[0].edges == frozenset()
 
-    dist = decompose({aux.e0: 1.0}, aux_base_y(pg), aux)
-    assert len(dist.trees) == 1
-    assert dist.trees[0].edges == frozenset()
+    sol, _ = solve_pcrpp_lp(pg)
+    recorder = SplitRecorder(pg, sol)
+    dist = stage_distribution(recorder, len(recorder.groups), aux)
+    assert dist.trees == (RootedTree(frozenset({aux.e0})),)
+    assert dist.weights[0] == pytest.approx(1.0)
 
 
 def test_decompose_lifted_cycle_marginals(single_pos):
     pg = preprocess(single_pos)
     sol, _ = solve_pcrpp_lp(pg)
     xbar, ybar, aux = lift_to_aux(sol.x, sol.y, pg)
-    dist = decompose(xbar, ybar, aux)
+    dist = fresh_distribution(pg, sol.x, sol.y)
     marg = dist.edge_marginals()
     for key, val in xbar.items():
         want = val - (1.0 if key == aux.e0 else 0.0)
@@ -108,7 +104,7 @@ def test_decompose_matches_lp_oracle(single_pos):
     pg = preprocess(single_pos)
     sol, _ = solve_pcrpp_lp(pg)
     xbar, ybar, aux = lift_to_aux(sol.x, sol.y, pg)
-    built = decompose(xbar, ybar, aux)
+    built = fresh_distribution(pg, sol.x, sol.y)
     solved = decompose_by_lp(xbar, ybar, aux)
     for dist in (built, solved):
         marg = dist.edge_marginals()
@@ -184,17 +180,10 @@ def test_shared_trace_equals_fresh_decomposition():
         thresholds = sorted({v for k, v in sol.y.items() if k != pg.root and v > 0.0})
         for delta in thresholds:
             xt, yt, _ = apply_threshold_split(sol, delta, pg, recorder=recorder)
-            xbar, ybar, aux2 = lift_to_aux(xt, yt, pg)
-            fresh = project_to_hat(decompose(xbar, ybar, aux2), pg)
-            replay = project_to_hat(
-                stage_distribution(recorder, recorder.boundary(delta), aux), pg
-            )
-            em_f, em_r = fresh.edge_marginals(), replay.edge_marginals()
-            for key in set(em_f) | set(em_r):
-                assert abs(em_f.get(key, 0.0) - em_r.get(key, 0.0)) <= 1e-9
-            vm_f, vm_r = fresh.vertex_marginals(pg.root), replay.vertex_marginals(pg.root)
-            for v in set(vm_f) | set(vm_r):
-                assert abs(vm_f.get(v, 0.0) - vm_r.get(v, 0.0)) <= 1e-9
+            fresh = fresh_distribution(pg, xt, yt)
+            replay = stage_distribution(recorder, recorder.boundary(delta), aux)
+            assert replay.trees == fresh.trees
+            assert replay.weights == fresh.weights
 
 
 def test_support_size_bound():

@@ -15,6 +15,10 @@ the benchmark (``perfbench/workloads.py``).  For each one the file holds:
 - the ``SplitRecorder`` pass over that LP solution: every operation as
   ``[vertex, left, right, repr(amount)]``, the (vertex, operation count)
   groups and the final chord mass;
+- for each distinct stage boundary of that pass, in threshold order, the
+  trees of ``project_to_hat(stage_distribution(...))`` as
+  ``[sorted edge list, repr(weight)]`` in their constructed order, or the
+  error the stage raises;
 - the ``pctsp_reduction`` and ``exact_oracle`` values.
 
 A call that raises is recorded as ``"Type: message"``.  Floats are written
@@ -40,6 +44,7 @@ from pcrpp.lp import solve_pcrpp_lp, write_lp_text  # noqa: E402
 from pcrpp.preprocess import preprocess  # noqa: E402
 from pcrpp.solvers import best_of_many, exact_oracle, pctsp_reduction  # noqa: E402
 from pcrpp.splitoff import SplitRecorder  # noqa: E402
+from pcrpp.treedecomp import AuxGraph, project_to_hat, stage_distribution  # noqa: E402
 
 
 def instances() -> list:
@@ -88,12 +93,20 @@ def _lp(pg, sol, cert) -> dict:
     }
 
 
+def _trees(pg, rec, boundary) -> list:
+    dist = project_to_hat(stage_distribution(rec, boundary, AuxGraph(pg, pg.vertex_count)), pg)
+    return [[sorted(map(list, tree.edges)), repr(w)] for tree, w in zip(dist.trees, dist.weights)]
+
+
 def _split(pg, sol) -> dict:
     rec = SplitRecorder(pg, sol)
+    thresholds = sorted({val for v, val in sol.y.items() if v != pg.root and val > 0.0})
+    boundaries = sorted({rec.boundary(delta) for delta in thresholds})
     return {
         "ops": [[op.vertex, op.left, op.right, repr(op.amount)] for op in rec.ops],
         "groups": [list(group) for group in rec.groups],
         "chord": rec.state(len(rec.groups))[1],
+        "stages": [[b, _guard(lambda b=b: _trees(pg, rec, b))] for b in boundaries],
     }
 
 
