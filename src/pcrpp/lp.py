@@ -316,63 +316,6 @@ def initial_variables(pg: PreprocessedGraph) -> list[tuple[int, int]]:
     return sorted(keys)
 
 
-def _pair_index(n: int, keys) -> np.ndarray:
-    """Index of each pair key (u, v), u < v, in ``np.triu_indices(n, 1)`` order."""
-    k = np.array(keys, dtype=np.intp).reshape(-1, 2)
-    u, v = k[:, 0], k[:, 1]
-    return u * (2 * n - u - 1) // 2 + v - u - 1
-
-
-@dataclass(frozen=True, eq=False)
-class PairArrays:
-    """Per-pair data of the complete graph, indexed like ``np.triu_indices(n, 1)``.
-
-    That index order is the sorted order of the pair keys (u, v) with u < v,
-    so a boolean mask over pairs lists its pairs in sorted key order.
-    ``lengths_order`` holds the pair index of each key of ``pg.lengths`` in
-    that dict's order.
-    """
-
-    vertex_count: int
-    root: int
-    u: np.ndarray
-    v: np.ndarray
-    lengths: np.ndarray
-    profits: np.ndarray
-    positive: np.ndarray
-    at_root: np.ndarray
-    lengths_order: np.ndarray
-
-    @classmethod
-    def of(cls, pg: PreprocessedGraph) -> PairArrays:
-        n = pg.vertex_count
-        u, v = np.triu_indices(n, 1)
-        keys = list(zip(u.tolist(), v.tolist()))
-        return cls(
-            vertex_count=n,
-            root=pg.root,
-            u=u,
-            v=v,
-            lengths=np.array([pg.lengths[k] for k in keys], dtype=float),
-            profits=np.array([pg.profits[k] for k in keys], dtype=float),
-            positive=np.array([k in pg.pos_edges for k in keys], dtype=bool),
-            at_root=(u == pg.root) | (v == pg.root),
-            lengths_order=_pair_index(n, list(pg.lengths)),
-        )
-
-    def index(self, keys) -> np.ndarray:
-        return _pair_index(self.vertex_count, keys)
-
-    def keys(self, idx=slice(None)) -> list[tuple[int, int]]:
-        return list(zip(self.u[idx].tolist(), self.v[idx].tolist()))
-
-    def crossing(self, side: frozenset) -> np.ndarray:
-        """Which pairs have exactly one endpoint in ``side``."""
-        inside = np.zeros(self.vertex_count, dtype=bool)
-        inside[list(side)] = True
-        return inside[self.u] != inside[self.v]
-
-
 def separate_cuts(
     pg: PreprocessedGraph,
     x: dict[tuple[int, int], float],
@@ -398,10 +341,10 @@ def separate_cuts(
     return violated
 
 
-def _solution_dicts(pg, pairs, cols, x_vals, y_vals, y_vertices):
-    values = np.zeros(len(pairs.u))
+def _solution_dicts(pg, cols, x_vals, y_vals, y_vertices):
+    values = np.zeros(len(pg.pairs.u))
     values[cols] = x_vals
-    x = dict(zip(pg.lengths, values[pairs.lengths_order].tolist()))
+    x = dict(zip(pg.lengths, values.tolist()))
     y = dict(zip(y_vertices, y_vals.tolist()))
     y[pg.root] = 1.0
     return x, y
@@ -448,7 +391,7 @@ def solve_pcrpp_lp(
         sol = LpSolution({k: 0.0 for k in pg.lengths}, {root: 1.0}, 0.0)
         return sol, CutCertificate(())
 
-    pairs = PairArrays.of(pg)
+    pairs = pg.pairs
     active = np.zeros(len(pairs.u), dtype=bool)
     active[pairs.index(initial_variables(pg))] = True
     cuts: list[tuple[frozenset, int, float]] = []
@@ -458,9 +401,9 @@ def solve_pcrpp_lp(
     for _ in range(MAX_ROUNDS):
         cols = np.flatnonzero(active)
         x_vals, y_vals, mu, rho, cut_duals = _solve_master(
-            pairs, backend, cols, crossing, cuts, y_vertices
+            pg, backend, cols, crossing, cuts, y_vertices
         )
-        x, y = _solution_dicts(pg, pairs, cols, x_vals, y_vals, y_vertices)
+        x, y = _solution_dicts(pg, cols, x_vals, y_vals, y_vertices)
 
         new_cuts = separate_cuts(pg, x, y, tol=FEAS_TOL)
         new_cuts = [(side, v) for side, v in new_cuts if (side, v) not in cut_keys]
@@ -473,7 +416,7 @@ def solve_pcrpp_lp(
         rows = []
         for side, v in new_cuts:
             row = pairs.crossing(side)
-            crossed = compress(x.values(), row[pairs.lengths_order].tolist())
+            crossed = compress(x.values(), row.tolist())
             cuts.append((side, v, sum(crossed) - 2.0 * y[v]))
             cut_keys.add((side, v))
             rows.append(row)
@@ -483,7 +426,7 @@ def solve_pcrpp_lp(
     raise LpError(f"cutting-plane loop did not converge within {MAX_ROUNDS} rounds")
 
 
-def _solve_master(pairs, backend, cols, crossing, cuts, y_vertices):
+def _solve_master(pg, backend, cols, crossing, cuts, y_vertices):
     """Solve the master over the active columns ``cols`` and the recorded cuts.
 
     Columns are ``cols`` then ``y_vertices``.  Rows are root degree at most
@@ -494,7 +437,7 @@ def _solve_master(pairs, backend, cols, crossing, cuts, y_vertices):
     vertex (0 at the root), the root-degree dual and the cut duals in
     recorded order.
     """
-    root = pairs.root
+    root, pairs = pg.root, pg.pairs
     nx, ny, ncuts = len(cols), len(y_vertices), len(cuts)
     u, v = pairs.u[cols], pairs.v[cols]
     yidx = np.zeros(pairs.vertex_count, dtype=np.intp)
@@ -565,10 +508,7 @@ def write_lp_text(pg: PreprocessedGraph, cert: CutCertificate) -> str:
     def xname(key):
         return f"x_{key[0]}_{key[1]}"
 
-    terms = []
-    for k in sorted(pg.lengths):
-        coeff = pg.lengths[k] - (pg.profits[k] if k in pg.pos_edges else 0.0)
-        terms.append(f"{coeff:+.12g} {xname(k)}")
+    terms = [f"{pg.lengths[k] - pg.profits[k]:+.12g} {xname(k)}" for k in pg.lengths]
     lines = ["Minimize", " obj: " + " ".join(terms), "Subject To"]
     root = pg.root
     for v in range(pg.vertex_count):
@@ -581,13 +521,12 @@ def write_lp_text(pg: PreprocessedGraph, cert: CutCertificate) -> str:
     for u, v in sorted(pg.pos_edges):
         lines.append(f" cpl_{u}_{v}_a: y_{u} - {xname((u, v))} = 0")
         lines.append(f" cpl_{u}_{v}_b: y_{v} - {xname((u, v))} = 0")
-    pairs = PairArrays.of(pg)
-    names = [xname(k) for k in pairs.keys()]
+    names = [xname(k) for k in pg.lengths]
     for i, (side, wit, _) in enumerate(cert.cuts):
-        body = " + ".join(compress(names, pairs.crossing(side).tolist()))
+        body = " + ".join(compress(names, pg.pairs.crossing(side).tolist()))
         lines.append(f" cut_{i}: {body} - 2 y_{wit} >= 0")
     lines.append("Bounds")
-    for k in sorted(pg.lengths):
+    for k in pg.lengths:
         if k in pg.pos_edges:
             lines.append(f" 0 <= {xname(k)} <= 1")
         else:

@@ -2,16 +2,19 @@
 
 The completion turns the instance into a complete graph in which positive
 edges are pairwise vertex-disjoint, the root touches none of them, and every
-zero-profit edge carries the exact shortest-path distance together with one
-stored path realizing it.
+zero-profit edge carries the exact shortest-path distance, realized by the
+path through the stored Dijkstra predecessors of its smaller endpoint.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     ABS_TOL,
+    INF,
     Edge,
     Instance,
     Multigraph,
@@ -38,14 +41,60 @@ class CopiedGraph:
 
 
 @dataclass(frozen=True, eq=False)
+class PairArrays:
+    """Per-pair data of the complete graph, indexed like ``np.triu_indices(n, 1)``.
+
+    That index order is the sorted order of the pair keys (u, v) with u < v,
+    which is also the key order of ``PreprocessedGraph.lengths``, so a
+    boolean mask over pairs lists its pairs in sorted key order.  The arrays
+    are read-only.
+    """
+
+    vertex_count: int
+    u: np.ndarray
+    v: np.ndarray
+    lengths: np.ndarray
+    profits: np.ndarray
+    positive: np.ndarray
+    at_root: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.u, self.v, self.lengths, self.profits, self.positive, self.at_root):
+            arr.flags.writeable = False
+
+    def index(self, keys) -> np.ndarray:
+        """Pair index of each key (u, v), u < v."""
+        k = np.array(keys, dtype=np.intp).reshape(-1, 2)
+        u, v, n = k[:, 0], k[:, 1], self.vertex_count
+        return u * (2 * n - u - 1) // 2 + v - u - 1
+
+    def keys(self, idx=slice(None)) -> list[tuple[int, int]]:
+        return list(zip(self.u[idx].tolist(), self.v[idx].tolist()))
+
+    def crossing(self, side: frozenset) -> np.ndarray:
+        """Which pairs have exactly one endpoint in ``side``."""
+        inside = np.zeros(self.vertex_count, dtype=bool)
+        inside[list(side)] = True
+        return inside[self.u] != inside[self.v]
+
+
+@dataclass(frozen=True, eq=False)
 class PreprocessedGraph:
-    """Complete graph with one edge per vertex pair and back-maps to the input."""
+    """Complete graph with one edge per vertex pair and back-maps to the input.
+
+    ``lengths`` and ``profits`` are keyed by the pairs (u, v), u < v, in
+    sorted order, and ``pairs`` holds the same data as arrays in that order.
+    ``preds[u]`` is the Dijkstra predecessor of every vertex on the copied
+    graph from source u, so ``reconstruct_path(preds[u], u, v)`` is the path
+    a zero-profit pair (u, v) stands for.
+    """
 
     copied: CopiedGraph
     lengths: dict[tuple[int, int], float]
     profits: dict[tuple[int, int], float]
     pos_edges: frozenset
-    path_map: dict[tuple[int, int], tuple[int, ...]]
+    pairs: PairArrays
+    preds: tuple[tuple[int | None, ...], ...]
 
     @property
     def vertex_count(self) -> int:
@@ -111,40 +160,46 @@ def copy_vertices(inst: Instance) -> CopiedGraph:
 
 
 def complete(copied: CopiedGraph) -> PreprocessedGraph:
-    """Complete the copied graph with zero-profit shortest-path edges."""
+    """Complete the copied graph with zero-profit shortest-path edges.
+
+    Raises ValueError naming the smallest vertex that the root cannot reach.
+    """
     n = copied.vertex_count
     adj = weighted_adjacency(n, copied.edges)
+    positive = {ekey(e.u, e.v): e for e in copied.edges if e.profit > 0.0}
     lengths: dict[tuple[int, int], float] = {}
     profits: dict[tuple[int, int], float] = {}
-    pos: set[tuple[int, int]] = set()
-    for e in copied.edges:
-        if e.profit > 0.0:
-            key = ekey(e.u, e.v)
-            lengths[key] = e.length
-            profits[key] = e.profit
-            pos.add(key)
-
-    path_map: dict[tuple[int, int], tuple[int, ...]] = {}
+    preds = []
     for u in range(n):
         dist, pred = shortest_paths(adj, u)
+        preds.append(tuple(pred.values()))
         for v in range(u + 1, n):
             key = (u, v)
-            if key in pos:
+            e = positive.get(key)
+            if e is not None:
+                lengths[key] = e.length
+                profits[key] = e.profit
                 continue
-            d = dist[v]
-            if d == float("inf"):
-                raise ValueError("copied graph is not connected")
-            lengths[key] = d
+            if dist[v] == INF:
+                from_root, _ = shortest_paths(adj, copied.root)
+                bad = min(w for w in range(n) if from_root[w] == INF)
+                raise ValueError(
+                    f"preprocess: vertex {bad} cannot be reached from the root {copied.root}"
+                )
+            lengths[key] = dist[v]
             profits[key] = 0.0
-            path_map[key] = tuple(reconstruct_path(pred, u, v))
 
-    pg = PreprocessedGraph(
-        copied=copied,
-        lengths=lengths,
-        profits=profits,
-        pos_edges=frozenset(pos),
-        path_map=path_map,
+    first, second = np.triu_indices(n, 1)
+    pairs = PairArrays(
+        vertex_count=n,
+        u=first,
+        v=second,
+        lengths=np.fromiter(lengths.values(), float),
+        profits=np.fromiter(profits.values(), float),
+        positive=np.fromiter((k in positive for k in lengths), bool),
+        at_root=(first == copied.root) | (second == copied.root),
     )
+    pg = PreprocessedGraph(copied, lengths, profits, frozenset(positive), pairs, tuple(preds))
     _check_properties(pg)
     return pg
 
@@ -169,7 +224,7 @@ def restore(pg: PreprocessedGraph, selected) -> Multigraph:
     """Map a complete-graph edge multiset back to an instance multigraph.
 
     Positive edges return to their originating edges, zero-profit edges
-    expand along their stored paths, and copies merge back via ``copy_map``;
+    expand along their shortest paths, and copies merge back via ``copy_map``;
     tether steps collapse to nothing.  The total length is preserved exactly,
     which is asserted.
     """
@@ -188,7 +243,7 @@ def restore(pg: PreprocessedGraph, selected) -> Multigraph:
             a, b = copy_map[key[0]], copy_map[key[1]]
             counts[ekey(a, b)] += mult
             continue
-        path = pg.path_map[key]
+        path = reconstruct_path(pg.preds[key[0]], *key)
         for a, b in zip(path, path[1:]):
             oa, ob = copy_map[a], copy_map[b]
             if oa == ob:

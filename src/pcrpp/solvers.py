@@ -77,14 +77,12 @@ def best_of_many(inst: Instance) -> Solution:
 
     aux = AuxGraph(pg, pg.vertex_count)
     thresholds = sorted({val for v, val in sol.y.items() if v != pg.root and val > 0.0})
-    seen: set[int] = set()
     sp_cache: dict = {}
     core_cache: dict[frozenset, Candidate] = {}
     for delta in thresholds:
+        # every non-root vertex has a group, so distinct thresholds give
+        # strictly increasing boundaries
         boundary = recorder.boundary(delta)
-        if boundary in seen:
-            continue
-        seen.add(boundary)
         dist_aux = stage_distribution(recorder, boundary, aux)
         xt, _ = recorder.state(boundary)
         yt = {

@@ -93,15 +93,14 @@ def _candidates(adj, root, v):
 
     Entries are sorted by descending edge value with vertex-id tie-break; the
     root mass counts as the two balanced halves, so a root entry and its
-    mirror sit at half the merged value.
+    mirror sit at half the merged value.  ``adj`` holds only values above
+    1e-12, as ``_adjacency`` and ``_set_value`` store them.
     """
     nbrs = adj.get(v, {})
     entries = []
     root_val = nbrs.get(root, 0.0)
     for u in sorted(nbrs):
         val = nbrs[u]
-        if val <= 1e-12:
-            continue
         if u == root:
             entries.append((val / 2.0, root, "root"))
             entries.append((val / 2.0, -1, "rootcopy"))

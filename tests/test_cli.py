@@ -11,7 +11,11 @@ from pcrpp.cli import (
     run_bench,
 )
 from pcrpp.core import parse_instance, serialize_instance
+from pcrpp.lp import solve_pcrpp_lp
+from pcrpp.preprocess import preprocess
 from pcrpp.solvers import exact_oracle
+from pcrpp.splitoff import SplitRecorder
+from pcrpp.treedecomp import AuxGraph, project_to_hat, stage_distribution
 from conftest import FRACTIONAL_INSTANCES, barrier_text
 
 
@@ -156,6 +160,37 @@ def test_cli_solve_dumps(tmp_path, capsys):
     ]) == 0
     assert lp_path.read_text().startswith("Minimize")
     json.loads(trees_path.read_text())
+
+
+def test_cli_solve_dumps_fractional(tmp_path, capsys):
+    # fractional y: the trees dump holds one entry per threshold
+    path = tmp_path / "f.txt"
+    path.write_text(serialize_instance(FRACTIONAL_INSTANCES[0]))
+    lp_path = tmp_path / "model.lp"
+    trees_path = tmp_path / "trees.json"
+    assert main([
+        "solve", str(path), "--dump-lp", str(lp_path), "--dump-trees", str(trees_path)
+    ]) == 0
+    dumped = json.loads(trees_path.read_text())
+
+    pg = preprocess(parse_instance(path.read_text()))
+    sol, cert = solve_pcrpp_lp(pg)
+    recorder = SplitRecorder(pg, sol)
+    thresholds = sorted({v for k, v in sol.y.items() if k != pg.root and v > 0.0})
+    assert len(thresholds) > 1
+    assert list(dumped) == [f"{delta:.9f}" for delta in thresholds]
+    for delta in thresholds:
+        stage = dumped[f"{delta:.9f}"]
+        assert sum(tree["weight"] for tree in stage) == pytest.approx(1.0, abs=1e-9)
+        aux = AuxGraph(pg, pg.vertex_count)
+        dist = project_to_hat(stage_distribution(recorder, recorder.boundary(delta), aux), pg)
+        assert stage == [
+            {"weight": w, "edges": sorted(map(list, t.edges))}
+            for t, w in zip(dist.trees, dist.weights)
+        ]
+
+    rows = [line for line in lp_path.read_text().splitlines() if line.startswith(" cut_")]
+    assert cert.cuts and len(rows) == len(cert.cuts)
 
 
 def test_cli_oracle_and_reduce(tmp_path, capsys):

@@ -12,7 +12,6 @@ from pcrpp.core import parse_instance
 from pcrpp.lp import (
     HighsBackend,
     LpError,
-    PairArrays,
     _price_variables,
     capacity_adjacency,
     initial_variables,
@@ -292,7 +291,7 @@ def test_pricing_matches_scalar_oracle():
         n = pg.vertex_count
         if n < 2:
             continue
-        pairs = PairArrays.of(pg)
+        pairs = pg.pairs
         for _ in range(5):
             # the solver always keeps the root pairs active; a random subset
             # without them also exercises the root dual

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from pcrpp.core import ekey, parse_instance
+from pcrpp.core import Edge, Instance, ekey, parse_instance
 from pcrpp.preprocess import copy_vertices, preprocess, restore
 from conftest import random_suite
 
@@ -62,6 +62,28 @@ def test_complete_zero_profit_is_metric_closure(zero_profit):
     pg = preprocess(zero_profit)
     assert pg.pos_edges == frozenset()
     assert pg.lengths[(0, 2)] == pytest.approx(2.0)  # direct 2 = via-middle 2
+
+
+def test_complete_names_unreachable_vertex():
+    # only parse_instance restricts to the root's component; an Instance may
+    # hold a vertex the root cannot reach
+    inst = Instance(3, 0, (Edge(0, 1, 1.0, 5.0),))
+    with pytest.raises(ValueError, match=r"^preprocess: vertex 2 cannot be reached from the root 0$"):
+        preprocess(inst)
+
+
+def test_pair_table_in_sorted_pair_order():
+    for inst in random_suite(10):
+        pg = preprocess(inst)
+        pairs = pg.pairs
+        keys = list(pg.lengths)
+        assert keys == sorted(keys) == list(pg.profits) == pairs.keys()
+        assert pairs.lengths.tolist() == list(pg.lengths.values())
+        assert pairs.profits.tolist() == list(pg.profits.values())
+        assert pairs.positive.tolist() == [k in pg.pos_edges for k in keys]
+        assert pairs.at_root.tolist() == [pg.root in k for k in keys]
+        for arr in (pairs.u, pairs.v, pairs.lengths, pairs.profits, pairs.positive, pairs.at_root):
+            assert not arr.flags.writeable
 
 
 def test_properties_on_random_instances():

@@ -1,6 +1,6 @@
 import pytest
 
-from pcrpp.core import objective, parse_instance
+from pcrpp.core import Instance, Walk, objective, parse_instance
 from pcrpp.solvers import (
     best_of_many,
     exact_oracle,
@@ -108,6 +108,13 @@ def test_best_of_many_zero_profit(zero_profit):
     sol = best_of_many(zero_profit)
     assert sol.value == 0.0
     assert sol.walk.vertices == (0,)
+
+
+def test_best_of_many_single_vertex():
+    # no vertex but the root: the LP has no y columns and the walk stays home
+    sol = best_of_many(Instance(1, 0, ()))
+    assert sol.value == 0.0 and sol.lower_bound == 0.0
+    assert sol.walk == Walk.trivial(0)
 
 
 def test_best_of_many_deterministic():

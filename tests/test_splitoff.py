@@ -2,9 +2,17 @@ import random
 
 import pytest
 
-from pcrpp.lp import LpSolution, capacity_adjacency, max_flow_min_cut, solve_pcrpp_lp
+from pcrpp.lp import (
+    LpSolution,
+    capacity_adjacency,
+    cut_at_least,
+    max_flow_min_cut,
+    solve_pcrpp_lp,
+)
 from pcrpp.preprocess import preprocess
 from pcrpp.splitoff import (
+    DEMAND_SLACK,
+    PRECISION,
     SplitError,
     SplitOp,
     SplitRecorder,
@@ -49,6 +57,31 @@ def test_complete_split_chain_preserves_cut():
     assert ops == [SplitOp(1, 0, 2, 0.5), SplitOp(1, 2, 3, 0.5)]
     after, _ = max_flow_min_cut(capacity_adjacency({k: v for k, v in out.items() if v > 0}), 0, 2)
     assert after == pytest.approx(before) == pytest.approx(1.0)
+
+
+def test_complete_split_bisection_ends_inside():
+    # splitting eps off (1, 2), (1, 3) onto the chord (2, 3) leaves the set
+    # {2, 3} a cut of 2 - 2 eps, so the demand 0.7 at 2 admits eps <= 0.65
+    # and the full cap 1 is infeasible.  The bisection returns a feasible
+    # amount within 2 * PRECISION of the largest one, and may overshoot the
+    # exact 0.65 by up to DEMAND_SLACK / 2: the contract that exact
+    # splitting amounts (ROADMAP item 4) are to replace.
+    x = {(0, 1): 1.0, (1, 2): 1.0, (1, 3): 1.0}
+    _, ops, _ = complete_split(x, 0, 1, {2: 0.7}, 4, 1.0)
+    first = ops[0]
+    assert (first.left, first.right) == (2, 3)
+    assert 0.0 < first.amount < 1.0
+
+    def feasible(eps):
+        after = dict(x)
+        after[(1, 2)] -= eps
+        after[(1, 3)] -= eps
+        after[(2, 3)] = eps
+        return cut_at_least(capacity_adjacency(after), 2, 0, 0.7 - DEMAND_SLACK)
+
+    assert feasible(first.amount)
+    assert not feasible(first.amount + 2 * PRECISION)
+    assert abs(first.amount - 0.65) <= 2 * PRECISION
 
 
 def test_threshold_below_min_is_identity(single_pos):
