@@ -25,7 +25,6 @@ from .lp import (
 )
 from .splitoff import SplitError, SplitOp, SplitRecorder, complete_split
 from .treedecomp import (
-    AuxGraph,
     DecompositionError,
     RootedTree,
     TreeDistribution,

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import random
 import sys
@@ -10,12 +12,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import Edge, Instance, ParseError, parse_instance, serialize_instance
-from .lp import solve_pcrpp_lp
-from .preprocess import preprocess
+from .lp import write_lp_text
 from .ratiocheck import RatioParams, verify_bound
-from .solvers import SolverConfig, best_of_many, exact_oracle, pctsp_reduction
-from .splitoff import SplitRecorder
-from .treedecomp import AuxGraph, project_to_hat, stage_distribution
+from .solvers import SolveRun, SolverConfig, best_of_many, exact_oracle, pctsp_reduction
 
 CSV_COLUMNS = [
     "name",
@@ -142,20 +141,16 @@ def _fmt(value) -> str:
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for rec in records:
-        lines.append(",".join(_fmt(getattr(rec, col)) for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+        writer.writerow([_fmt(getattr(rec, col)) for col in CSV_COLUMNS])
+    return out.getvalue()
 
 
 def parse_bench_csv(text: str) -> list[dict]:
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    out = []
-    for ln in lines[1:]:
-        row = dict(zip(header, ln.split(",")))
-        out.append(row)
-    return out
+    return list(csv.DictReader(io.StringIO(text, newline="")))
 
 
 def family_of(name: str) -> str:
@@ -243,10 +238,23 @@ def _walk_str(walk) -> str:
 
 
 def _cmd_solve(args) -> int:
+    """Solve once; the dumps come from this run, the LP dump before splitting."""
     inst = parse_instance(Path(args.instance).read_text(), name=Path(args.instance).stem)
-    if args.dump_lp or args.dump_trees:
-        _debug_dumps(inst, args)
-    sol = best_of_many(inst)
+    run = SolveRun(inst)
+    if args.dump_lp:
+        Path(args.dump_lp).write_text(write_lp_text(run.pg, run.cert))
+    stages = run.stages()
+    if args.dump_trees:
+        stages = list(stages)
+        payload = {
+            f"{delta:.9f}": [
+                {"weight": w, "edges": sorted(map(list, t.edges))}
+                for t, w in zip(ghat.trees, ghat.weights)
+            ]
+            for delta, _, ghat in stages
+        }
+        Path(args.dump_trees).write_text(json.dumps(payload, indent=1))
+    sol = run.finish(stages)
     print(f"value {sol.value:.6f}")
     print(f"lower_bound {sol.lower_bound:.6f}")
     print(f"walk {_walk_str(sol.walk)}")
@@ -258,28 +266,6 @@ def _cmd_solve(args) -> int:
     for key in ("candidates", "lp_cuts", "t_lp", "t_split", "t_other"):
         print(f"{key} {sol.stats.get(key)}")
     return 0
-
-
-def _debug_dumps(inst, args) -> None:
-    pg = preprocess(inst)
-    sol, cert = solve_pcrpp_lp(pg)
-    if args.dump_lp:
-        from .lp import write_lp_text
-
-        Path(args.dump_lp).write_text(write_lp_text(pg, cert))
-    if args.dump_trees:
-        recorder = SplitRecorder(pg, sol)
-        aux = AuxGraph(pg, pg.vertex_count)
-        payload = {}
-        thresholds = sorted({v for k, v in sol.y.items() if k != pg.root and v > 0.0})
-        for delta in thresholds:
-            boundary = recorder.boundary(delta)
-            dist = project_to_hat(stage_distribution(recorder, boundary, aux), pg)
-            payload[f"{delta:.9f}"] = [
-                {"weight": w, "edges": sorted(map(list, t.edges))}
-                for t, w in zip(dist.trees, dist.weights)
-            ]
-        Path(args.dump_trees).write_text(json.dumps(payload, indent=1))
 
 
 def _cmd_oracle(args) -> int:

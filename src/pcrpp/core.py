@@ -213,10 +213,6 @@ class Multigraph:
             verts.add(v)
         return frozenset(verts)
 
-    @property
-    def edge_total(self) -> int:
-        return sum(self.edge_counts.values())
-
     def degrees(self) -> dict[int, int]:
         deg: Counter = Counter()
         for (u, v), m in self.edge_counts.items():

@@ -25,7 +25,7 @@ from .core import (
 from .lp import solve_pcrpp_lp
 from .preprocess import preprocess
 from .splitoff import SplitRecorder
-from .treedecomp import AuxGraph, project_to_hat, stage_distribution
+from .treedecomp import project_to_hat, stage_distribution
 
 RATIO_BOUND = 1.6
 VALUE_TIE = 1e-12
@@ -61,68 +61,101 @@ def best_of_many(inst: Instance) -> Solution:
     cheapest candidate, never worse than the trivial walk, and its value is
     checked against 1.6 times the relaxation bound.
     """
-    t_start = time.perf_counter()
-    pg = preprocess(inst)
-    t0 = time.perf_counter()
-    sol, cert = solve_pcrpp_lp(pg)
-    t_lp = time.perf_counter() - t0
+    run = SolveRun(inst)
+    return run.finish(run.stages())
 
-    trivial = Candidate(Walk.trivial(inst.root), objective(inst, Walk.trivial(inst.root)), ("trivial",))
-    best = trivial
-    generated = 1
 
-    t0 = time.perf_counter()
-    recorder = SplitRecorder(pg, sol)
-    t_split = time.perf_counter() - t0
+class SolveRun:
+    """One ``best_of_many`` solve in three steps, open to a caller between them.
 
-    aux = AuxGraph(pg, pg.vertex_count)
-    thresholds = sorted({val for v, val in sol.y.items() if v != pg.root and val > 0.0})
-    sp_cache: dict = {}
-    core_cache: dict[frozenset, Candidate] = {}
-    for delta in thresholds:
-        # every non-root vertex has a group, so distinct thresholds give
-        # strictly increasing boundaries
-        boundary = recorder.boundary(delta)
-        dist_aux = stage_distribution(recorder, boundary, aux)
-        xt, _ = recorder.state(boundary)
-        yt = {
-            v: (val if v == pg.root or val >= delta else 0.0)
-            for v, val in sol.y.items()
-        }
-        ghat = project_to_hat(dist_aux, pg)
-        _check_stage(ghat, xt, yt, pg)
-        for ti, tree in enumerate(ghat.trees):
-            gammas = sorted(
-                {xt.get(k, 0.0) for k in tree.edges if k in pg.pos_edges and xt.get(k, 0.0) > 0.0}
+    Constructing the run preprocesses the instance and solves the LP;
+    ``stages()`` splits once and yields the checked stages; ``finish`` rounds
+    them into candidates and returns the Solution.  The ``t_*`` stats count
+    only time spent inside these steps.
+    """
+
+    def __init__(self, inst: Instance):
+        t0 = time.perf_counter()
+        self.inst = inst
+        self.pg = preprocess(inst)
+        t1 = time.perf_counter()
+        self.sol, self.cert = solve_pcrpp_lp(self.pg)
+        t2 = time.perf_counter()
+        self.t_lp = t2 - t1
+        self.t_split = 0.0
+        self.t_run = t2 - t0
+
+    def stages(self):
+        """Split once; then, lazily, one checked stage per outer threshold.
+
+        A stage is (threshold, edge vector at its boundary, projected tree
+        distribution).
+        """
+        t0 = time.perf_counter()
+        recorder = SplitRecorder(self.pg, self.sol)
+        self.t_split = time.perf_counter() - t0
+        self.t_run += self.t_split
+        return self._stages(recorder)
+
+    def _stages(self, recorder):
+        pg = self.pg
+        for delta in recorder.thresholds:
+            t0 = time.perf_counter()
+            # every non-root vertex has a group, so distinct thresholds give
+            # strictly increasing boundaries
+            boundary = recorder.boundary(delta)
+            xt, _ = recorder.state(boundary)
+            yt = {
+                v: (val if v == pg.root or val >= delta else 0.0)
+                for v, val in self.sol.y.items()
+            }
+            ghat = project_to_hat(stage_distribution(recorder, boundary), pg)
+            _check_stage(ghat, xt, yt, pg)
+            self.t_run += time.perf_counter() - t0
+            yield delta, xt, ghat
+
+    def finish(self, stages) -> Solution:
+        """Best candidate over the stages, checked against the ratio bound."""
+        t0, t_before = time.perf_counter(), self.t_run
+        inst, pg = self.inst, self.pg
+        best = Candidate(Walk.trivial(inst.root), objective(inst, Walk.trivial(inst.root)), ("trivial",))
+        generated = 1
+        sp_cache: dict = {}
+        core_cache: dict[frozenset, Candidate] = {}
+        for delta, xt, ghat in stages:
+            for ti, tree in enumerate(ghat.trees):
+                gammas = sorted(
+                    {xt.get(k, 0.0) for k in tree.edges if k in pg.pos_edges and xt.get(k, 0.0) > 0.0}
+                )
+                for gamma in gammas:
+                    core = edge_profit_core(tree, xt, gamma, pg)
+                    generated += 1
+                    cached = core_cache.get(core.edges)
+                    if cached is None:
+                        cached = build_candidate(
+                            inst, pg, core, (delta, ti, gamma), sp_cache=sp_cache
+                        )
+                        core_cache[core.edges] = cached
+                    cand = Candidate(cached.walk, cached.value, (delta, ti, gamma))
+                    if _better(cand, best):
+                        best = cand
+
+        bound = RATIO_BOUND * self.sol.objective + 1e-6
+        if best.value > bound:
+            raise AssertionError(
+                f"candidate value {best.value} exceeds the ratio bound {bound}"
             )
-            for gamma in gammas:
-                core = edge_profit_core(tree, xt, gamma, pg)
-                generated += 1
-                cached = core_cache.get(core.edges)
-                if cached is None:
-                    cached = build_candidate(
-                        inst, pg, core, (delta, ti, gamma), sp_cache=sp_cache
-                    )
-                    core_cache[core.edges] = cached
-                cand = Candidate(cached.walk, cached.value, (delta, ti, gamma))
-                if _better(cand, best):
-                    best = cand
-
-    bound = RATIO_BOUND * sol.objective + 1e-6
-    if best.value > bound:
-        raise AssertionError(
-            f"candidate value {best.value} exceeds the ratio bound {bound}"
-        )
-    t_total = time.perf_counter() - t_start
-    stats = {
-        "candidates": generated,
-        "best": best.provenance,
-        "lp_cuts": len(cert.cuts),
-        "t_lp": t_lp,
-        "t_split": t_split,
-        "t_other": max(t_total - t_lp - t_split, 0.0),
-    }
-    return Solution(best.walk, best.value, lower_bound=sol.objective, stats=stats)
+        # stages drawn lazily inside this step count here, not in t_before
+        t_total = t_before + time.perf_counter() - t0
+        stats = {
+            "candidates": generated,
+            "best": best.provenance,
+            "lp_cuts": len(self.cert.cuts),
+            "t_lp": self.t_lp,
+            "t_split": self.t_split,
+            "t_other": max(t_total - self.t_lp - self.t_split, 0.0),
+        }
+        return Solution(best.walk, best.value, lower_bound=self.sol.objective, stats=stats)
 
 
 def _check_stage(ghat, xt, yt, pg, tol=1e-6):

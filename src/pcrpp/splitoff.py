@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ekey
-from .lp import LpSolution, cut_at_least
+from .lp import LpSolution, capacity_adjacency, cut_at_least
 from .preprocess import PreprocessedGraph
 
 PRECISION = 1e-9
@@ -37,15 +37,6 @@ class SplitOp:
     left: int
     right: int
     amount: float
-
-
-def _adjacency(x: dict[tuple[int, int], float]) -> dict[int, dict[int, float]]:
-    adj: dict[int, dict[int, float]] = {}
-    for (u, v), val in x.items():
-        if val > 1e-12:
-            adj.setdefault(u, {})[v] = val
-            adj.setdefault(v, {})[u] = val
-    return adj
 
 
 def _set_value(x, adj, key, val):
@@ -94,7 +85,7 @@ def _candidates(adj, root, v):
     Entries are sorted by descending edge value with vertex-id tie-break; the
     root mass counts as the two balanced halves, so a root entry and its
     mirror sit at half the merged value.  ``adj`` holds only values above
-    1e-12, as ``_adjacency`` and ``_set_value`` store them.
+    1e-12, as ``complete_split`` and ``_set_value`` store them.
     """
     nbrs = adj.get(v, {})
     entries = []
@@ -143,7 +134,7 @@ def complete_split(
     if v == root or v in demands or root in demands:
         raise ValueError("demands must exclude the root and the split vertex")
     x = dict(x)
-    adj = _adjacency(x)
+    adj = capacity_adjacency({k: val for k, val in x.items() if val > 1e-12})
     ops: list[SplitOp] = []
     guard = 0
     while True:
@@ -215,23 +206,31 @@ def split_every_vertex(x, e0: float, y: dict[int, float], root: int, copy: int):
     return tuple(ops), tuple(groups), states
 
 
+def root_copy(pg: PreprocessedGraph) -> int:
+    """Id of the root copy on the auxiliary graph: the first id past the vertices."""
+    return pg.vertex_count
+
+
 class SplitRecorder:
     """One full splitting pass over all non-root vertices, replayable per threshold.
 
     The state at every vertex boundary is kept so any threshold maps to a
-    stored prefix of the recorded operations.
+    stored prefix of the recorded operations.  ``thresholds`` are the outer
+    thresholds: the distinct positive values of the split vertices, sorted.
     """
 
     def __init__(self, pg: PreprocessedGraph, sol: LpSolution):
+        self.root, self.copy = pg.root, root_copy(pg)
         self.y = dict(sol.y)
         x = {k: val for k, val in sol.x.items() if val != 0.0}
-        deg_r = sum(val for k, val in x.items() if pg.root in k)
+        deg_r = sum(val for k, val in x.items() if self.root in k)
         self.ops, self.groups, self.states = split_every_vertex(
-            x, 2.0 - 0.5 * deg_r, self.y, pg.root, pg.vertex_count
+            x, 2.0 - 0.5 * deg_r, self.y, self.root, self.copy
         )
         self.prefix = [0]
         for _, cnt in self.groups:
             self.prefix.append(self.prefix[-1] + cnt)
+        self.thresholds = sorted({self.y[v] for v, _ in self.groups if self.y[v] > 0.0})
 
     def boundary(self, delta: float) -> int:
         """Number of leading groups whose vertex value falls below the threshold."""

@@ -19,29 +19,13 @@ from dataclasses import dataclass
 
 from .core import bfs, ekey, neighbours
 from .preprocess import PreprocessedGraph
-from .splitoff import SplitOp, SplitRecorder
+from .splitoff import SplitOp, SplitRecorder, root_copy
 
 WEIGHT_FLOOR = 1e-12
 
 
 class DecompositionError(RuntimeError):
     """Internal failure: the constructed list misses its marginals."""
-
-
-@dataclass(frozen=True, eq=False)
-class AuxGraph:
-    """Preprocessed graph plus a root copy adjacent to everything."""
-
-    pg: PreprocessedGraph
-    copy_id: int
-
-    @property
-    def root(self) -> int:
-        return self.pg.root
-
-    @property
-    def e0(self) -> tuple[int, int]:
-        return ekey(self.pg.root, self.copy_id)
 
 
 @dataclass(frozen=True)
@@ -164,34 +148,27 @@ def _compact(trees: list) -> None:
     trees[:] = [[w, edges] for edges, w in merged.items()]
 
 
-def _undo_distribution(ops, boundary_count: int, aux: AuxGraph, chord_mass: float) -> list:
-    """Undo the recorded operations back to the given prefix length.
+def stage_distribution(recorder: SplitRecorder, boundary: int) -> TreeDistribution:
+    """Replay the recorded splitting back to a vertex boundary.
 
-    The base carries the residual chord mass: weight chord_mass - 1 on the
+    The operations past the boundary are undone in reverse, starting from
+    the residual chord mass of the whole pass: weight chord_mass - 1 on the
     two-vertex chord tree and the rest on the bare root tree.
     """
-    lam = min(max(chord_mass - 1.0, 0.0), 1.0)
-    trees: list = [[lam, frozenset({aux.e0})]]
+    root = recorder.root
+    lam = min(max(recorder.states[-1][1] - 1.0, 0.0), 1.0)
+    trees: list = [[lam, frozenset({ekey(root, recorder.copy)})]]
     if lam < 1.0 - 1e-15:
         trees.append([1.0 - lam, frozenset()])
-    for op in reversed(ops[boundary_count:]):
-        _undo_step(trees, op, aux.root)
+    for op in reversed(recorder.ops[recorder.prefix[boundary]:]):
+        _undo_step(trees, op, root)
     _compact(trees)
     total = sum(w for w, _ in trees)
     if abs(total - 1.0) > 1e-9:
         raise DecompositionError(f"tree weights sum to {total}")
-    for entry in trees:
-        entry[0] /= total
-    return trees
-
-
-def stage_distribution(recorder: SplitRecorder, boundary: int, aux: AuxGraph) -> TreeDistribution:
-    """Replay the recorded splitting back to a vertex boundary."""
-    chord_mass = recorder.states[-1][1]
-    trees = _undo_distribution(recorder.ops, recorder.prefix[boundary], aux, chord_mass)
     return TreeDistribution(
         trees=tuple(RootedTree(edges) for _, edges in trees),
-        weights=tuple(w for w, _ in trees),
+        weights=tuple(w / total for w, _ in trees),
     )
 
 
@@ -250,7 +227,7 @@ def project_to_hat(dist: TreeDistribution, pg: PreprocessedGraph) -> TreeDistrib
     edge is dropped.  Every projected tree must couple each positive edge
     with its two endpoints, which is checked exactly.
     """
-    copy_id = pg.vertex_count
+    copy_id = root_copy(pg)
     merged: dict[frozenset, float] = {}
     for tree, w in zip(dist.trees, dist.weights):
         if w <= WEIGHT_FLOOR:

@@ -25,7 +25,7 @@ from pcrpp.core import bfs, ekey, pair_lookup
 from pcrpp.lp import LpSolution, capacity_adjacency, max_flow_min_cut, separate_cuts
 from pcrpp.preprocess import PreprocessedGraph
 from pcrpp.splitoff import SplitOp, SplitRecorder
-from pcrpp.treedecomp import AuxGraph, DecompositionError, RootedTree, TreeDistribution
+from pcrpp.treedecomp import DecompositionError, RootedTree, TreeDistribution
 
 
 def _residual(capacities: dict[tuple[int, int], float]) -> dict[int, dict[int, float]]:
@@ -231,9 +231,11 @@ def _enumerate_rooted_trees(support: list, root: int, cap: int) -> list:
 
 
 def lift_to_aux(x, y, pg: PreprocessedGraph):
-    """Lift a feasible pair onto the auxiliary graph, halving the root edges."""
-    aux = AuxGraph(pg, pg.vertex_count)
-    root = pg.root
+    """Lift a feasible pair onto the auxiliary graph, halving the root edges.
+
+    The root copy of the auxiliary graph is vertex ``pg.vertex_count``.
+    """
+    root, copy = pg.root, pg.vertex_count
     xbar: dict[tuple[int, int], float] = {}
     deg_r = 0.0
     for k, val in x.items():
@@ -243,23 +245,22 @@ def lift_to_aux(x, y, pg: PreprocessedGraph):
             other = k[0] if k[1] == root else k[1]
             half = val / 2.0
             xbar[ekey(root, other)] = half
-            xbar[ekey(aux.copy_id, other)] = half
+            xbar[ekey(copy, other)] = half
             deg_r += val
         else:
             xbar[k] = val
-    xbar[aux.e0] = 2.0 - 0.5 * deg_r
+    xbar[ekey(root, copy)] = 2.0 - 0.5 * deg_r
     ybar = dict(y)
-    ybar[aux.copy_id] = 1.0
-    check_pctsp_feasible(xbar, ybar, aux)
-    return xbar, ybar, aux
+    ybar[copy] = 1.0
+    check_pctsp_feasible(xbar, ybar, root, copy)
+    return xbar, ybar
 
 
-def check_pctsp_feasible(xbar, ybar, aux: AuxGraph, tol: float = 1e-6) -> None:
+def check_pctsp_feasible(xbar, ybar, root: int, copy: int, tol: float = 1e-6) -> None:
     """Raise ValueError unless the lifted pair is feasible on the auxiliary graph."""
-    root = aux.root
-    if abs(ybar.get(aux.copy_id, 0.0) - 1.0) > tol:
+    if abs(ybar.get(copy, 0.0) - 1.0) > tol:
         raise ValueError("root copy must have vertex value one")
-    if xbar.get(aux.e0, 0.0) < 1.0 - tol:
+    if xbar.get(ekey(root, copy), 0.0) < 1.0 - tol:
         raise ValueError("chord value below one")
     degrees: dict[int, float] = {}
     for (u, v), val in xbar.items():
@@ -283,13 +284,13 @@ def check_pctsp_feasible(xbar, ybar, aux: AuxGraph, tol: float = 1e-6) -> None:
             raise ValueError(f"connectivity cut violated for {v}")
 
 
-def decompose_by_lp(xbar, ybar, aux: AuxGraph, cap: int = 200_000) -> TreeDistribution:
+def decompose_by_lp(xbar, ybar, root: int, copy: int, cap: int = 200_000) -> TreeDistribution:
     """Desk-scale oracle: solve for tree weights directly from the marginals."""
-    root, copy = aux.root, aux.copy_id
+    e0 = ekey(root, copy)
     support = sorted(
-        k for k, val in xbar.items() if val > 1e-12 and (k != aux.e0 or val > 1.0 + 1e-12)
+        k for k, val in xbar.items() if val > 1e-12 and (k != e0 or val > 1.0 + 1e-12)
     )
-    targets_edge = {k: xbar[k] - (1.0 if k == aux.e0 else 0.0) for k in support}
+    targets_edge = {k: xbar[k] - (1.0 if k == e0 else 0.0) for k in support}
     trees = _enumerate_rooted_trees(support, root, cap)
 
     vert_rows = []

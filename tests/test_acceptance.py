@@ -27,7 +27,7 @@ from pcrpp.ratiocheck import (
 )
 from pcrpp.solvers import best_of_many, exact_oracle, pctsp_reduction
 from pcrpp.splitoff import SplitRecorder
-from pcrpp.treedecomp import AuxGraph, project_to_hat, stage_distribution
+from pcrpp.treedecomp import project_to_hat, stage_distribution
 from conftest import FRACTIONAL_INSTANCES, barrier_text, random_suite
 from oracles import apply_threshold_split, check_threshold_split
 
@@ -94,10 +94,8 @@ def test_barrier_regression():
 def test_tree_decomposition_contract(solved_suite):
     with criterion("tree-decomposition"):
         for inst, pg, sol, recorder in solved_suite:
-            aux = AuxGraph(pg, pg.vertex_count)
-            thresholds = sorted({v for k, v in sol.y.items() if k != pg.root and v > 0.0})
             seen = set()
-            for delta in thresholds:
+            for delta in recorder.thresholds:
                 boundary = recorder.boundary(delta)
                 if boundary in seen:
                     continue
@@ -107,7 +105,7 @@ def test_tree_decomposition_contract(solved_suite):
                     v: (val if v == pg.root or val >= delta else 0.0)
                     for v, val in sol.y.items()
                 }
-                ghat = project_to_hat(stage_distribution(recorder, boundary, aux), pg)
+                ghat = project_to_hat(stage_distribution(recorder, boundary), pg)
                 assert abs(ghat.total_weight - 1.0) <= 1e-9
                 marg = ghat.edge_marginals()
                 for key in pg.pos_edges:
@@ -129,8 +127,7 @@ def test_tree_decomposition_contract(solved_suite):
 def test_threshold_split_clauses(solved_suite):
     with criterion("threshold-split"):
         for inst, pg, sol, recorder in solved_suite:
-            thresholds = sorted({v for k, v in sol.y.items() if k != pg.root and v > 0.0})
-            for delta in thresholds:
+            for delta in recorder.thresholds:
                 xt, yt, _ = apply_threshold_split(sol, delta, pg, recorder=recorder)
                 check_threshold_split(pg, sol, delta, xt, yt, tol=1e-6)
 
@@ -207,12 +204,10 @@ def test_shared_trace_equivalence():
             pg = preprocess(inst)
             sol, _ = solve_pcrpp_lp(pg)
             recorder = SplitRecorder(pg, sol)
-            aux = AuxGraph(pg, pg.vertex_count)
-            thresholds = sorted({v for k, v in sol.y.items() if k != pg.root and v > 0.0})
-            for delta in thresholds:
+            for delta in recorder.thresholds:
                 xt, yt, _ = apply_threshold_split(sol, delta, pg, recorder=recorder)
-                fresh = stage_distribution(SplitRecorder(pg, LpSolution(xt, yt, 0.0)), 0, aux)
-                replay = stage_distribution(recorder, recorder.boundary(delta), aux)
+                fresh = stage_distribution(SplitRecorder(pg, LpSolution(xt, yt, 0.0)), 0)
+                replay = stage_distribution(recorder, recorder.boundary(delta))
                 assert replay.trees == fresh.trees
                 assert replay.weights == fresh.weights
 

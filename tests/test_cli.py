@@ -1,21 +1,25 @@
 import json
+from collections import Counter
 
 import pytest
 
+from pcrpp import lp, solvers, splitoff
 from pcrpp.cli import (
+    BenchRecord,
     convert_optimum,
     family_of,
     gen_random,
     main,
     parse_bench_csv,
+    records_to_csv,
     run_bench,
 )
 from pcrpp.core import parse_instance, serialize_instance
-from pcrpp.lp import solve_pcrpp_lp
+from pcrpp.lp import solve_pcrpp_lp, write_lp_text
 from pcrpp.preprocess import preprocess
 from pcrpp.solvers import exact_oracle
 from pcrpp.splitoff import SplitRecorder
-from pcrpp.treedecomp import AuxGraph, project_to_hat, stage_distribution
+from pcrpp.treedecomp import DecompositionError, project_to_hat, stage_distribution
 from conftest import FRACTIONAL_INSTANCES, barrier_text
 
 
@@ -162,28 +166,31 @@ def test_cli_solve_dumps(tmp_path, capsys):
     json.loads(trees_path.read_text())
 
 
-def test_cli_solve_dumps_fractional(tmp_path, capsys):
-    # fractional y: the trees dump holds one entry per threshold
+def _dump_args(tmp_path):
+    """Arguments of a solve of FRACTIONAL_INSTANCES[0] with both dumps, and the dump paths."""
     path = tmp_path / "f.txt"
     path.write_text(serialize_instance(FRACTIONAL_INSTANCES[0]))
     lp_path = tmp_path / "model.lp"
     trees_path = tmp_path / "trees.json"
-    assert main([
-        "solve", str(path), "--dump-lp", str(lp_path), "--dump-trees", str(trees_path)
-    ]) == 0
+    args = ["solve", str(path), "--dump-lp", str(lp_path), "--dump-trees", str(trees_path)]
+    return args, lp_path, trees_path
+
+
+def test_cli_solve_dumps_fractional(tmp_path, capsys):
+    # fractional y: the trees dump holds one entry per threshold
+    args, lp_path, trees_path = _dump_args(tmp_path)
+    assert main(args) == 0
     dumped = json.loads(trees_path.read_text())
 
-    pg = preprocess(parse_instance(path.read_text()))
+    pg = preprocess(parse_instance((tmp_path / "f.txt").read_text()))
     sol, cert = solve_pcrpp_lp(pg)
     recorder = SplitRecorder(pg, sol)
-    thresholds = sorted({v for k, v in sol.y.items() if k != pg.root and v > 0.0})
-    assert len(thresholds) > 1
-    assert list(dumped) == [f"{delta:.9f}" for delta in thresholds]
-    for delta in thresholds:
+    assert len(recorder.thresholds) > 1
+    assert list(dumped) == [f"{delta:.9f}" for delta in recorder.thresholds]
+    for delta in recorder.thresholds:
         stage = dumped[f"{delta:.9f}"]
         assert sum(tree["weight"] for tree in stage) == pytest.approx(1.0, abs=1e-9)
-        aux = AuxGraph(pg, pg.vertex_count)
-        dist = project_to_hat(stage_distribution(recorder, recorder.boundary(delta), aux), pg)
+        dist = project_to_hat(stage_distribution(recorder, recorder.boundary(delta)), pg)
         assert stage == [
             {"weight": w, "edges": sorted(map(list, t.edges))}
             for t, w in zip(dist.trees, dist.weights)
@@ -191,6 +198,59 @@ def test_cli_solve_dumps_fractional(tmp_path, capsys):
 
     rows = [line for line in lp_path.read_text().splitlines() if line.startswith(" cut_")]
     assert cert.cuts and len(rows) == len(cert.cuts)
+
+
+def test_cli_solve_dumps_come_from_one_run(tmp_path, capsys, monkeypatch):
+    # one LP solve and one splitting pass serve both dumps and the solve
+    calls = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(solvers, "solve_pcrpp_lp")
+    count(solvers, "SplitRecorder")
+    # under whatever name a caller imports them, each LP solve builds one
+    # backend and each recorder runs one splitting pass
+    count(lp, "HighsBackend")
+    count(splitoff, "split_every_vertex")
+    args, lp_path, trees_path = _dump_args(tmp_path)
+    assert main(args) == 0
+    assert lp_path.exists() and trees_path.exists()
+    assert calls == {
+        "solve_pcrpp_lp": 1, "SplitRecorder": 1, "HighsBackend": 1, "split_every_vertex": 1
+    }
+
+
+def test_cli_solve_writes_lp_dump_when_a_stage_fails(tmp_path, capsys, monkeypatch):
+    def fail(dist, pg):
+        raise DecompositionError("stage fails on purpose")
+
+    monkeypatch.setattr(solvers, "project_to_hat", fail)
+    args, lp_path, trees_path = _dump_args(tmp_path)
+    with pytest.raises(DecompositionError, match="on purpose"):
+        main(args)
+    pg = preprocess(FRACTIONAL_INSTANCES[0])
+    assert lp_path.read_text() == write_lp_text(pg, solve_pcrpp_lp(pg)[1])
+    # the trees dump holds only stages the solve checked, and none passed
+    assert not trees_path.exists()
+
+
+def test_csv_roundtrip_with_comma_in_name():
+    rec = BenchRecord(name="a,b", vertices=3, edges=2, alg=1.5, better="tie")
+    text = records_to_csv([rec])
+    [row] = parse_bench_csv(text)
+    assert row["name"] == "a,b"
+    assert row["vertices"] == "3"
+    assert row["edges"] == "2"
+    assert row["alg"] == "1.500000"
+    assert row["better"] == "tie"
+    assert list(row) == text.splitlines()[0].split(",")
 
 
 def test_cli_oracle_and_reduce(tmp_path, capsys):

@@ -18,7 +18,7 @@ from pcrpp.splitoff import (
     SplitRecorder,
     complete_split,
 )
-from conftest import random_suite
+from conftest import FRACTIONAL_INSTANCES, random_suite
 from oracles import apply_threshold_split, check_threshold_split
 
 
@@ -123,8 +123,7 @@ def test_five_clauses_on_random_instances():
         pg = preprocess(inst)
         sol, _ = solve_pcrpp_lp(pg)
         recorder = SplitRecorder(pg, sol)
-        thresholds = sorted({v for k, v in sol.y.items() if k != pg.root and v > 0.0})
-        for delta in thresholds:
+        for delta in recorder.thresholds:
             xt, yt, _ = apply_threshold_split(sol, delta, pg, recorder=recorder)
             check_threshold_split(pg, sol, delta, xt, yt)
 
@@ -139,8 +138,7 @@ def test_cut_preservation_sampled():
         pg = preprocess(inst)
         sol, _ = solve_pcrpp_lp(pg)
         recorder = SplitRecorder(pg, sol)
-        positives = sorted({v for k, v in sol.y.items() if k != pg.root and v > 0.0})
-        delta = rng.choice(positives) if positives else 0.5
+        delta = rng.choice(recorder.thresholds) if recorder.thresholds else 0.5
         xt, yt, _ = apply_threshold_split(sol, delta, pg, recorder=recorder)
         support = {k: v for k, v in xt.items() if v > 1e-12}
         for t in sorted(yt):
@@ -173,3 +171,13 @@ def test_recorder_state_degrees_zeroed():
             x, _ = rec.state(b)
             deg = sum(val for k, val in x.items() if v in k)
             assert abs(deg) <= 1e-9
+
+
+def test_recorder_thresholds_are_the_positive_vertex_values():
+    # the outer thresholds: the distinct positive y of the non-root vertices, sorted
+    for inst in random_suite(10, base_seed=5200) + list(FRACTIONAL_INSTANCES):
+        pg = preprocess(inst)
+        sol, _ = solve_pcrpp_lp(pg)
+        rec = SplitRecorder(pg, sol)
+        assert rec.thresholds == sorted({v for k, v in sol.y.items() if k != pg.root and v > 0.0})
+        assert (rec.root, rec.copy) == (pg.root, pg.vertex_count)

@@ -4,14 +4,19 @@ from pcrpp.core import ekey
 from pcrpp.lp import LpSolution, solve_pcrpp_lp
 from pcrpp.preprocess import preprocess
 from pcrpp.splitoff import SplitRecorder
-from pcrpp.treedecomp import AuxGraph, RootedTree, project_to_hat, stage_distribution
+from pcrpp.treedecomp import RootedTree, project_to_hat, stage_distribution
 from conftest import FRACTIONAL_INSTANCES, random_suite
 from oracles import apply_threshold_split, check_pctsp_feasible, decompose_by_lp, lift_to_aux
 
 
 def fresh_distribution(pg, x, y):
     """Tree distribution of (x, y) built from a recorder of its own."""
-    return stage_distribution(SplitRecorder(pg, LpSolution(x, y, 0.0)), 0, AuxGraph(pg, pg.vertex_count))
+    return stage_distribution(SplitRecorder(pg, LpSolution(x, y, 0.0)), 0)
+
+
+def chord(pg):
+    """The chord between the root and its copy, vertex ``pg.vertex_count``."""
+    return ekey(pg.root, pg.vertex_count)
 
 
 def test_lift_zero_vector(single_pos):
@@ -19,10 +24,10 @@ def test_lift_zero_vector(single_pos):
     x = {k: 0.0 for k in pg.lengths}
     y = {v: 0.0 for v in range(pg.vertex_count) if v != pg.root}
     y[pg.root] = 1.0
-    xbar, ybar, aux = lift_to_aux(x, y, pg)
-    assert xbar[aux.e0] == pytest.approx(2.0)
-    assert all(v == 0.0 for k, v in xbar.items() if k != aux.e0)
-    assert ybar[aux.copy_id] == 1.0
+    xbar, ybar = lift_to_aux(x, y, pg)
+    assert xbar[chord(pg)] == pytest.approx(2.0)
+    assert all(v == 0.0 for k, v in xbar.items() if k != chord(pg))
+    assert ybar[pg.vertex_count] == 1.0
 
 
 def test_lift_unit_cycle(single_pos):
@@ -30,15 +35,15 @@ def test_lift_unit_cycle(single_pos):
     # cycle r - copy - a - r; the lift halves both root edges
     pg = preprocess(single_pos)
     sol, _ = solve_pcrpp_lp(pg)
-    xbar, ybar, aux = lift_to_aux(sol.x, sol.y, pg)
-    copy = aux.copy_id
+    xbar, ybar = lift_to_aux(sol.x, sol.y, pg)
+    copy = pg.vertex_count
     assert xbar[ekey(0, 2)] == pytest.approx(0.5)
     assert xbar[ekey(copy, 2)] == pytest.approx(0.5)
     assert xbar[ekey(0, 1)] == pytest.approx(0.5)
     assert xbar[ekey(copy, 1)] == pytest.approx(0.5)
     assert xbar[ekey(1, 2)] == pytest.approx(1.0)
-    assert xbar[aux.e0] == pytest.approx(1.0)
-    check_pctsp_feasible(xbar, ybar, aux)
+    assert xbar[chord(pg)] == pytest.approx(1.0)
+    check_pctsp_feasible(xbar, ybar, pg.root, copy)
 
 
 def test_lift_doubled_root_edge(zero_profit):
@@ -48,10 +53,10 @@ def test_lift_doubled_root_edge(zero_profit):
     y = {v: 0.0 for v in range(pg.vertex_count) if v != pg.root}
     y[pg.root] = 1.0
     y[1] = 1.0
-    xbar, ybar, aux = lift_to_aux(x, y, pg)
+    xbar, ybar = lift_to_aux(x, y, pg)
     assert xbar[ekey(0, 1)] == pytest.approx(1.0)
-    assert xbar[ekey(aux.copy_id, 1)] == pytest.approx(1.0)
-    assert xbar[aux.e0] == pytest.approx(1.0)
+    assert xbar[ekey(pg.vertex_count, 1)] == pytest.approx(1.0)
+    assert xbar[chord(pg)] == pytest.approx(1.0)
 
 
 def test_lift_rejects_infeasible(single_pos):
@@ -67,33 +72,32 @@ def test_decompose_chord_only_cases(single_pos):
     # the zero vector and the boundary past every vertex both leave the
     # whole chord mass on the two-vertex chord tree
     pg = preprocess(single_pos)
-    aux = AuxGraph(pg, pg.vertex_count)
     zero = {v: 0.0 for v in range(pg.vertex_count)}
     zero[pg.root] = 1.0
     dist = fresh_distribution(pg, {k: 0.0 for k in pg.lengths}, zero)
-    assert dist.trees == (RootedTree(frozenset({aux.e0})),)
+    assert dist.trees == (RootedTree(frozenset({chord(pg)})),)
     assert dist.weights == (1.0,)
     assert project_to_hat(dist, pg).trees[0].edges == frozenset()
 
     sol, _ = solve_pcrpp_lp(pg)
     recorder = SplitRecorder(pg, sol)
-    dist = stage_distribution(recorder, len(recorder.groups), aux)
-    assert dist.trees == (RootedTree(frozenset({aux.e0})),)
+    dist = stage_distribution(recorder, len(recorder.groups))
+    assert dist.trees == (RootedTree(frozenset({chord(pg)})),)
     assert dist.weights[0] == pytest.approx(1.0)
 
 
 def test_decompose_lifted_cycle_marginals(single_pos):
     pg = preprocess(single_pos)
     sol, _ = solve_pcrpp_lp(pg)
-    xbar, ybar, aux = lift_to_aux(sol.x, sol.y, pg)
+    xbar, ybar = lift_to_aux(sol.x, sol.y, pg)
     dist = fresh_distribution(pg, sol.x, sol.y)
     marg = dist.edge_marginals()
     for key, val in xbar.items():
-        want = val - (1.0 if key == aux.e0 else 0.0)
+        want = val - (1.0 if key == chord(pg) else 0.0)
         assert marg.get(key, 0.0) == pytest.approx(want, abs=1e-6)
-    vmarg = dist.vertex_marginals(aux.root)
+    vmarg = dist.vertex_marginals(pg.root)
     for v, val in ybar.items():
-        if v in (aux.root, aux.copy_id):
+        if v in (pg.root, pg.vertex_count):
             continue
         assert vmarg.get(v, 0.0) == pytest.approx(val, abs=1e-6)
 
@@ -103,36 +107,34 @@ def test_decompose_matches_lp_oracle(single_pos):
     # same contract; neither output is canonical
     pg = preprocess(single_pos)
     sol, _ = solve_pcrpp_lp(pg)
-    xbar, ybar, aux = lift_to_aux(sol.x, sol.y, pg)
+    xbar, ybar = lift_to_aux(sol.x, sol.y, pg)
     built = fresh_distribution(pg, sol.x, sol.y)
-    solved = decompose_by_lp(xbar, ybar, aux)
+    solved = decompose_by_lp(xbar, ybar, pg.root, pg.vertex_count)
     for dist in (built, solved):
         marg = dist.edge_marginals()
         for key, val in xbar.items():
-            want = val - (1.0 if key == aux.e0 else 0.0)
+            want = val - (1.0 if key == chord(pg) else 0.0)
             assert marg.get(key, 0.0) == pytest.approx(want, abs=1e-6)
         assert dist.total_weight == pytest.approx(1.0, abs=1e-9)
 
 
 def test_project_identity_and_chord(single_pos):
     pg = preprocess(single_pos)
-    aux = AuxGraph(pg, pg.vertex_count)
     from pcrpp.treedecomp import TreeDistribution
 
     bare = TreeDistribution((RootedTree(frozenset()),), (1.0,))
     assert project_to_hat(bare, pg).trees[0].edges == frozenset()
-    chord = TreeDistribution((RootedTree(frozenset({aux.e0})),), (1.0,))
-    assert project_to_hat(chord, pg).trees[0].edges == frozenset()
+    chord_only = TreeDistribution((RootedTree(frozenset({chord(pg)})),), (1.0,))
+    assert project_to_hat(chord_only, pg).trees[0].edges == frozenset()
 
 
 def test_project_merges_and_deletes_longest_root_edge(single_pos):
     # tree r-copy2, copy2-a, a-rcopy merges into a triangle at the root;
     # the longer zero-profit root edge r-a goes, keeping the positive edge
     pg = preprocess(single_pos)
-    aux = AuxGraph(pg, pg.vertex_count)
     from pcrpp.treedecomp import TreeDistribution
 
-    tree = RootedTree(frozenset({ekey(0, 2), ekey(2, 1), ekey(1, aux.copy_id)}))
+    tree = RootedTree(frozenset({ekey(0, 2), ekey(2, 1), ekey(1, pg.vertex_count)}))
     out = project_to_hat(TreeDistribution((tree,), (1.0,)), pg)
     assert out.trees[0].edges == frozenset({ekey(0, 2), ekey(2, 1)})
 
@@ -142,16 +144,14 @@ def test_distribution_contract_on_fractional_instances():
         pg = preprocess(inst)
         sol, _ = solve_pcrpp_lp(pg)
         recorder = SplitRecorder(pg, sol)
-        aux = AuxGraph(pg, pg.vertex_count)
-        thresholds = sorted({v for k, v in sol.y.items() if k != pg.root and v > 0.0})
-        for delta in thresholds:
+        for delta in recorder.thresholds:
             boundary = recorder.boundary(delta)
             xt, _ = recorder.state(boundary)
             yt = {
                 v: (val if v == pg.root or val >= delta else 0.0)
                 for v, val in sol.y.items()
             }
-            ghat = project_to_hat(stage_distribution(recorder, boundary, aux), pg)
+            ghat = project_to_hat(stage_distribution(recorder, boundary), pg)
             assert ghat.total_weight == pytest.approx(1.0, abs=1e-9)
             marg = ghat.edge_marginals()
             for key in pg.pos_edges:
@@ -176,12 +176,10 @@ def test_shared_trace_equals_fresh_decomposition():
         pg = preprocess(inst)
         sol, _ = solve_pcrpp_lp(pg)
         recorder = SplitRecorder(pg, sol)
-        aux = AuxGraph(pg, pg.vertex_count)
-        thresholds = sorted({v for k, v in sol.y.items() if k != pg.root and v > 0.0})
-        for delta in thresholds:
+        for delta in recorder.thresholds:
             xt, yt, _ = apply_threshold_split(sol, delta, pg, recorder=recorder)
             fresh = fresh_distribution(pg, xt, yt)
-            replay = stage_distribution(recorder, recorder.boundary(delta), aux)
+            replay = stage_distribution(recorder, recorder.boundary(delta))
             assert replay.trees == fresh.trees
             assert replay.weights == fresh.weights
 
@@ -191,6 +189,5 @@ def test_support_size_bound():
         pg = preprocess(inst)
         sol, _ = solve_pcrpp_lp(pg)
         recorder = SplitRecorder(pg, sol)
-        aux = AuxGraph(pg, pg.vertex_count)
-        dist = stage_distribution(recorder, 0, aux)
+        dist = stage_distribution(recorder, 0)
         assert len(dist.trees) <= 2 * len(recorder.ops) + pg.vertex_count + 2

@@ -44,7 +44,7 @@ from pcrpp.lp import solve_pcrpp_lp, write_lp_text  # noqa: E402
 from pcrpp.preprocess import preprocess  # noqa: E402
 from pcrpp.solvers import best_of_many, exact_oracle, pctsp_reduction  # noqa: E402
 from pcrpp.splitoff import SplitRecorder  # noqa: E402
-from pcrpp.treedecomp import AuxGraph, project_to_hat, stage_distribution  # noqa: E402
+from pcrpp.treedecomp import project_to_hat, stage_distribution  # noqa: E402
 
 
 def instances() -> list:
@@ -94,14 +94,13 @@ def _lp(pg, sol, cert) -> dict:
 
 
 def _trees(pg, rec, boundary) -> list:
-    dist = project_to_hat(stage_distribution(rec, boundary, AuxGraph(pg, pg.vertex_count)), pg)
+    dist = project_to_hat(stage_distribution(rec, boundary), pg)
     return [[sorted(map(list, tree.edges)), repr(w)] for tree, w in zip(dist.trees, dist.weights)]
 
 
 def _split(pg, sol) -> dict:
     rec = SplitRecorder(pg, sol)
-    thresholds = sorted({val for v, val in sol.y.items() if v != pg.root and val > 0.0})
-    boundaries = sorted({rec.boundary(delta) for delta in thresholds})
+    boundaries = sorted({rec.boundary(delta) for delta in rec.thresholds})
     return {
         "ops": [[op.vertex, op.left, op.right, repr(op.amount)] for op in rec.ops],
         "groups": [list(group) for group in rec.groups],
