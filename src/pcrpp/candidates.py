@@ -11,6 +11,7 @@ from .core import (
     Walk,
     bfs,
     ekey,
+    endpoints,
     euler_tour,
     neighbours,
     objective,
@@ -20,14 +21,6 @@ from .core import (
     shortest_paths,
 )
 from .preprocess import PreprocessedGraph, restore
-from .treedecomp import RootedTree
-
-
-@dataclass(frozen=True)
-class CoreTree:
-    """Minimal root-containing subtree spanning the qualifying positive edges."""
-
-    edges: frozenset
 
 
 @dataclass(frozen=True)
@@ -38,17 +31,21 @@ class Candidate:
 
 
 def edge_profit_core(
-    tree: RootedTree, x: dict[tuple[int, int], float], gamma: float, pg: PreprocessedGraph
-) -> CoreTree:
-    """Union of the root paths to every positive tree edge with value >= gamma."""
+    tree: frozenset, x: dict[tuple[int, int], float], gamma: float, pg: PreprocessedGraph
+) -> frozenset:
+    """Union of the root paths to every positive tree edge with value >= gamma.
+
+    The result is the minimal root-containing subtree of ``tree`` spanning
+    those edges, as a frozenset of pair keys.
+    """
     root = pg.root
     targets = set()
-    for key in tree.edges:
+    for key in tree:
         if key in pg.pos_edges and x.get(key, 0.0) >= gamma:
             targets.update(key)
     if not targets:
-        return CoreTree(frozenset())
-    parent = bfs(neighbours(tree.edges), root)
+        return frozenset()
+    parent = bfs(neighbours(tree), root)
     edges: set = set()
     for t in targets:
         if t not in parent:
@@ -61,7 +58,7 @@ def edge_profit_core(
                 break
             edges.add(key)
             w = prev
-    return CoreTree(frozenset(edges))
+    return frozenset(edges)
 
 
 def min_perfect_matching(points, dist) -> list[tuple[int, int]]:
@@ -123,23 +120,23 @@ def min_tjoin(inst: Instance, targets, sp_cache=None) -> Multigraph:
 
 
 def _connected_with_root(m: Multigraph, root: int) -> bool:
-    support = m.vertices
+    support = endpoints(m.edge_counts)
     return not support or support <= bfs(neighbours(m.edge_counts), root).keys()
 
 
 def build_candidate(
     inst: Instance,
     pg: PreprocessedGraph,
-    core: CoreTree,
+    core: frozenset,
     provenance: tuple,
     sp_cache=None,
 ) -> Candidate:
     """Restore a core, correct parities, and read off the Eulerian walk."""
-    if not core.edges:
+    if not core:
         walk = Walk.trivial(inst.root)
         return Candidate(walk, objective(inst, walk), provenance)
-    restored = restore(pg, Counter(dict.fromkeys(core.edges, 1)))
-    core_length = sum(pg.lengths[k] for k in core.edges)
+    restored = restore(pg, Counter(dict.fromkeys(core, 1)))
+    core_length = sum(pg.lengths[k] for k in core)
     got = restored.total_length(
         {ekey(e.u, e.v): e.length for e in inst.edges}
     )

@@ -8,30 +8,18 @@ import json
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .core import Edge, Instance, ParseError, parse_instance, serialize_instance
-from .lp import write_lp_text
-from .ratiocheck import RatioParams, verify_bound
-from .solvers import SolveRun, SolverConfig, best_of_many, exact_oracle, pctsp_reduction
+from .core import Edge, Instance, parse_instance, serialize_instance
+from .lp import LpError, write_lp_text
+from .ratiocheck import FilterBoundError, RatioParams, verify_bound
+from .solvers import ORACLE_CAP, PCTSP_CAP, SolveRun, best_of_many, exact_oracle, pctsp_reduction
+from .splitoff import SplitError
+from .treedecomp import DecompositionError
 
-CSV_COLUMNS = [
-    "name",
-    "vertices",
-    "edges",
-    "opt",
-    "alg",
-    "red",
-    "opt_lp",
-    "alg_gap",
-    "red_gap",
-    "lp_gap",
-    "t_lp",
-    "t_split",
-    "t_other",
-    "better",
-]
+# typed failures of a run on valid input; ``main`` reports them with exit code 3
+RUN_ERRORS = (LpError, SplitError, DecompositionError, FilterBoundError)
 
 
 @dataclass
@@ -51,6 +39,9 @@ class BenchRecord:
     t_other: float = 0.0
     better: str = ""
     error: str | None = None
+
+
+CSV_COLUMNS = [f.name for f in fields(BenchRecord) if f.name != "error"]
 
 
 def convert_optimum(inst: Instance, opt_max: float) -> float:
@@ -93,10 +84,12 @@ def _gap(value: float, opt: float) -> float | None:
     return 100.0 * (value - opt) / opt
 
 
-def bench_instance(inst: Instance, cfg: SolverConfig) -> BenchRecord:
+def bench_instance(
+    inst: Instance, *, oracle_cap: int = ORACLE_CAP, pctsp_cap: int = PCTSP_CAP
+) -> BenchRecord:
     rec = BenchRecord(name=inst.name or "?", vertices=inst.vertex_count, edges=len(inst.edges))
     alg = best_of_many(inst)
-    red = pctsp_reduction(inst, cap=cfg.pctsp_cap)
+    red = pctsp_reduction(inst, cap=pctsp_cap)
     rec.alg = alg.value
     rec.red = red.value
     rec.opt_lp = alg.lower_bound
@@ -106,8 +99,8 @@ def bench_instance(inst: Instance, cfg: SolverConfig) -> BenchRecord:
     opt = None
     if inst.opt_max is not None:
         opt = convert_optimum(inst, inst.opt_max)
-    elif len(inst.edges) <= cfg.oracle_cap:
-        opt = exact_oracle(inst, cap=cfg.oracle_cap).value
+    elif len(inst.edges) <= oracle_cap:
+        opt = exact_oracle(inst, cap=oracle_cap).value
     rec.opt = opt
     if opt is not None:
         rec.alg_gap = _gap(rec.alg, opt)
@@ -124,10 +117,10 @@ def bench_instance(inst: Instance, cfg: SolverConfig) -> BenchRecord:
 
 
 def _bench_worker(args) -> BenchRecord:
-    path, cfg = args
+    path, oracle_cap, pctsp_cap = args
     try:
         inst = parse_instance(Path(path).read_text(), name=Path(path).stem)
-        return bench_instance(inst, cfg)
+        return bench_instance(inst, oracle_cap=oracle_cap, pctsp_cap=pctsp_cap)
     except Exception as exc:  # failures are recorded, the run continues
         return BenchRecord(name=Path(path).stem, error=f"{type(exc).__name__}: {exc}")
 
@@ -195,10 +188,11 @@ def summarize(records: list[BenchRecord]) -> list[dict]:
     return rows
 
 
-def run_bench(paths, cfg: SolverConfig | None = None, jobs: int = 1):
+def run_bench(
+    paths, *, jobs: int = 1, oracle_cap: int = ORACLE_CAP, pctsp_cap: int = PCTSP_CAP
+):
     """Per-instance records, their CSV text and the family summary rows."""
-    cfg = cfg or SolverConfig()
-    work = [(str(p), cfg) for p in paths]
+    work = [(str(p), oracle_cap, pctsp_cap) for p in paths]
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_bench_worker, work))
@@ -248,7 +242,7 @@ def _cmd_solve(args) -> int:
         stages = list(stages)
         payload = {
             f"{delta:.9f}": [
-                {"weight": w, "edges": sorted(map(list, t.edges))}
+                {"weight": w, "edges": sorted(map(list, t))}
                 for t, w in zip(ghat.trees, ghat.weights)
             ]
             for delta, _, ghat in stages
@@ -286,8 +280,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = SolverConfig(oracle_cap=args.oracle_cap, pctsp_cap=args.pctsp_cap)
-    records, csv_text, rows = run_bench(args.instances, cfg, jobs=args.jobs)
+    records, csv_text, rows = run_bench(
+        args.instances, jobs=args.jobs, oracle_cap=args.oracle_cap, pctsp_cap=args.pctsp_cap
+    )
     if args.out:
         Path(args.out).write_text(csv_text)
     else:
@@ -337,19 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive exact optimum for small instances")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=ORACLE_CAP)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("reduce", help="PCTSP-reduction baseline")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=PCTSP_CAP)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("bench", help="benchmark a list of instance files")
     p.add_argument("instances", nargs="*")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--oracle-cap", type=int, default=12)
-    p.add_argument("--pctsp-cap", type=int, default=12)
+    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
+    p.add_argument("--pctsp-cap", type=int, default=PCTSP_CAP)
     p.add_argument("--out", metavar="CSV")
     p.set_defaults(func=_cmd_bench)
 
@@ -378,9 +373,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RUN_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

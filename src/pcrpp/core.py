@@ -56,13 +56,6 @@ class Instance:
     def total_profit(self) -> float:
         return sum(e.profit for e in self.edges)
 
-    @property
-    def total_length(self) -> float:
-        return sum(e.length for e in self.edges)
-
-    def positive_edges(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.edges) if e.profit > 0.0)
-
     def edge_lookup(self) -> dict[tuple[int, int], int]:
         return {ekey(e.u, e.v): i for i, e in enumerate(self.edges)}
 
@@ -115,6 +108,11 @@ def neighbours(pairs) -> dict[int, list[int]]:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     return adj
+
+
+def endpoints(pairs) -> frozenset:
+    """Vertices incident to an edge collection given as vertex pairs."""
+    return frozenset(v for pair in pairs for v in pair)
 
 
 def bfs(adj, start: int, arc_ok=None) -> dict[int, int | None]:
@@ -205,14 +203,6 @@ class Multigraph:
             k: m for k, m in sorted(counts.items()) if m > 0
         }
 
-    @property
-    def vertices(self) -> frozenset:
-        verts = set()
-        for u, v in self.edge_counts:
-            verts.add(u)
-            verts.add(v)
-        return frozenset(verts)
-
     def degrees(self) -> dict[int, int]:
         deg: Counter = Counter()
         for (u, v), m in self.edge_counts.items():
@@ -249,7 +239,7 @@ def euler_tour(m: Multigraph, root: int) -> Walk:
         return Walk((root,))
     if odd_vertices(m):
         raise ValueError("multigraph has an odd-degree vertex")
-    support = m.vertices
+    support = endpoints(m.edge_counts)
     if root not in support:
         raise ValueError("root is not in the nonempty multigraph")
     adj: dict[int, Counter] = {v: Counter() for v in support}

@@ -35,6 +35,7 @@ FEAS_TOL = 1e-7
 PRICE_TOL = 1e-7
 SNAP_TOL = 1e-9
 MAX_ROUNDS = 10_000
+SUPPORT_FLOOR = 1e-12  # edge mass or residual capacity at or below this is absent
 
 
 HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -205,9 +206,10 @@ class HighsBackend:
 def capacity_adjacency(capacities: dict[tuple[int, int], float]) -> dict[int, dict[int, float]]:
     """Symmetric capacity rows ``{u: {v: cap}}`` of an undirected capacity map.
 
-    Pairs with capacity at most zero are left out, and the two orientations
-    of a pair add up.  ``max_flow_min_cut`` takes these rows, so a caller
-    that asks several flows on one network converts it once.
+    Entries at most zero are skipped, the two orientations of a pair add up,
+    and pairs whose sum is at most ``SUPPORT_FLOOR`` are left out.
+    ``max_flow_min_cut`` takes these rows, so a caller that asks several
+    flows on one network converts it once.
     """
     adj: dict[int, dict[int, float]] = {}
     for (u, v), cap in capacities.items():
@@ -215,7 +217,8 @@ def capacity_adjacency(capacities: dict[tuple[int, int], float]) -> dict[int, di
             continue
         adj.setdefault(u, {})[v] = adj.setdefault(u, {}).get(v, 0.0) + cap
         adj.setdefault(v, {})[u] = adj.setdefault(v, {}).get(u, 0.0) + cap
-    return adj
+    rows = {u: {v: cap for v, cap in row.items() if cap > SUPPORT_FLOOR} for u, row in adj.items()}
+    return {u: row for u, row in rows.items() if row}
 
 
 def _flow(
@@ -227,14 +230,15 @@ def _flow(
     per flow, and its keys are sorted once, when a breadth-first search
     first visits it: a symmetric residual never gains a key, so every search
     scans neighbours in increasing id order.  An arc is usable while its
-    residual exceeds 1e-12.  The value only grows, so it reaches ``need``
-    exactly when the full flow does.
+    residual exceeds ``SUPPORT_FLOOR``.  The value only grows, so it reaches
+    ``need`` exactly when the full flow does.
     """
     if s == t:
         raise ValueError("source equals sink")
     res = {v: row.copy() for v, row in adj.items()}
     res.setdefault(s, {})
     order: dict[int, list[int]] = {}
+    floor = SUPPORT_FLOOR
     value = 0.0
     while value < need:
         pred = {s: s}
@@ -245,7 +249,7 @@ def _flow(
                 nbrs = order[v] = sorted(res[v])
             row = res[v]
             for u in nbrs:
-                if u not in pred and row[u] > 1e-12:
+                if u not in pred and row[u] > floor:
                     pred[u] = v
                     queue.append(u)
             if t in pred:
@@ -283,7 +287,7 @@ def max_flow_min_cut(
     value, res = _flow(adj, s, t, need)
     if not value < need:  # a NaN demand counts as met, as the flow loop's exit test has it
         return value, None
-    side = bfs(res, s, lambda a, b: res[a][b] > 1e-12)
+    side = bfs(res, s, lambda a, b: res[a][b] > SUPPORT_FLOOR)
     return value, frozenset(side)
 
 
@@ -331,7 +335,7 @@ def separate_cuts(
     """
     root = pg.root
     violated = []
-    support = capacity_adjacency({k: val for k, val in x.items() if val > 1e-12})
+    support = capacity_adjacency(x)
     for v in sorted(y):
         if v == root or y[v] <= tol:
             continue

@@ -269,7 +269,7 @@ def sweep_curve(
     """Grid maximum of the profit-miss ratio with the argmax, smallest-xi ties.
 
     The result equals a longdouble evaluation of every grid point reduced per
-    chunk (first maximum) and across chunks (largest float, then smallest xi).
+    chunk and across chunks, keeping the first maximum in xi order each time.
     Blocks whose float64 upper bound lies below the float64 lower bound on the
     maximum hold no point whose float value reaches it, so they are skipped.
     """
@@ -297,7 +297,7 @@ def sweep_curve(
             results.append((float(best[0]), float(best[1])))
     best_val, best_arg = results[0]
     for val, arg in results[1:]:
-        if val > best_val or (val == best_val and arg < best_arg):
+        if val > best_val:
             best_val, best_arg = val, arg
     end_val = curve_value(p, p.kappa) if p.kappa < 1.0 else curve_value(p, 1.0)
     if end_val > best_val:

@@ -29,12 +29,8 @@ from .treedecomp import project_to_hat, stage_distribution
 
 RATIO_BOUND = 1.6
 VALUE_TIE = 1e-12
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    oracle_cap: int = 12
-    pctsp_cap: int = 12
+ORACLE_CAP = 12  # most edges exact_oracle enumerates: 3**12 traversal vectors
+PCTSP_CAP = 12  # most representatives pctsp_solve_exact takes: 2**12 subsets
 
 
 @dataclass(frozen=True)
@@ -125,17 +121,17 @@ class SolveRun:
         for delta, xt, ghat in stages:
             for ti, tree in enumerate(ghat.trees):
                 gammas = sorted(
-                    {xt.get(k, 0.0) for k in tree.edges if k in pg.pos_edges and xt.get(k, 0.0) > 0.0}
+                    {xt.get(k, 0.0) for k in tree if k in pg.pos_edges and xt.get(k, 0.0) > 0.0}
                 )
                 for gamma in gammas:
                     core = edge_profit_core(tree, xt, gamma, pg)
                     generated += 1
-                    cached = core_cache.get(core.edges)
+                    cached = core_cache.get(core)
                     if cached is None:
                         cached = build_candidate(
                             inst, pg, core, (delta, ti, gamma), sp_cache=sp_cache
                         )
-                        core_cache[core.edges] = cached
+                        core_cache[core] = cached
                     cand = Candidate(cached.walk, cached.value, (delta, ti, gamma))
                     if _better(cand, best):
                         best = cand
@@ -179,7 +175,7 @@ def _check_stage(ghat, xt, yt, pg, tol=1e-6):
         raise AssertionError("expected tree length exceeds the vector length")
 
 
-def exact_oracle(inst: Instance, cap: int = 12) -> Solution:
+def exact_oracle(inst: Instance, cap: int = ORACLE_CAP) -> Solution:
     """Exhaustive optimum over traversal vectors in {0,1,2} per edge."""
     m = len(inst.edges)
     if m > cap:
@@ -247,7 +243,7 @@ def _support_connected(inst: Instance, vec) -> bool:
     return all(find(v) == root_rep for v in touched)
 
 
-def pctsp_solve_exact(nodes, dist, penalties, root, cap: int = 12) -> list:
+def pctsp_solve_exact(nodes, dist, penalties, root, cap: int = PCTSP_CAP) -> list:
     """Optimal visit set and order by subset DP over the representatives."""
     nodes = sorted(nodes)
     k = len(nodes)
@@ -319,7 +315,7 @@ def _pctsp_greedy(nodes, dist, penalties, root) -> list:
     return visited
 
 
-def pctsp_reduction(inst: Instance, cap: int = 12) -> Solution:
+def pctsp_reduction(inst: Instance, cap: int = PCTSP_CAP) -> Solution:
     """Baseline: one representative vertex per positive edge, then stitch back.
 
     Builds the subdivided graph with two half-length edges per positive edge,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ekey
-from .lp import LpSolution, capacity_adjacency, cut_at_least
+from .lp import SUPPORT_FLOOR, LpSolution, capacity_adjacency, cut_at_least
 from .preprocess import PreprocessedGraph
 
 PRECISION = 1e-9
@@ -42,7 +42,7 @@ class SplitOp:
 def _set_value(x, adj, key, val):
     x[key] = val
     u, v = key
-    if val > 1e-12:
+    if val > SUPPORT_FLOOR:
         adj.setdefault(u, {})[v] = val
         adj.setdefault(v, {})[u] = val
     else:
@@ -85,7 +85,7 @@ def _candidates(adj, root, v):
     Entries are sorted by descending edge value with vertex-id tie-break; the
     root mass counts as the two balanced halves, so a root entry and its
     mirror sit at half the merged value.  ``adj`` holds only values above
-    1e-12, as ``complete_split`` and ``_set_value`` store them.
+    ``SUPPORT_FLOOR``, as ``complete_split`` and ``_set_value`` store them.
     """
     nbrs = adj.get(v, {})
     entries = []
@@ -134,7 +134,7 @@ def complete_split(
     if v == root or v in demands or root in demands:
         raise ValueError("demands must exclude the root and the split vertex")
     x = dict(x)
-    adj = capacity_adjacency({k: val for k, val in x.items() if val > 1e-12})
+    adj = capacity_adjacency(x)
     ops: list[SplitOp] = []
     guard = 0
     while True:
@@ -195,7 +195,7 @@ def split_every_vertex(x, e0: float, y: dict[int, float], root: int, copy: int):
     groups: list[tuple[int, int]] = []
     ops: list[SplitOp] = []
     for i, v in enumerate(order):
-        demands = {t: 2.0 * y[t] for t in order[i + 1:] if y[t] > 1e-12}
+        demands = {t: 2.0 * y[t] for t in order[i + 1:] if y[t] > SUPPORT_FLOOR}
         x, vops, e0 = complete_split(x, root, v, demands, copy, e0)
         ops.extend(vops)
         groups.append((v, len(vops)))

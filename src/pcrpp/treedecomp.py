@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import bfs, ekey, neighbours
+from .core import bfs, ekey, endpoints, neighbours
 from .preprocess import PreprocessedGraph
 from .splitoff import SplitOp, SplitRecorder, root_copy
 
@@ -28,41 +28,34 @@ class DecompositionError(RuntimeError):
     """Internal failure: the constructed list misses its marginals."""
 
 
-@dataclass(frozen=True)
-class RootedTree:
-    edges: frozenset
-
-    def vertices(self, root: int) -> frozenset:
-        verts = {root}
-        for u, v in self.edges:
-            verts.add(u)
-            verts.add(v)
-        return frozenset(verts)
-
-
 @dataclass(frozen=True, eq=False)
 class TreeDistribution:
-    trees: tuple[RootedTree, ...]
+    """Weighted trees, each a frozenset of pair keys.
+
+    A tree's vertices are the endpoints of its edges and the root.
+    """
+
+    trees: tuple[frozenset, ...]
     weights: tuple[float, ...]
 
     def edge_marginals(self) -> dict[tuple[int, int], float]:
         marg: dict[tuple[int, int], float] = {}
         for tree, w in zip(self.trees, self.weights):
-            for key in tree.edges:
+            for key in tree:
                 marg[key] = marg.get(key, 0.0) + w
         return marg
 
     def vertex_marginals(self, root: int) -> dict[int, float]:
         marg: dict[int, float] = {}
         for tree, w in zip(self.trees, self.weights):
-            for v in tree.vertices(root):
+            for v in endpoints(tree) | {root}:
                 marg[v] = marg.get(v, 0.0) + w
         return marg
 
     def expected_length(self, length_of) -> float:
         total = 0.0
         for tree, w in zip(self.trees, self.weights):
-            total += w * sum(length_of(key) for key in tree.edges)
+            total += w * sum(length_of(key) for key in tree)
         return total
 
     @property
@@ -167,7 +160,7 @@ def stage_distribution(recorder: SplitRecorder, boundary: int) -> TreeDistributi
     if abs(total - 1.0) > 1e-9:
         raise DecompositionError(f"tree weights sum to {total}")
     return TreeDistribution(
-        trees=tuple(RootedTree(edges) for _, edges in trees),
+        trees=tuple(edges for _, edges in trees),
         weights=tuple(w / total for w, _ in trees),
     )
 
@@ -202,10 +195,7 @@ def _project_tree(edges: frozenset, pg: PreprocessedGraph, copy_id: int) -> froz
             out.add(ekey(root, other))
         else:
             out.add((u, v))
-    verts = {root}
-    for u, v in out:
-        verts.add(u)
-        verts.add(v)
+    verts = endpoints(out) | {root}
     if len(out) == len(verts) - 1:
         return frozenset(out)
     if len(out) != len(verts):
@@ -232,17 +222,14 @@ def project_to_hat(dist: TreeDistribution, pg: PreprocessedGraph) -> TreeDistrib
     for tree, w in zip(dist.trees, dist.weights):
         if w <= WEIGHT_FLOOR:
             continue
-        projected = _project_tree(tree.edges, pg, copy_id)
+        projected = _project_tree(tree, pg, copy_id)
         merged[projected] = merged.get(projected, 0.0) + w
-    out = TreeDistribution(
-        trees=tuple(RootedTree(edges) for edges in merged),
-        weights=tuple(merged.values()),
-    )
+    out = TreeDistribution(trees=tuple(merged), weights=tuple(merged.values()))
     for tree in out.trees:
-        verts = tree.vertices(pg.root)
+        verts = endpoints(tree) | {pg.root}
         for key in pg.pos_edges:
             u, v = key
-            present = key in tree.edges
+            present = key in tree
             if present != (u in verts) or present != (v in verts):
                 raise DecompositionError(f"coupling violated on {key}")
     return out

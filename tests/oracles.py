@@ -25,7 +25,7 @@ from pcrpp.core import bfs, ekey, pair_lookup
 from pcrpp.lp import LpSolution, capacity_adjacency, max_flow_min_cut, separate_cuts
 from pcrpp.preprocess import PreprocessedGraph
 from pcrpp.splitoff import SplitOp, SplitRecorder
-from pcrpp.treedecomp import DecompositionError, RootedTree, TreeDistribution
+from pcrpp.treedecomp import DecompositionError, TreeDistribution
 
 
 def _residual(capacities: dict[tuple[int, int], float]) -> dict[int, dict[int, float]]:
@@ -334,6 +334,6 @@ def decompose_by_lp(xbar, ybar, root: int, copy: int, cap: int = 200_000) -> Tre
     weights = res.x[:n]
     keep = [(trees[j], weights[j]) for j in range(n) if weights[j] > 1e-9]
     return TreeDistribution(
-        trees=tuple(RootedTree(edges) for edges, _ in keep),
+        trees=tuple(edges for edges, _ in keep),
         weights=tuple(w for _, w in keep),
     )

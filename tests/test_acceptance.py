@@ -15,7 +15,7 @@ import pytest
 
 from pcrpp.candidates import min_tjoin
 from pcrpp.cli import gen_random, run_bench, summarize
-from pcrpp.core import Multigraph, ekey, odd_vertices, parse_instance, serialize_instance
+from pcrpp.core import Multigraph, ekey, endpoints, odd_vertices, parse_instance, serialize_instance
 from pcrpp.lp import LpSolution, solve_pcrpp_lp
 from pcrpp.preprocess import preprocess
 from pcrpp.ratiocheck import (
@@ -118,9 +118,9 @@ def test_tree_decomposition_contract(solved_suite):
                 budget = sum(pg.lengths[k] * val for k, val in xt.items())
                 assert expect <= budget + 1e-6
                 for tree in ghat.trees:
-                    verts = tree.vertices(pg.root)
+                    verts = endpoints(tree) | {pg.root}
                     for key in pg.pos_edges:
-                        inside = key in tree.edges
+                        inside = key in tree
                         assert inside == (key[0] in verts) == (key[1] in verts)
 
 

@@ -5,33 +5,26 @@ from collections import Counter
 import pytest
 
 from pcrpp import candidates
-from pcrpp.candidates import (
-    CoreTree,
-    build_candidate,
-    edge_profit_core,
-    min_perfect_matching,
-    min_tjoin,
-)
+from pcrpp.candidates import build_candidate, edge_profit_core, min_perfect_matching, min_tjoin
 from pcrpp.core import Multigraph, Walk, ekey, odd_vertices, parse_instance
 from pcrpp.preprocess import preprocess
-from pcrpp.treedecomp import RootedTree
 from conftest import random_suite
 from oracles import matching_by_dp
 
 
 def test_core_no_positive_edge(barrier):
     pg = preprocess(barrier)
-    tree = RootedTree(frozenset({(0, 1)}))
-    assert edge_profit_core(tree, {(0, 1): 1.0}, 0.5, pg).edges == frozenset()
+    tree = frozenset({(0, 1)})
+    assert edge_profit_core(tree, {(0, 1): 1.0}, 0.5, pg) == frozenset()
 
 
 def test_core_path_with_positive_tip(single_pos):
     pg = preprocess(single_pos)
     # tree r - a - copy with the positive edge (1, 2) at value one half
-    tree = RootedTree(frozenset({(0, 1), (1, 2)}))
+    tree = frozenset({(0, 1), (1, 2)})
     x = {(0, 1): 0.5, (1, 2): 0.5}
-    assert edge_profit_core(tree, x, 0.3, pg).edges == tree.edges
-    assert edge_profit_core(tree, x, 0.7, pg).edges == frozenset()
+    assert edge_profit_core(tree, x, 0.3, pg) == tree
+    assert edge_profit_core(tree, x, 0.7, pg) == frozenset()
 
 
 def test_core_monotone_in_threshold():
@@ -46,12 +39,12 @@ def test_core_monotone_in_threshold():
             if (u in seen) != (v in seen):
                 edges.add((u, v))
                 seen.update((u, v))
-        tree = RootedTree(frozenset(edges))
-        x = {k: (0.1 + (i % 10) / 10.0) for i, k in enumerate(sorted(tree.edges))}
+        tree = frozenset(edges)
+        x = {k: (0.1 + (i % 10) / 10.0) for i, k in enumerate(sorted(tree))}
         for g1, g2 in [(0.2, 0.5), (0.3, 0.9), (0.0, 1.0)]:
             c_hi = edge_profit_core(tree, x, max(g1, g2), pg)
             c_lo = edge_profit_core(tree, x, min(g1, g2), pg)
-            assert c_hi.edges <= c_lo.edges
+            assert c_hi <= c_lo
 
 
 def test_matching_empty_and_pair():
@@ -181,14 +174,14 @@ def test_tjoin_below_fractional_relaxation():
 
 def test_build_candidate_trivial(barrier):
     pg = preprocess(barrier)
-    cand = build_candidate(barrier, pg, CoreTree(frozenset()), ("trivial",))
+    cand = build_candidate(barrier, pg, frozenset(), ("trivial",))
     assert cand.walk.vertices == (0,)
     assert cand.value == pytest.approx(barrier.total_profit)
 
 
 def test_build_candidate_single_positive(single_pos):
     pg = preprocess(single_pos)
-    core = CoreTree(frozenset({(0, 2), (1, 2)}))  # tether + positive edge
+    core = frozenset({(0, 2), (1, 2)})  # tether + positive edge
     cand = build_candidate(single_pos, pg, core, (1.0, 0, 1.0))
     assert cand.walk.vertices == (0, 1, 0)
     assert cand.value == pytest.approx(2.0)
@@ -196,7 +189,7 @@ def test_build_candidate_single_positive(single_pos):
 
 def test_build_candidate_barrier_tree(barrier):
     pg = preprocess(barrier)
-    core = CoreTree(frozenset({(0, 1), (1, 2)}))  # path r - a plus profit edge
+    core = frozenset({(0, 1), (1, 2)})  # path r - a plus profit edge
     cand = build_candidate(barrier, pg, core, (1.0, 0, 1.0))
     assert cand.value == pytest.approx(2.1)
     assert odd_vertices(Multigraph(cand.walk.edge_multiset())) == frozenset()
@@ -215,7 +208,7 @@ def test_candidate_walks_are_valid_random():
                 edges.add((u, v))
                 seen.update((u, v))
         x = {k: 1.0 for k in edges}
-        core = edge_profit_core(RootedTree(frozenset(edges)), x, 0.5, pg)
+        core = edge_profit_core(frozenset(edges), x, 0.5, pg)
         cand = build_candidate(inst, pg, core, ("t",))
         check_walk(inst, cand.walk)
         m = Multigraph(cand.walk.edge_multiset())
@@ -228,7 +221,7 @@ def test_build_candidate_disconnected_join_fallback(monkeypatch):
     # detached triangle forces the uncancelled path fallback
     inst = parse_instance("5 5 1\n1 2 1 5\n2 3 1 0\n3 4 1 0\n4 5 1 0\n3 5 1 0\n")
     pg = preprocess(inst)
-    core = CoreTree(frozenset({(0, 5), (1, 5)}))  # tether + positive edge
+    core = frozenset({(0, 5), (1, 5)})  # tether + positive edge
     want = build_candidate(inst, pg, core, ("t",))
     calls = []
 

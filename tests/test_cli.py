@@ -1,9 +1,10 @@
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from pcrpp import lp, solvers, splitoff
+from pcrpp import lp, ratiocheck, solvers, splitoff
 from pcrpp.cli import (
     BenchRecord,
     convert_optimum,
@@ -192,7 +193,7 @@ def test_cli_solve_dumps_fractional(tmp_path, capsys):
         assert sum(tree["weight"] for tree in stage) == pytest.approx(1.0, abs=1e-9)
         dist = project_to_hat(stage_distribution(recorder, recorder.boundary(delta)), pg)
         assert stage == [
-            {"weight": w, "edges": sorted(map(list, t.edges))}
+            {"weight": w, "edges": sorted(map(list, t))}
             for t, w in zip(dist.trees, dist.weights)
         ]
 
@@ -233,8 +234,11 @@ def test_cli_solve_writes_lp_dump_when_a_stage_fails(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(solvers, "project_to_hat", fail)
     args, lp_path, trees_path = _dump_args(tmp_path)
-    with pytest.raises(DecompositionError, match="on purpose"):
-        main(args)
+    # a typed run-time failure is reported as bench records it, with exit code 3
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: DecompositionError: stage fails on purpose\n"
+    assert captured.out == ""
     pg = preprocess(FRACTIONAL_INSTANCES[0])
     assert lp_path.read_text() == write_lp_text(pg, solve_pcrpp_lp(pg)[1])
     # the trees dump holds only stages the solve checked, and none passed
@@ -286,6 +290,21 @@ def test_cli_verify_ratio_coarse(capsys):
     out = capsys.readouterr().out
     assert "conclusive      no" in out
     assert "certified=" in out
+
+
+def test_cli_verify_ratio_filter_failure_returns_three(capsys, monkeypatch):
+    # a float64 curve off by more than the filter bound fails the run, not the input
+    real = ratiocheck._curve_array
+
+    def corrupted(p, xs, dtype=np.longdouble):
+        vals = real(p, xs, dtype)
+        return vals + 1e-6 if dtype is np.float64 else vals
+
+    monkeypatch.setattr(ratiocheck, "_curve_array", corrupted)
+    assert main(["verify-ratio", "--step", "1e-5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: FilterBoundError: float64 curve value ")
 
 
 @pytest.mark.parametrize("args, message", [

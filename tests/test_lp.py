@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_array
 
+from pcrpp import lp
 from pcrpp.core import parse_instance
 from pcrpp.lp import (
     HighsBackend,
@@ -22,7 +23,7 @@ from pcrpp.lp import (
 )
 from pcrpp.preprocess import preprocess
 from pcrpp.solvers import exact_oracle
-from conftest import FRACTIONAL_INSTANCES, dense_lp_value, linprog_master, random_suite
+from conftest import FRACTIONAL_INSTANCES, barrier_text, dense_lp_value, linprog_master, random_suite
 from oracles import check_lp_solution
 
 
@@ -253,6 +254,31 @@ def test_lp_text_dump(barrier):
             if (u in side) != (v in side)
         )
         assert line == f" cut_{i}: {body} - 2 y_{wit} >= 0"
+
+
+DUMP_INSTANCES = (
+    [parse_instance(barrier_text(0.1), name="barrier")]
+    + list(FRACTIONAL_INSTANCES)
+    + random_suite(6, base_seed=4200)
+)
+
+
+@pytest.mark.parametrize("inst", DUMP_INSTANCES, ids=[f"{i}-{x.name}" for i, x in enumerate(DUMP_INSTANCES)])
+def test_lp_dump_is_the_solved_model(inst, tmp_path):
+    # HiGHS reads the dump back; with the recorded cuts it is the relaxation
+    # that was solved, up to the constant profit sum of the positive edges
+    pg = preprocess(inst)
+    sol, cert = solve_pcrpp_lp(pg)
+    path = tmp_path / "model.lp"
+    path.write_text(write_lp_text(pg, cert))
+    highs = lp._core._Highs()
+    highs.passOptions(lp.HIGHS_OPTIONS)
+    assert highs.readModel(str(path)) == lp._core.HighsStatus.kOk
+    highs.run()
+    assert highs.getModelStatus() == lp._core.HighsModelStatus.kOptimal
+    objective = highs.getInfo().objective_function_value
+    total = objective + sum(pg.profits[k] for k in pg.pos_edges)
+    assert abs(total - sol.objective) <= 1e-7 * max(1.0, abs(objective))
 
 
 def _price_oracle(pg, active, sides, mu, rho, cut_duals, tol):

@@ -80,7 +80,7 @@ def test_reduction_greedy_fallback():
     # it is 45 against 48): the stitched walk's value is not the PCTSP tour
     # value the exact solver minimizes.
     instances = list(FRACTIONAL_INSTANCES) + [
-        inst for inst in random_suite(12, base_seed=1000) if len(inst.positive_edges()) >= 2
+        inst for inst in random_suite(12, base_seed=1000) if sum(e.profit > 0.0 for e in inst.edges) >= 2
     ]
     assert len(instances) >= 5
     for inst in instances:

@@ -1,10 +1,10 @@
 import pytest
 
-from pcrpp.core import ekey
+from pcrpp.core import ekey, endpoints
 from pcrpp.lp import LpSolution, solve_pcrpp_lp
 from pcrpp.preprocess import preprocess
 from pcrpp.splitoff import SplitRecorder
-from pcrpp.treedecomp import RootedTree, project_to_hat, stage_distribution
+from pcrpp.treedecomp import project_to_hat, stage_distribution
 from conftest import FRACTIONAL_INSTANCES, random_suite
 from oracles import apply_threshold_split, check_pctsp_feasible, decompose_by_lp, lift_to_aux
 
@@ -75,14 +75,14 @@ def test_decompose_chord_only_cases(single_pos):
     zero = {v: 0.0 for v in range(pg.vertex_count)}
     zero[pg.root] = 1.0
     dist = fresh_distribution(pg, {k: 0.0 for k in pg.lengths}, zero)
-    assert dist.trees == (RootedTree(frozenset({chord(pg)})),)
+    assert dist.trees == (frozenset({chord(pg)}),)
     assert dist.weights == (1.0,)
-    assert project_to_hat(dist, pg).trees[0].edges == frozenset()
+    assert project_to_hat(dist, pg).trees[0] == frozenset()
 
     sol, _ = solve_pcrpp_lp(pg)
     recorder = SplitRecorder(pg, sol)
     dist = stage_distribution(recorder, len(recorder.groups))
-    assert dist.trees == (RootedTree(frozenset({chord(pg)})),)
+    assert dist.trees == (frozenset({chord(pg)}),)
     assert dist.weights[0] == pytest.approx(1.0)
 
 
@@ -122,10 +122,10 @@ def test_project_identity_and_chord(single_pos):
     pg = preprocess(single_pos)
     from pcrpp.treedecomp import TreeDistribution
 
-    bare = TreeDistribution((RootedTree(frozenset()),), (1.0,))
-    assert project_to_hat(bare, pg).trees[0].edges == frozenset()
-    chord_only = TreeDistribution((RootedTree(frozenset({chord(pg)})),), (1.0,))
-    assert project_to_hat(chord_only, pg).trees[0].edges == frozenset()
+    bare = TreeDistribution((frozenset(),), (1.0,))
+    assert project_to_hat(bare, pg).trees[0] == frozenset()
+    chord_only = TreeDistribution((frozenset({chord(pg)}),), (1.0,))
+    assert project_to_hat(chord_only, pg).trees[0] == frozenset()
 
 
 def test_project_merges_and_deletes_longest_root_edge(single_pos):
@@ -134,9 +134,9 @@ def test_project_merges_and_deletes_longest_root_edge(single_pos):
     pg = preprocess(single_pos)
     from pcrpp.treedecomp import TreeDistribution
 
-    tree = RootedTree(frozenset({ekey(0, 2), ekey(2, 1), ekey(1, pg.vertex_count)}))
+    tree = frozenset({ekey(0, 2), ekey(2, 1), ekey(1, pg.vertex_count)})
     out = project_to_hat(TreeDistribution((tree,), (1.0,)), pg)
-    assert out.trees[0].edges == frozenset({ekey(0, 2), ekey(2, 1)})
+    assert out.trees[0] == frozenset({ekey(0, 2), ekey(2, 1)})
 
 
 def test_distribution_contract_on_fractional_instances():
@@ -164,9 +164,9 @@ def test_distribution_contract_on_fractional_instances():
             budget = sum(pg.lengths[k] * v for k, v in xt.items())
             assert expect <= budget + 1e-6
             for tree in ghat.trees:
-                verts = tree.vertices(pg.root)
+                verts = endpoints(tree) | {pg.root}
                 for key in pg.pos_edges:
-                    inside = key in tree.edges
+                    inside = key in tree
                     assert inside == (key[0] in verts) == (key[1] in verts)
 
 

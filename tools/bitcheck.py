@@ -95,7 +95,7 @@ def _lp(pg, sol, cert) -> dict:
 
 def _trees(pg, rec, boundary) -> list:
     dist = project_to_hat(stage_distribution(rec, boundary), pg)
-    return [[sorted(map(list, tree.edges)), repr(w)] for tree, w in zip(dist.trees, dist.weights)]
+    return [[sorted(map(list, tree)), repr(w)] for tree, w in zip(dist.trees, dist.weights)]
 
 
 def _split(pg, sol) -> dict:
