@@ -26,7 +26,7 @@ from .lp import (
 from .splitoff import SplitError, SplitOp, SplitRecorder, complete_split
 from .treedecomp import DecompositionError, TreeDistribution, project_to_hat, stage_distribution
 from .candidates import Candidate, build_candidate, edge_profit_core, min_perfect_matching, min_tjoin
-from .solvers import Solution, best_of_many, exact_oracle, pctsp_reduction, pctsp_solve_exact
+from .solvers import CheckError, Solution, best_of_many, exact_oracle, pctsp_reduction, pctsp_solve_exact
 from .ratiocheck import AlphaComponents, BoundCertificate, RatioParams, alpha_components, fixed_threshold_terms, verify_bound
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,12 +14,12 @@ from pathlib import Path
 from .core import Edge, Instance, parse_instance, serialize_instance
 from .lp import LpError, write_lp_text
 from .ratiocheck import FilterBoundError, RatioParams, verify_bound
-from .solvers import ORACLE_CAP, PCTSP_CAP, SolveRun, best_of_many, exact_oracle, pctsp_reduction
+from .solvers import ORACLE_CAP, PCTSP_CAP, CheckError, SolveRun, best_of_many, exact_oracle, pctsp_reduction
 from .splitoff import SplitError
 from .treedecomp import DecompositionError
 
 # typed failures of a run on valid input; ``main`` reports them with exit code 3
-RUN_ERRORS = (LpError, SplitError, DecompositionError, FilterBoundError)
+RUN_ERRORS = (LpError, SplitError, DecompositionError, CheckError, FilterBoundError)
 
 
 @dataclass

@@ -33,6 +33,10 @@ ORACLE_CAP = 12  # most edges exact_oracle enumerates: 3**12 traversal vectors
 PCTSP_CAP = 12  # most representatives pctsp_solve_exact takes: 2**12 subsets
 
 
+class CheckError(AssertionError):
+    """An in-run check failed; the message names the check, where it ran and the margin."""
+
+
 @dataclass(frozen=True)
 class Solution:
     walk: Walk
@@ -106,7 +110,7 @@ class SolveRun:
                 for v, val in self.sol.y.items()
             }
             ghat = project_to_hat(stage_distribution(recorder, boundary), pg)
-            _check_stage(ghat, xt, yt, pg)
+            _check_stage(ghat, xt, yt, pg, delta)
             self.t_run += time.perf_counter() - t0
             yield delta, xt, ghat
 
@@ -138,8 +142,9 @@ class SolveRun:
 
         bound = RATIO_BOUND * self.sol.objective + 1e-6
         if best.value > bound:
-            raise AssertionError(
-                f"candidate value {best.value} exceeds the ratio bound {bound}"
+            raise CheckError(
+                f"ratio bound check failed in finish: value {best.value} exceeds"
+                f" {RATIO_BOUND} x LB {self.sol.objective} + 1e-06 = {bound} by {best.value - bound}"
             )
         # stages drawn lazily inside this step count here, not in t_before
         t_total = t_before + time.perf_counter() - t0
@@ -154,25 +159,39 @@ class SolveRun:
         return Solution(best.walk, best.value, lower_bound=self.sol.objective, stats=stats)
 
 
-def _check_stage(ghat, xt, yt, pg, tol=1e-6):
+def _check_stage(ghat, xt, yt, pg, delta, tol=1e-6):
+    """Raise CheckError unless the stage's trees reproduce (xt, yt) within ``tol``."""
+    where = f"at stage {delta} (tolerance {tol})"
     total = ghat.total_weight
     if abs(total - 1.0) > tol:
-        raise AssertionError(f"tree weights sum to {total}")
+        raise CheckError(
+            f"tree weight check failed {where}: weights sum to {total}, off by {total - 1.0}"
+        )
     edge_marg = ghat.edge_marginals()
     for key in pg.pos_edges:
-        want = xt.get(key, 0.0)
-        if abs(edge_marg.get(key, 0.0) - want) > tol:
-            raise AssertionError(f"positive-edge marginal off on {key}")
+        want, got = xt.get(key, 0.0), edge_marg.get(key, 0.0)
+        if abs(got - want) > tol:
+            raise CheckError(
+                f"edge marginal check failed {where}: {got} on positive edge {key} against x {want},"
+                f" off by {got - want}"
+            )
     vert_marg = ghat.vertex_marginals(pg.root)
     for v, want in yt.items():
         if v == pg.root:
             continue
-        if abs(vert_marg.get(v, 0.0) - want) > tol:
-            raise AssertionError(f"vertex marginal off at {v}")
+        got = vert_marg.get(v, 0.0)
+        if abs(got - want) > tol:
+            raise CheckError(
+                f"vertex marginal check failed {where}: {got} at vertex {v} against y {want},"
+                f" off by {got - want}"
+            )
     expect = ghat.expected_length(lambda k: pg.lengths[k])
     budget = sum(pg.lengths[k] * val for k, val in xt.items())
     if expect > budget + tol:
-        raise AssertionError("expected tree length exceeds the vector length")
+        raise CheckError(
+            f"tree length check failed {where}: expected length {expect} exceeds the vector"
+            f" length {budget} by {expect - budget}"
+        )
 
 
 def exact_oracle(inst: Instance, cap: int = ORACLE_CAP) -> Solution:

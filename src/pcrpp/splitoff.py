@@ -69,6 +69,11 @@ def _feasible(x, adj, deltas, demands, root):
 def _max_feasible(x, adj, delta_fn, demands, root, hi):
     if _feasible(x, adj, delta_fn(hi), demands, root):
         return hi
+    least = hi  # the smallest midpoint the bisection tests; halving is exact
+    while least > PRECISION:
+        least *= 0.5
+    if not _feasible(x, adj, delta_fn(least), demands, root):
+        return 0.0
     lo, top = 0.0, hi
     while top - lo > PRECISION:
         mid = 0.5 * (lo + top)

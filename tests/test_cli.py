@@ -245,6 +245,18 @@ def test_cli_solve_writes_lp_dump_when_a_stage_fails(tmp_path, capsys, monkeypat
     assert not trees_path.exists()
 
 
+def test_cli_solve_reports_a_failed_check(tmp_path, capsys, monkeypatch):
+    # an in-run check failure ends the solve like the typed errors, without a traceback
+    monkeypatch.setattr(solvers, "RATIO_BOUND", 0.5)
+    path = tmp_path / "f.txt"
+    path.write_text(serialize_instance(FRACTIONAL_INSTANCES[0]))
+    assert main(["solve", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: CheckError: ratio bound check failed in finish: value ")
+    assert captured.err.count("\n") == 1
+
+
 def test_csv_roundtrip_with_comma_in_name():
     rec = BenchRecord(name="a,b", vertices=3, edges=2, alg=1.5, better="tie")
     text = records_to_csv([rec])

@@ -49,6 +49,29 @@ def test_max_flow_barrier_cut():
     assert 1 in side and 0 not in side
 
 
+@pytest.mark.parametrize(
+    "caps",
+    [
+        {(0, 1): 1.0, (1, 2): 0.0, (2, 0): 0.5, (1, 0): 0.25},
+        {(0, 1): 1.0, (1, 2): 1e-12, (2, 3): 0.5},
+        {(0, 1): 1e-13, (1, 0): 1e-13, (1, 2): 2.0},
+        {(0, 1): 1.0, (1, 0): 1e-12, (3, 2): float("nan")},
+    ],
+)
+def test_capacity_adjacency_keeps_rows_and_order(caps):
+    # the rows and their key order of summing every orientation, then
+    # dropping the pairs at or below the floor and the rows left empty
+    summed = {}
+    for (u, v), cap in caps.items():
+        if not cap <= 0.0:  # a NaN passes, as in capacity_adjacency
+            summed.setdefault(u, {})[v] = summed.setdefault(u, {}).get(v, 0.0) + cap
+            summed.setdefault(v, {})[u] = summed.setdefault(v, {}).get(u, 0.0) + cap
+    rows = {u: {v: c for v, c in row.items() if c > lp.SUPPORT_FLOOR} for u, row in summed.items()}
+    want = [(u, list(row.items())) for u, row in rows.items() if row]
+    got = capacity_adjacency(caps)
+    assert [(u, list(row.items())) for u, row in got.items()] == want
+
+
 def test_solve_barrier(barrier):
     pg = preprocess(barrier)
     sol, cert = solve_pcrpp_lp(pg)
@@ -180,6 +203,36 @@ def test_backend_reports_failed_status():
     one = np.array([1.0])
     with pytest.raises(LpError, match=r"model status 'Infeasible' on a 1 x 1 master"):
         HighsBackend().solve(one, one, 2 * one, 2 * one, np.array([0, 1]), np.array([0]), one)
+
+
+@pytest.mark.parametrize(
+    "position, bad, message",
+    [
+        (0, np.nan, "LP model cost 1 is nan"),
+        (0, np.inf, "LP model cost 1 is inf"),
+        (0, -np.inf, "LP model cost 1 is -inf"),
+        (6, np.nan, "LP model matrix value 1 is nan"),
+        (6, np.inf, "LP model matrix value 1 is inf"),
+        (1, np.nan, "LP model column upper bound 1 is nan"),
+        (2, np.nan, "LP model row lower bound 1 is nan"),
+        (3, np.nan, "LP model row upper bound 1 is nan"),
+    ],
+)
+def test_backend_rejects_non_finite_data(position, bad, message):
+    # HiGHS took a NaN cost and reported an optimal point with objective NaN
+    two = np.ones(2)
+    master = [two, two, -two, two, np.array([0, 1, 2]), np.array([0, 1]), two]
+    master[position] = np.array([1.0, bad])
+    with pytest.raises(LpError, match=f"^{message}$"):
+        HighsBackend().solve(*master)
+
+
+def test_backend_rejects_a_model_highs_changes():
+    # HiGHS drops a matrix value below 1e-9 with a warning, which would make
+    # this 1 x 1 master infeasible instead of solving it
+    one = np.array([1.0])
+    with pytest.raises(LpError, match=r"passModel status kWarning on a 1 x 1 master"):
+        HighsBackend().solve(one, one, one, 2 * one, np.array([0, 1]), np.array([0]), 1e-12 * one)
 
 
 MALFORMED_MODELS = """

@@ -1,12 +1,15 @@
 import pytest
 
+from pcrpp import solvers
 from pcrpp.core import Instance, Walk, objective, parse_instance
 from pcrpp.solvers import (
+    CheckError,
     best_of_many,
     exact_oracle,
     pctsp_reduction,
     pctsp_solve_exact,
 )
+from pcrpp.treedecomp import TreeDistribution
 from conftest import FRACTIONAL_INSTANCES, random_suite
 
 
@@ -151,3 +154,60 @@ def test_fractional_instances_full_pipeline():
         assert opt <= sol.value + 1e-6
         assert sol.value <= 1.6 * sol.lower_bound + 1e-6
         assert sol.stats["candidates"] > 1
+
+
+class _NoWeight(TreeDistribution):
+    total_weight = 0.5
+
+
+class _NoEdges(TreeDistribution):
+    def edge_marginals(self):
+        return {}
+
+
+class _NoVertices(TreeDistribution):
+    def vertex_marginals(self, root):
+        return {root: 1.0}
+
+
+class _TooLong(TreeDistribution):
+    def expected_length(self, length_of):
+        return 1e9
+
+
+@pytest.mark.parametrize(
+    "skew, check",
+    [
+        (_NoWeight, r"tree weight check failed at stage 0\.\d+ \(tolerance 1e-06\): weights sum"
+         r" to 0\.5, off by -0\.5$"),
+        (_NoEdges, r"edge marginal check failed at stage .*: 0\.0 on positive edge \(\d+, \d+\)"
+         r" against x .*, off by -"),
+        (_NoVertices, r"vertex marginal check failed at stage .*: 0\.0 at vertex \d+ against y .*,"
+         r" off by -"),
+        (_TooLong, r"tree length check failed at stage .*: expected length 1000000000\.0 exceeds"
+         r" the vector length .* by "),
+    ],
+)
+def test_stage_check_failures_are_typed(monkeypatch, skew, check):
+    # each branch of the stage check, reached through a skewed projection
+    real = solvers.project_to_hat
+
+    def skewed(dist, pg):
+        ghat = real(dist, pg)
+        return skew(ghat.trees, ghat.weights)
+
+    monkeypatch.setattr(solvers, "project_to_hat", skewed)
+    with pytest.raises(CheckError, match=check):
+        best_of_many(FRACTIONAL_INSTANCES[0])
+
+
+def test_ratio_bound_failure_is_typed(monkeypatch):
+    sol = best_of_many(FRACTIONAL_INSTANCES[0])
+    monkeypatch.setattr(solvers, "RATIO_BOUND", 0.5)
+    bound = 0.5 * sol.lower_bound + 1e-6
+    with pytest.raises(CheckError) as info:
+        best_of_many(FRACTIONAL_INSTANCES[0])
+    assert str(info.value) == (
+        f"ratio bound check failed in finish: value {sol.value} exceeds"
+        f" 0.5 x LB {sol.lower_bound} + 1e-06 = {bound} by {sol.value - bound}"
+    )

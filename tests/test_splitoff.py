@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pcrpp import splitoff
 from pcrpp.lp import (
     LpSolution,
     capacity_adjacency,
@@ -82,6 +83,29 @@ def test_complete_split_bisection_ends_inside():
     assert feasible(first.amount)
     assert not feasible(first.amount + 2 * PRECISION)
     assert abs(first.amount - 0.65) <= 2 * PRECISION
+
+
+@pytest.mark.parametrize("limit", [0.0, 1e-10, 2e-9, 0.3, 0.65, 1.0])
+def test_max_feasible_settles_a_dead_candidate_with_one_probe(monkeypatch, limit):
+    # against the plain bisection on a monotone feasibility test: the same
+    # amount, and a candidate that admits nothing costs two probes, not ~30
+    probes = []
+
+    def feasible(x, adj, eps, demands, root):
+        probes.append(eps)
+        return eps <= limit
+
+    monkeypatch.setattr(splitoff, "_feasible", feasible)
+    got = splitoff._max_feasible(None, None, lambda eps: eps, None, None, 1.0)
+    if limit >= 1.0:
+        want = 1.0
+    else:
+        want, top = 0.0, 1.0
+        while top - want > PRECISION:
+            mid = 0.5 * (want + top)
+            want, top = (mid, top) if mid <= limit else (want, mid)
+    assert got == want
+    assert (len(probes) == 2) == (want == 0.0)
 
 
 def test_threshold_below_min_is_identity(single_pos):
