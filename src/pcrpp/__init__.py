@@ -3,7 +3,6 @@
 from .core import (
     Edge,
     Instance,
-    Multigraph,
     ParseError,
     Walk,
     euler_tour,

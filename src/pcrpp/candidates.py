@@ -7,11 +7,10 @@ from dataclasses import dataclass
 from .core import (
     ABS_TOL,
     Instance,
-    Multigraph,
     Walk,
     bfs,
+    connected_to,
     ekey,
-    endpoints,
     euler_tour,
     neighbours,
     objective,
@@ -103,7 +102,7 @@ def _pairing_paths(inst: Instance, targets, sp_cache) -> Counter:
     return counts
 
 
-def min_tjoin(inst: Instance, targets, sp_cache=None) -> Multigraph:
+def min_tjoin(inst: Instance, targets, sp_cache=None) -> Counter:
     """Minimum-length edge multiset whose odd-degree set equals the targets.
 
     Pairs the targets by an exact matching under the shortest-path metric and
@@ -114,14 +113,9 @@ def min_tjoin(inst: Instance, targets, sp_cache=None) -> Multigraph:
     if len(targets) % 2 != 0:
         raise ValueError("odd target set admits no parity correction")
     if not targets:
-        return Multigraph()
-    counts = _pairing_paths(inst, targets, sp_cache)
-    return Multigraph(Counter({k: m % 2 for k, m in counts.items()}))
-
-
-def _connected_with_root(m: Multigraph, root: int) -> bool:
-    support = endpoints(m.edge_counts)
-    return not support or support <= bfs(neighbours(m.edge_counts), root).keys()
+        return Counter()
+    paths = _pairing_paths(inst, targets, sp_cache)
+    return Counter({k: 1 for k, m in paths.items() if m % 2})
 
 
 def build_candidate(
@@ -135,22 +129,21 @@ def build_candidate(
     if not core:
         walk = Walk.trivial(inst.root)
         return Candidate(walk, objective(inst, walk), provenance)
-    restored = restore(pg, Counter(dict.fromkeys(core, 1)))
+    restored = restore(pg, Counter(core))
     core_length = sum(pg.lengths[k] for k in core)
-    got = restored.total_length(
-        {ekey(e.u, e.v): e.length for e in inst.edges}
-    )
+    lengths = {ekey(e.u, e.v): e.length for e in inst.edges}
+    got = sum(m * lengths[k] for k, m in restored.items())
     if got > core_length + ABS_TOL * max(1.0, core_length):
         raise AssertionError("restored core is longer than the core itself")
-    if not _connected_with_root(restored, inst.root):
+    if not connected_to(restored, inst.root):
         raise AssertionError("restored core is disconnected from the root")
     join = min_tjoin(inst, odd_vertices(restored), sp_cache=sp_cache)
-    combined = restored.combine(join)
+    combined = restored + join
     if odd_vertices(combined):
         raise AssertionError("parity correction left an odd vertex")
-    if not _connected_with_root(combined, inst.root):
+    if not connected_to(combined, inst.root):
         # the cancelled copies cut the walk apart: keep every path copy
         paths = _pairing_paths(inst, sorted(odd_vertices(restored)), sp_cache)
-        combined = restored.combine(Multigraph(paths))
+        combined = restored + paths
     walk = euler_tour(combined, inst.root)
     return Candidate(walk, objective(inst, walk), provenance)

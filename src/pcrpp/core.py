@@ -1,4 +1,4 @@
-"""Instance model, walks, multigraphs and elementary graph routines.
+"""Instance model, walks, edge multisets and elementary graph routines.
 
 Vertex ids are 1-based in files and 0-based in memory.  After parsing, the
 instance is restricted to the component of the root; the in-memory id of a
@@ -10,7 +10,7 @@ import heapq
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 ABS_TOL = 1e-9
 
@@ -188,66 +188,39 @@ def objective(inst: Instance, walk: Walk) -> float:
     return total
 
 
-class Multigraph:
-    """Undirected edge multiset; the vertex set is the support of the edges."""
+def connected_to(pairs, root: int) -> bool:
+    """Whether every endpoint of the vertex pairs is reachable from the root along them.
 
-    def __init__(self, edges: Iterable[tuple[int, int]] | Counter | None = None):
-        counts: Counter = Counter()
-        if isinstance(edges, Counter):
-            for key, mult in edges.items():
-                counts[ekey(*key)] += mult
-        elif edges is not None:
-            for u, v in edges:
-                counts[ekey(u, v)] += 1
-        self.edge_counts: dict[tuple[int, int], int] = {
-            k: m for k, m in sorted(counts.items()) if m > 0
-        }
-
-    def degrees(self) -> dict[int, int]:
-        deg: Counter = Counter()
-        for (u, v), m in self.edge_counts.items():
-            deg[u] += m
-            deg[v] += m
-        return dict(deg)
-
-    def combine(self, other: "Multigraph") -> "Multigraph":
-        merged = Counter(self.edge_counts)
-        merged.update(other.edge_counts)
-        return Multigraph(merged)
-
-    def total_length(self, lengths: dict[tuple[int, int], float]) -> float:
-        return sum(m * lengths[k] for k, m in self.edge_counts.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Multigraph) and self.edge_counts == other.edge_counts
-
-    def __repr__(self) -> str:
-        return f"Multigraph({self.edge_counts!r})"
+    True when there are no pairs.
+    """
+    return endpoints(pairs) <= bfs(neighbours(pairs), root).keys()
 
 
-def odd_vertices(m: Multigraph) -> frozenset:
-    return frozenset(v for v, d in m.degrees().items() if d % 2 == 1)
+def odd_vertices(counts: Counter) -> frozenset:
+    """Odd-degree vertices of an edge multiset given as a Counter of pair keys."""
+    deg: Counter = Counter()
+    for (u, v), m in counts.items():
+        deg[u] += m
+        deg[v] += m
+    return frozenset(v for v, d in deg.items() if d % 2 == 1)
 
 
-def euler_tour(m: Multigraph, root: int) -> Walk:
-    """Closed walk from the root traversing every edge exactly its multiplicity.
+def euler_tour(counts: Counter, root: int) -> Walk:
+    """Closed walk from the root traversing every pair key exactly its count.
 
     Hierholzer edge splicing; the smallest available neighbour is taken first
     so the tour is deterministic.
     """
-    if not m.edge_counts:
+    if not counts:
         return Walk((root,))
-    if odd_vertices(m):
+    if odd_vertices(counts):
         raise ValueError("multigraph has an odd-degree vertex")
-    support = endpoints(m.edge_counts)
-    if root not in support:
-        raise ValueError("root is not in the nonempty multigraph")
-    adj: dict[int, Counter] = {v: Counter() for v in support}
-    for (u, v), mult in m.edge_counts.items():
-        adj[u][v] += mult
-        adj[v][u] += mult
-    if bfs(adj, root).keys() != support:
-        raise ValueError("multigraph support is not connected")
+    if not connected_to(counts, root):
+        raise ValueError("multigraph support is not connected to the root")
+    adj: dict[int, Counter] = {}
+    for (u, v), mult in counts.items():
+        adj.setdefault(u, Counter())[v] += mult
+        adj.setdefault(v, Counter())[u] += mult
 
     stack = [root]
     tour: list[int] = []

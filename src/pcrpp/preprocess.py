@@ -17,7 +17,6 @@ from .core import (
     INF,
     Edge,
     Instance,
-    Multigraph,
     ekey,
     reconstruct_path,
     shortest_paths,
@@ -220,16 +219,14 @@ def _check_properties(pg: PreprocessedGraph) -> None:
         raise AssertionError("vertex incident to two positive edges")
 
 
-def restore(pg: PreprocessedGraph, selected) -> Multigraph:
-    """Map a complete-graph edge multiset back to an instance multigraph.
+def restore(pg: PreprocessedGraph, selected: Counter) -> Counter:
+    """Map a complete-graph edge multiset back to an instance edge multiset.
 
     Positive edges return to their originating edges, zero-profit edges
     expand along their shortest paths, and copies merge back via ``copy_map``;
     tether steps collapse to nothing.  The total length is preserved exactly,
     which is asserted.
     """
-    if not isinstance(selected, Counter):
-        selected = Counter(ekey(*k) for k in selected)
     copy_map = pg.copied.copy_map
     counts: Counter = Counter()
     expect = 0.0
@@ -249,14 +246,13 @@ def restore(pg: PreprocessedGraph, selected) -> Multigraph:
             if oa == ob:
                 continue
             counts[ekey(oa, ob)] += mult
-    result = Multigraph(counts)
 
     inst_lengths: dict[tuple[int, int], float] = {}
     for e in pg.copied.edges:
         oa, ob = copy_map[e.u], copy_map[e.v]
         if oa != ob:
             inst_lengths[ekey(oa, ob)] = e.length
-    got = result.total_length(inst_lengths)
+    got = sum(m * inst_lengths[k] for k, m in counts.items())
     if abs(got - expect) > ABS_TOL * max(1.0, abs(expect)):
         raise AssertionError(f"restoration length {got} != selected length {expect}")
-    return result
+    return counts

@@ -12,8 +12,8 @@ from .candidates import Candidate, build_candidate, edge_profit_core
 from .core import (
     Edge,
     Instance,
-    Multigraph,
     Walk,
+    connected_to,
     ekey,
     euler_tour,
     objective,
@@ -221,45 +221,18 @@ def exact_oracle(inst: Instance, cap: int = ORACLE_CAP) -> Solution:
         if not even[idx]:
             continue
         vec = vecs[idx]
-        if _support_connected(inst, vec):
+        if connected_to([(e.u, e.v) for e, k in zip(inst.edges, vec) if k], inst.root):
             best_vec = vec
             best_val = float(values[idx])
             break
     if best_vec is None:
         raise AssertionError("no feasible traversal vector found")
-    counts = Counter()
-    for i, mult in enumerate(best_vec):
-        if mult > 0:
-            counts[ekey(inst.edges[i].u, inst.edges[i].v)] += int(mult)
-    walk = euler_tour(Multigraph(counts), inst.root)
+    counts = Counter({ekey(e.u, e.v): int(k) for e, k in zip(inst.edges, best_vec) if k})
+    walk = euler_tour(counts, inst.root)
     value = objective(inst, walk)
     if abs(value - best_val) > 1e-9:
         raise AssertionError("walk value disagrees with the vector value")
     return Solution(walk, value, lower_bound=value, stats={"vectors": len(vecs)})
-
-
-def _support_connected(inst: Instance, vec) -> bool:
-    parent = list(range(inst.vertex_count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    touched = set()
-    for i, mult in enumerate(vec):
-        if mult > 0:
-            e = inst.edges[i]
-            touched.add(e.u)
-            touched.add(e.v)
-            ra, rb = find(e.u), find(e.v)
-            if ra != rb:
-                parent[ra] = rb
-    if not touched:
-        return True
-    root_rep = find(inst.root)
-    return all(find(v) == root_rep for v in touched)
 
 
 def pctsp_solve_exact(nodes, dist, penalties, root, cap: int = PCTSP_CAP) -> list:
@@ -364,7 +337,8 @@ def pctsp_reduction(inst: Instance, cap: int = PCTSP_CAP) -> Solution:
             halves.append(e)
     adj = weighted_adjacency(n + len(positive), halves)
 
-    terminals = [inst.root] + [rep_of[i] for i in positive]
+    reps = [rep_of[i] for i in positive]
+    terminals = [inst.root] + reps
     dist = {}
     for a in terminals:
         dvals, _ = shortest_paths(adj, a)
@@ -373,14 +347,11 @@ def pctsp_reduction(inst: Instance, cap: int = PCTSP_CAP) -> Solution:
                 dist[(a, b)] = dvals[b]
     penalties = {rep_of[i]: inst.edges[i].profit for i in positive}
 
-    exact = True
-    try:
-        visited = pctsp_solve_exact(
-            [rep_of[i] for i in positive], dist, penalties, inst.root, cap=cap
-        )
-    except ValueError:
-        visited = _pctsp_greedy([rep_of[i] for i in positive], dist, penalties, inst.root)
-        exact = False
+    exact = len(reps) <= cap
+    if exact:
+        visited = pctsp_solve_exact(reps, dist, penalties, inst.root, cap=cap)
+    else:
+        visited = _pctsp_greedy(reps, dist, penalties, inst.root)
 
     edge_of_rep = {rep_of[i]: i for i in positive}
     orig_adj = inst.adjacency()

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 from collections import Counter
@@ -7,9 +8,10 @@ import pytest
 from pcrpp.core import (
     Edge,
     Instance,
-    Multigraph,
     ParseError,
     Walk,
+    connected_to,
+    ekey,
     euler_tour,
     objective,
     odd_vertices,
@@ -21,10 +23,12 @@ from conftest import barrier_text, random_suite
 
 
 def test_parse_header_echo():
-    inst = parse_instance("3 3 1\n1 2 1 0\n2 3 1 2\n1 3 1 0\n")
+    text = "3 3 1\n1 2 1 0\n2 3 1 2\n1 3 1 0\n"
+    inst = parse_instance(text)
     assert inst.vertex_count == 3
     assert inst.root == 0
     assert len(inst.edges) == 3
+    assert parse_instance(io.StringIO(text)) == inst
 
 
 def test_parse_barrier_matches_construction(barrier):
@@ -39,6 +43,16 @@ def test_parse_barrier_matches_construction(barrier):
     "text,message",
     [
         ("3 3\n", "malformed header"),
+        ("", "empty instance file"),
+        ("# only a comment\n\n", "empty instance file"),
+        ("3 1 x\n1 2 1 0\n", "malformed header: '3 1 x'"),
+        ("0 0 1\n", "malformed header: nonpositive sizes"),
+        ("3 -1 1\n", "malformed header: nonpositive sizes"),
+        ("3 1 1\n1 2 1 0\nOPTMAX 1 2\n", "malformed OPTMAX line: 'OPTMAX 1 2'"),
+        ("3 1 1\n1 2 1\n", "malformed edge line: '1 2 1'"),
+        ("3 1 1\n1 2 1 0 5\n", "malformed edge line: '1 2 1 0 5'"),
+        ("3 1 1\n1 b 1 0\n", "malformed edge line: '1 b 1 0'"),
+        ("3 1 1\n1 2 one 0\n", "malformed edge line: '1 2 one 0'"),
         ("3 1 1\n1 2 -1 0\n", "negative length"),
         ("3 1 1\n1 2 1 -2\n", "negative profit"),
         ("3 2 1\n1 2 1 0\n2 1 2 0\n", "duplicate edge"),
@@ -132,10 +146,18 @@ def test_objective_nonnegative_random():
             assert objective(inst, walk) >= 0.0
 
 
+def test_connected_to():
+    assert connected_to([], 0)
+    assert connected_to([(0, 1), (1, 2)], 1)
+    assert connected_to(Counter({(1, 2): 2, (0, 1): 1}), 0)
+    assert not connected_to([(0, 1), (2, 3)], 0)
+    assert not connected_to([(1, 2)], 0)
+
+
 def test_odd_vertices():
-    assert odd_vertices(Multigraph()) == frozenset()
-    assert odd_vertices(Multigraph([(0, 1)])) == frozenset({0, 1})
-    assert odd_vertices(Multigraph([(0, 1), (1, 2), (0, 2)])) == frozenset()
+    assert odd_vertices(Counter()) == frozenset()
+    assert odd_vertices(Counter([(0, 1)])) == frozenset({0, 1})
+    assert odd_vertices(Counter([(0, 1), (1, 2), (0, 2)])) == frozenset()
 
 
 def test_odd_vertices_even_cardinality_random():
@@ -143,33 +165,35 @@ def test_odd_vertices_even_cardinality_random():
     for _ in range(50):
         edges = [(rng.randrange(8), rng.randrange(8)) for _ in range(12)]
         edges = [(u, v) for u, v in edges if u != v]
-        assert len(odd_vertices(Multigraph(edges))) % 2 == 0
+        assert len(odd_vertices(Counter(ekey(u, v) for u, v in edges))) % 2 == 0
 
 
 def test_euler_tour_empty():
-    assert euler_tour(Multigraph(), 7) == Walk((7,))
+    assert euler_tour(Counter(), 7) == Walk((7,))
 
 
 def test_euler_tour_triangle():
-    walk = euler_tour(Multigraph([(0, 1), (1, 2), (0, 2)]), 0)
+    walk = euler_tour(Counter([(0, 1), (1, 2), (0, 2)]), 0)
     assert walk.vertices[0] == walk.vertices[-1] == 0
     assert walk.edge_count == 3
     assert walk.edge_multiset() == Counter({(0, 1): 1, (1, 2): 1, (0, 2): 1})
 
 
 def test_euler_tour_doubled_edge():
-    walk = euler_tour(Multigraph([(0, 1), (0, 1)]), 0)
+    walk = euler_tour(Counter([(0, 1), (0, 1)]), 0)
     assert walk.vertices == (0, 1, 0)
 
 
 def test_euler_tour_rejects_odd_degree():
     with pytest.raises(ValueError, match="odd-degree"):
-        euler_tour(Multigraph([(0, 1)]), 0)
+        euler_tour(Counter([(0, 1)]), 0)
 
 
 def test_euler_tour_rejects_disconnected():
     with pytest.raises(ValueError, match="connected"):
-        euler_tour(Multigraph([(0, 1), (0, 1), (2, 3), (2, 3)]), 0)
+        euler_tour(Counter([(0, 1), (0, 1), (2, 3), (2, 3)]), 0)
+    with pytest.raises(ValueError, match="connected"):
+        euler_tour(Counter([(1, 2), (1, 2)]), 0)
 
 
 def test_euler_tour_multiset_equality_random():
@@ -184,9 +208,9 @@ def test_euler_tour_multiset_equality_random():
         edges = [(a, b) for a, b in zip(seq, seq[1:]) if a != b]
         if not edges:
             continue
-        m = Multigraph(edges)
+        m = Counter(ekey(a, b) for a, b in edges)
         walk = euler_tour(m, 0)
-        assert walk.edge_multiset() == Counter(m.edge_counts)
+        assert walk.edge_multiset() == m
         assert walk.vertices[0] == walk.vertices[-1] == 0
 
 

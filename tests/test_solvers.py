@@ -94,6 +94,17 @@ def test_reduction_greedy_fallback():
         assert exact_oracle(inst).value - 1e-9 <= sol.value
 
 
+def test_reduction_propagates_exact_solver_errors(barrier, monkeypatch):
+    # within the cap the exact solver runs, and its errors are not taken
+    # as a signal to fall back to the greedy PCTSP
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(solvers, "pctsp_solve_exact", broken)
+    with pytest.raises(ValueError, match="boom"):
+        pctsp_reduction(barrier)
+
+
 def test_best_of_many_barrier(barrier):
     sol = best_of_many(barrier)
     assert sol.value == pytest.approx(1.3)
