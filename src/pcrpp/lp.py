@@ -333,14 +333,6 @@ def cut_at_least(
     return not _flow(adj, s, t, need)[0] < need
 
 
-def _tether_pairs(pg: PreprocessedGraph) -> list[tuple[int, int]]:
-    pairs = []
-    for i, e in enumerate(pg.copied.edges):
-        if pg.copied.origin[i] is None:
-            pairs.append(ekey(e.u, e.v))
-    return pairs
-
-
 def initial_variables(pg: PreprocessedGraph) -> list[tuple[int, int]]:
     """Positive edges, root-incident edges and tethers seed the variable set."""
     root = pg.root
@@ -348,7 +340,7 @@ def initial_variables(pg: PreprocessedGraph) -> list[tuple[int, int]]:
     for v in range(pg.vertex_count):
         if v != root:
             keys.add(ekey(root, v))
-    keys.update(_tether_pairs(pg))
+    keys.update(ekey(v, c) for c, v in pg.copied.copy_map.items() if c != v)
     return sorted(keys)
 
 

@@ -28,15 +28,15 @@ from .core import (
 class CopiedGraph:
     """Instance graph after the copying step, before completion.
 
-    ``origin[i]`` is the index of the instance edge that edge ``i`` came
-    from, or None for the zero-length tether edges added for the copies.
+    ``copy_map`` sends every vertex to the instance vertex it copies (an
+    instance vertex to itself); each copy c is tied to ``copy_map[c]`` by a
+    zero-length tether edge.
     """
 
     vertex_count: int
     root: int
     edges: tuple[Edge, ...]
     copy_map: dict[int, int]
-    origin: tuple[int | None, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +112,6 @@ def copy_vertices(inst: Instance) -> CopiedGraph:
     positive edge only when it has more than one.
     """
     ends: list[list[int]] = [[e.u, e.v] for e in inst.edges]
-    origin: list[int | None] = list(range(len(inst.edges)))
     tethers: list[tuple[int, int]] = []
     next_id = inst.vertex_count
     copy_map = {v: v for v in range(inst.vertex_count)}
@@ -148,13 +147,11 @@ def copy_vertices(inst: Instance) -> CopiedGraph:
     ]
     for a, b in tethers:
         edges.append(Edge(*ekey(a, b), 0.0, 0.0))
-        origin.append(None)
     return CopiedGraph(
         vertex_count=next_id,
         root=inst.root,
         edges=tuple(edges),
         copy_map=copy_map,
-        origin=tuple(origin),
     )
 
 

@@ -4,8 +4,8 @@ A split at a vertex repeatedly moves mass from two incident edges onto the
 chord between the chosen neighbours until the vertex is isolated, keeping
 every required root-to-vertex min cut intact.  Candidate neighbour pairs are
 scanned by descending value and the first pair admitting positive mass is
-taken with the largest admissible amount, found by bisection over min-cut
-probes.
+taken with the largest admissible amount, computed exactly from one min-cut
+probe per demand (see ``_max_feasible``).
 
 The splitting loop works in a merged view of the root-copy construction:
 the working vector lives on the preprocessed graph while the mass retired
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ekey
-from .lp import SUPPORT_FLOOR, LpSolution, capacity_adjacency, cut_at_least
+from .lp import SUPPORT_FLOOR, LpSolution, capacity_adjacency, cut_at_least, max_flow_min_cut
 from .preprocess import PreprocessedGraph
 
 PRECISION = 1e-9
@@ -52,36 +52,34 @@ def _set_value(x, adj, key, val):
             adj[v].pop(u, None)
 
 
-def _feasible(x, adj, deltas, demands, root):
+def _max_feasible(x, adj, delta_fn, demands, root, hi):
+    """Largest amount up to ``hi`` that keeps every demand, or 0.0.
+
+    Splitting eps off lowers each root cut by exactly 2 eps or leaves it
+    unchanged (Mader 1978; Frank 1992, "On a theorem of Mader").  So with
+    the candidate applied at ``hi``, a demand whose probe falls short is
+    short on a cut that lost 2 hi, since the others keep a value that
+    already met it; with f its full cut value at ``hi``, that cut is worth
+    f + 2 (hi - eps) at eps, and the demand admits hi - (demand - f) / 2.
+    The amount is the smallest admitted one; at or below ``PRECISION`` the
+    candidate admits nothing.  x and ``adj`` are restored before returning.
+    """
+    deltas = delta_fn(hi)
     saved = [(key, x.get(key, 0.0)) for key, _ in deltas]
     for key, d in deltas:
         _set_value(x, adj, key, x.get(key, 0.0) + d)
-    ok = True
+    eps = hi
     for t in sorted(demands):
-        if not cut_at_least(adj, t, root, demands[t] - DEMAND_SLACK):
-            ok = False
-            break
+        need = demands[t]
+        if not cut_at_least(adj, t, root, need - DEMAND_SLACK):
+            f, _ = max_flow_min_cut(adj, t, root)
+            eps = min(eps, hi - (need - f) / 2.0)
+            if eps <= PRECISION:
+                eps = 0.0
+                break
     for key, old in saved:
         _set_value(x, adj, key, old)
-    return ok
-
-
-def _max_feasible(x, adj, delta_fn, demands, root, hi):
-    if _feasible(x, adj, delta_fn(hi), demands, root):
-        return hi
-    least = hi  # the smallest midpoint the bisection tests; halving is exact
-    while least > PRECISION:
-        least *= 0.5
-    if not _feasible(x, adj, delta_fn(least), demands, root):
-        return 0.0
-    lo, top = 0.0, hi
-    while top - lo > PRECISION:
-        mid = 0.5 * (lo + top)
-        if _feasible(x, adj, delta_fn(mid), demands, root):
-            lo = mid
-        else:
-            top = mid
-    return lo
+    return eps
 
 
 def _candidates(adj, root, v):
@@ -151,8 +149,6 @@ def complete_split(
             raise SplitError(f"splitting at vertex {v} did not converge")
         chosen = None
         for kind, a, b, cap in _candidates(adj, root, v):
-            if cap <= PRECISION:
-                continue
             if kind == "pair" or kind == "rootpair":
                 def deltas(eps, a=a, b=b):
                     return [

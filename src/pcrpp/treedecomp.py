@@ -146,13 +146,12 @@ def stage_distribution(recorder: SplitRecorder, boundary: int) -> TreeDistributi
 
     The operations past the boundary are undone in reverse, starting from
     the residual chord mass of the whole pass: weight chord_mass - 1 on the
-    two-vertex chord tree and the rest on the bare root tree.
+    two-vertex chord tree.  Exact split amounts leave a chord mass of 2, so
+    that weight is 1; the sum-to-one check below rejects any shortfall.
     """
     root = recorder.root
     lam = min(max(recorder.states[-1][1] - 1.0, 0.0), 1.0)
     trees: list = [[lam, frozenset({ekey(root, recorder.copy)})]]
-    if lam < 1.0 - 1e-15:
-        trees.append([1.0 - lam, frozenset()])
     for op in reversed(recorder.ops[recorder.prefix[boundary]:]):
         _undo_step(trees, op, root)
     _compact(trees)

@@ -1,5 +1,7 @@
 """Shared instance builders and independent oracles for the test suite."""
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.sparse import csc_array
 
 from pcrpp.cli import gen_random
 from pcrpp.core import Edge, Instance, parse_instance
+from pcrpp.lp import LpSolution
 
 
 def barrier_text(eps: float) -> str:
@@ -73,6 +76,19 @@ FRACTIONAL_INSTANCES = (
         name="frac2",
     ),
 )
+
+
+def rnd37_point():
+    """The stored ``frac-small`` instance rnd37 and the LP point its solve gave.
+
+    The point (16 vertices, 21 nonzero pairs, y in {0, 0.25, 1}) needs
+    split amounts below their caps; an amount that overshoots the exact one
+    leaves residue trees that break the coupling.
+    """
+    data = json.loads((Path(__file__).parent / "rnd37_lp_point.json").read_text())
+    x = {(u, v): val for u, v, val in data["x"]}
+    y = {v: val for v, val in data["y"]}
+    return parse_instance(data["instance"], name=data["name"]), LpSolution(x, y, data["objective"])
 
 
 def random_suite(count: int, base_seed: int = 1000, max_n: int = 6, max_m: int = 9):

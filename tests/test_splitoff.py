@@ -19,7 +19,7 @@ from pcrpp.splitoff import (
     SplitRecorder,
     complete_split,
 )
-from conftest import FRACTIONAL_INSTANCES, random_suite
+from conftest import FRACTIONAL_INSTANCES, random_suite, rnd37_point
 from oracles import apply_threshold_split, check_threshold_split
 
 
@@ -60,18 +60,15 @@ def test_complete_split_chain_preserves_cut():
     assert after == pytest.approx(before) == pytest.approx(1.0)
 
 
-def test_complete_split_bisection_ends_inside():
+def test_complete_split_amount_is_exact():
     # splitting eps off (1, 2), (1, 3) onto the chord (2, 3) leaves the set
     # {2, 3} a cut of 2 - 2 eps, so the demand 0.7 at 2 admits eps <= 0.65
-    # and the full cap 1 is infeasible.  The bisection returns a feasible
-    # amount within 2 * PRECISION of the largest one, and may overshoot the
-    # exact 0.65 by up to DEMAND_SLACK / 2: the contract that exact
-    # splitting amounts (ROADMAP item 4) are to replace.
+    # and the full cap 1 is infeasible: the amount is 0.65 itself
     x = {(0, 1): 1.0, (1, 2): 1.0, (1, 3): 1.0}
     _, ops, _ = complete_split(x, 0, 1, {2: 0.7}, 4, 1.0)
     first = ops[0]
     assert (first.left, first.right) == (2, 3)
-    assert 0.0 < first.amount < 1.0
+    assert first.amount == 0.65
 
     def feasible(eps):
         after = dict(x)
@@ -82,30 +79,59 @@ def test_complete_split_bisection_ends_inside():
 
     assert feasible(first.amount)
     assert not feasible(first.amount + 2 * PRECISION)
-    assert abs(first.amount - 0.65) <= 2 * PRECISION
 
 
-@pytest.mark.parametrize("limit", [0.0, 1e-10, 2e-9, 0.3, 0.65, 1.0])
-def test_max_feasible_settles_a_dead_candidate_with_one_probe(monkeypatch, limit):
-    # against the plain bisection on a monotone feasibility test: the same
-    # amount, and a candidate that admits nothing costs two probes, not ~30
-    probes = []
+def _keeps_demands(call, eps):
+    """Whether the candidate of a recorded call, applied at eps, keeps every demand.
 
-    def feasible(x, adj, eps, demands, root):
-        probes.append(eps)
-        return eps <= limit
+    The 1e-12 slack only absorbs float rounding, so an amount that
+    overshoots the exact one breaks a demand here.
+    """
+    x = dict(call["x"])
+    for key, d in call["delta_fn"](eps):
+        x[key] = x.get(key, 0.0) + d
+    adj = capacity_adjacency(x)
+    return all(
+        max_flow_min_cut(adj, t, call["root"])[0] >= need - 1e-12
+        for t, need in call["demands"].items()
+    )
 
-    monkeypatch.setattr(splitoff, "_feasible", feasible)
-    got = splitoff._max_feasible(None, None, lambda eps: eps, None, None, 1.0)
-    if limit >= 1.0:
-        want = 1.0
-    else:
-        want, top = 0.0, 1.0
-        while top - want > PRECISION:
-            mid = 0.5 * (want + top)
-            want, top = (mid, top) if mid <= limit else (want, mid)
-    assert got == want
-    assert (len(probes) == 2) == (want == 0.0)
+
+def test_max_feasible_amounts_are_exact(monkeypatch):
+    # every amount the splitting passes ask for: it keeps every demand, 2 *
+    # PRECISION more (up to the cap) breaks one unless the cap was returned,
+    # a candidate admitting nothing returns exactly 0.0, and the rows and
+    # the nonzero entries of x come back unchanged
+    calls = []
+    real = splitoff._max_feasible
+
+    def nonzero(x):
+        return {k: val for k, val in x.items() if val != 0.0}
+
+    def recording(x, adj, delta_fn, demands, root, hi):
+        before = (nonzero(x), {u: dict(row) for u, row in adj.items()})
+        got = real(x, adj, delta_fn, demands, root, hi)
+        assert (nonzero(x), adj) == before
+        calls.append(dict(x=before[0], delta_fn=delta_fn, demands=demands, root=root, hi=hi, got=got))
+        return got
+
+    monkeypatch.setattr(splitoff, "_max_feasible", recording)
+    complete_split({(0, 1): 1.0, (1, 2): 1.0, (1, 3): 1.0}, 0, 1, {2: 0.7}, 4, 1.0)
+    inst, sol = rnd37_point()
+    SplitRecorder(preprocess(inst), sol)
+    for inst in list(FRACTIONAL_INSTANCES) + random_suite(10, base_seed=5300):
+        pg = preprocess(inst)
+        SplitRecorder(pg, solve_pcrpp_lp(pg)[0])
+    assert any(0.0 < c["got"] < c["hi"] for c in calls)
+    assert any(c["got"] == 0.0 for c in calls)
+    for call in calls:
+        got, hi = call["got"], call["hi"]
+        assert got == 0.0 or PRECISION < got <= hi
+        assert _keeps_demands(call, got)
+        if got < hi:
+            assert not _keeps_demands(call, min(got + 2 * PRECISION, hi))
+        if not _keeps_demands(call, PRECISION):
+            assert got == 0.0
 
 
 def test_threshold_below_min_is_identity(single_pos):

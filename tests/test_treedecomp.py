@@ -3,9 +3,10 @@ import pytest
 from pcrpp.core import ekey, endpoints
 from pcrpp.lp import LpSolution, solve_pcrpp_lp
 from pcrpp.preprocess import preprocess
+from pcrpp.solvers import _check_stage
 from pcrpp.splitoff import SplitRecorder
 from pcrpp.treedecomp import project_to_hat, stage_distribution
-from conftest import FRACTIONAL_INSTANCES, random_suite
+from conftest import FRACTIONAL_INSTANCES, random_suite, rnd37_point
 from oracles import apply_threshold_split, check_pctsp_feasible, decompose_by_lp, lift_to_aux
 
 
@@ -191,3 +192,19 @@ def test_support_size_bound():
         recorder = SplitRecorder(pg, sol)
         dist = stage_distribution(recorder, 0)
         assert len(dist.trees) <= 2 * len(recorder.ops) + pg.vertex_count + 2
+
+
+def test_rnd37_point_splits_exactly_and_every_stage_checks():
+    # split amounts 2.3e-10 past the exact ones leave chord mass 2 - 2^-32
+    # and trees of weight 2^-33 that break the coupling on (3, 8)
+    inst, sol = rnd37_point()
+    pg = preprocess(inst)
+    recorder = SplitRecorder(pg, sol)
+    assert recorder.states[-1][1] == 2.0
+    assert recorder.thresholds == [0.25, 1.0]
+    for delta in recorder.thresholds:
+        boundary = recorder.boundary(delta)
+        xt, _ = recorder.state(boundary)
+        yt = {v: (val if v == pg.root or val >= delta else 0.0) for v, val in sol.y.items()}
+        ghat = project_to_hat(stage_distribution(recorder, boundary), pg)
+        _check_stage(ghat, xt, yt, pg, delta)
