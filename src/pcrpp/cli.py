@@ -7,7 +7,6 @@ import io
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -116,15 +115,6 @@ def bench_instance(
     return rec
 
 
-def _bench_worker(args) -> BenchRecord:
-    path, oracle_cap, pctsp_cap = args
-    try:
-        inst = parse_instance(Path(path).read_text(), name=Path(path).stem)
-        return bench_instance(inst, oracle_cap=oracle_cap, pctsp_cap=pctsp_cap)
-    except Exception as exc:  # failures are recorded, the run continues
-        return BenchRecord(name=Path(path).stem, error=f"{type(exc).__name__}: {exc}")
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -188,16 +178,15 @@ def summarize(records: list[BenchRecord]) -> list[dict]:
     return rows
 
 
-def run_bench(
-    paths, *, jobs: int = 1, oracle_cap: int = ORACLE_CAP, pctsp_cap: int = PCTSP_CAP
-):
+def run_bench(paths, *, oracle_cap: int = ORACLE_CAP, pctsp_cap: int = PCTSP_CAP):
     """Per-instance records, their CSV text and the family summary rows."""
-    work = [(str(p), oracle_cap, pctsp_cap) for p in paths]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_bench_worker, work))
-    else:
-        records = [_bench_worker(w) for w in work]
+    records = []
+    for path in map(Path, paths):
+        try:
+            inst = parse_instance(path.read_text(), name=path.stem)
+            records.append(bench_instance(inst, oracle_cap=oracle_cap, pctsp_cap=pctsp_cap))
+        except Exception as exc:  # failures are recorded, the run continues
+            records.append(BenchRecord(name=path.stem, error=f"{type(exc).__name__}: {exc}"))
     return records, records_to_csv(records), summarize(records)
 
 
@@ -280,9 +269,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    records, csv_text, rows = run_bench(
-        args.instances, jobs=args.jobs, oracle_cap=args.oracle_cap, pctsp_cap=args.pctsp_cap
-    )
+    records, csv_text, rows = run_bench(args.instances, oracle_cap=args.oracle_cap, pctsp_cap=args.pctsp_cap)
     if args.out:
         Path(args.out).write_text(csv_text)
     else:
@@ -342,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmark a list of instance files")
     p.add_argument("instances", nargs="*")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
     p.add_argument("--pctsp-cap", type=int, default=PCTSP_CAP)
     p.add_argument("--out", metavar="CSV")

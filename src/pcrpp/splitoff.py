@@ -40,12 +40,14 @@ class SplitOp:
 
 
 def _set_value(x, adj, key, val):
-    x[key] = val
+    """Store val on the edge in x and ``adj``, or drop it at or below ``SUPPORT_FLOOR``."""
     u, v = key
     if val > SUPPORT_FLOOR:
+        x[key] = val
         adj.setdefault(u, {})[v] = val
         adj.setdefault(v, {})[u] = val
     else:
+        x.pop(key, None)
         if u in adj:
             adj[u].pop(v, None)
         if v in adj:
@@ -223,7 +225,7 @@ class SplitRecorder:
     def __init__(self, pg: PreprocessedGraph, sol: LpSolution):
         self.root, self.copy = pg.root, root_copy(pg)
         self.y = dict(sol.y)
-        x = {k: val for k, val in sol.x.items() if val != 0.0}
+        x = {k: val for k, val in sol.x.items() if val > SUPPORT_FLOOR}
         deg_r = sum(val for k, val in x.items() if self.root in k)
         self.ops, self.groups, self.states = split_every_vertex(
             x, 2.0 - 0.5 * deg_r, self.y, self.root, self.copy

@@ -14,7 +14,6 @@ graph.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import bfs, ekey, endpoints, neighbours
@@ -164,57 +163,36 @@ def stage_distribution(recorder: SplitRecorder, boundary: int) -> TreeDistributi
     )
 
 
-def _find_cycle(edges: set) -> set:
-    degree: Counter = Counter()
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    alive = set(edges)
-    changed = True
-    while changed:
-        changed = False
-        for key in list(alive):
-            u, v = key
-            if degree[u] == 1 or degree[v] == 1:
-                alive.discard(key)
-                degree[u] -= 1
-                degree[v] -= 1
-                changed = True
-    return alive
-
-
 def _project_tree(edges: frozenset, pg: PreprocessedGraph, copy_id: int) -> frozenset:
+    """Merge the copy into the root; drop the longer root end of the root-copy path.
+
+    The copy is the largest id, so it is the second element of its keys.
+    """
     root = pg.root
-    out: set = set()
-    for u, v in edges:
-        if copy_id in (u, v):
-            other = u if v == copy_id else v
-            if other == root:
-                continue
-            out.add(ekey(root, other))
-        else:
-            out.add((u, v))
-    verts = endpoints(out) | {root}
-    if len(out) == len(verts) - 1:
-        return frozenset(out)
-    if len(out) != len(verts):
-        raise DecompositionError("merged tree is not unicyclic")
-    cycle = _find_cycle(out)
-    candidates = [k for k in cycle if root in k]
-    if not candidates:
-        raise DecompositionError("cycle avoids the root after merging")
-    drop = max(candidates, key=lambda k: (pg.lengths[k], -(k[0] + k[1] - root)))
-    out.discard(drop)
+    out = {ekey(root, u) if v == copy_id else (u, v) for u, v in edges if (u, v) != (root, copy_id)}
+    pred = bfs(neighbours(edges), root)
+    last = pred.get(copy_id, root)
+    if last != root:
+        first = last
+        while pred[first] != root:
+            first = pred[first]
+        if first != last:
+            end = max((first, last), key=lambda a: (pg.lengths[ekey(root, a)], -a))
+            out.discard(ekey(root, end))
+    if len(out) != len(endpoints(out) | {root}) - 1:
+        raise DecompositionError(f"projected edge set {sorted(out)} is not a tree")
     return frozenset(out)
 
 
 def project_to_hat(dist: TreeDistribution, pg: PreprocessedGraph) -> TreeDistribution:
     """Merge the root copy back and break the one cycle this may close.
 
-    The deleted cycle edge is root-incident and zero-profit, so the positive
-    edges and the vertex sets are untouched; among the candidates the longest
-    edge is dropped.  Every projected tree must couple each positive edge
-    with its two endpoints, which is checked exactly.
+    A tree holding the root and the copy closes its own root-copy path; the
+    longer of that path's two root-incident edges is dropped (ties drop the
+    edge to the smaller vertex id).  Such an edge is zero-profit, so the
+    positive edges and the vertex sets are untouched.  Every projected tree
+    must couple each positive edge with its two endpoints, which is checked
+    exactly.
     """
     copy_id = root_copy(pg)
     merged: dict[frozenset, float] = {}

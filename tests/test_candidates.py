@@ -52,6 +52,13 @@ def test_matching_empty_and_pair():
     assert min_perfect_matching([3, 7], {(3, 7): 2.0}) == [(3, 7)]
 
 
+def test_odd_point_sets_are_rejected():
+    with pytest.raises(ValueError, match="odd"):
+        min_perfect_matching([1, 2, 3], {})
+    with pytest.raises(ValueError, match="odd"):
+        min_tjoin(parse_instance("2 1 1\n1 2 1 0\n"), [0])
+
+
 def test_matching_line_of_four():
     # points on a line at 0, 1, 10, 11: the three pairings cost 2, 20, 20
     pts = [0, 1, 2, 3]

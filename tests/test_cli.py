@@ -155,6 +155,16 @@ def test_cli_solve(tmp_path, capsys):
     assert "walk 1" in out
 
 
+def test_cli_solve_reports_the_gap_to_optmax(tmp_path, capsys):
+    # barrier: total profit 1.3, optimum 1.3, so OPTMAX 0.26 puts OPT at 1.04
+    path = tmp_path / "b.txt"
+    path.write_text(barrier_text(0.1) + "OPTMAX 0.26\n")
+    assert main(["solve", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "opt 1.040000" in out
+    assert "alg_gap_percent 25.000000" in out
+
+
 def test_cli_solve_dumps(tmp_path, capsys):
     path = tmp_path / "b.txt"
     path.write_text(barrier_text(0.1))

@@ -98,6 +98,8 @@ def test_parse_comments_and_optmax():
     inst = parse_instance("# comment\n2 1 1\n1 2 1 3\nOPTMAX 2.5\n")
     assert inst.opt_max == 2.5
     assert inst.total_profit == 3.0
+    assert serialize_instance(inst).splitlines()[-1] == "OPTMAX 2.5"
+    assert parse_instance(serialize_instance(inst)) == inst
 
 
 def test_parse_restricts_to_root_component():

@@ -115,6 +115,12 @@ def test_restore_empty(single_pos):
     assert restore(pg, Counter()) == {}
 
 
+def test_restore_rejects_a_key_outside_the_graph(single_pos):
+    pg = preprocess(single_pos)
+    with pytest.raises(ValueError, match="not in the preprocessed graph"):
+        restore(pg, Counter({(0, pg.vertex_count): 1}))
+
+
 def test_restore_tether_plus_positive(single_pos):
     pg = preprocess(single_pos)
     out = restore(pg, Counter({(0, 2): 1, (1, 2): 1}))

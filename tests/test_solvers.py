@@ -30,6 +30,12 @@ def test_oracle_zero_profit(zero_profit):
     assert exact_oracle(zero_profit).value == 0.0
 
 
+def test_oracle_edgeless_instance():
+    sol = exact_oracle(Instance(1, 0, ()))
+    assert sol.value == 0.0 and sol.lower_bound == 0.0
+    assert sol.walk == Walk.trivial(0)
+
+
 def test_oracle_cap():
     pairs = [(u, v) for u in range(1, 7) for v in range(u + 1, 7)][:13]
     text = "6 13 1\n" + "\n".join(f"{u} {v} 1 0" for u, v in pairs) + "\n"

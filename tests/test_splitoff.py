@@ -4,6 +4,7 @@ import pytest
 
 from pcrpp import splitoff
 from pcrpp.lp import (
+    SUPPORT_FLOOR,
     LpSolution,
     capacity_adjacency,
     cut_at_least,
@@ -29,8 +30,8 @@ def test_complete_split_forced_pairing():
     x = {(0, 1): 0.7, (1, 2): 0.7}
     out, ops, e0 = complete_split(x, 0, 1, {}, 3, 1.65)
     assert ops == [SplitOp(1, 0, 2, 0.35), SplitOp(1, 2, 3, 0.35)]
-    assert out[(0, 1)] == pytest.approx(0.0)
-    assert out[(1, 2)] == pytest.approx(0.0)
+    assert (0, 1) not in out
+    assert (1, 2) not in out
     assert out[(0, 2)] == pytest.approx(0.7)
     assert e0 == 1.65
 
@@ -40,7 +41,7 @@ def test_complete_split_root_drop():
     # onto the chord between the root and its copy
     out, ops, e0 = complete_split({(0, 1): 2.0}, 0, 1, {}, 2, 1.0)
     assert ops == [SplitOp(1, 0, 2, 1.0)]
-    assert out[(0, 1)] == pytest.approx(0.0)
+    assert (0, 1) not in out
     assert e0 == pytest.approx(2.0)
 
 
@@ -48,6 +49,12 @@ def test_complete_split_rejects_unsplittable_degree():
     # a lone incident edge admits no pair; degree parity cannot hold
     with pytest.raises(SplitError):
         complete_split({(1, 2): 1.0}, 0, 1, {}, 3, 2.0)
+
+
+@pytest.mark.parametrize("demands", [{0: 1.0}, {1: 1.0}])
+def test_complete_split_rejects_demands_at_the_root_or_split_vertex(demands):
+    with pytest.raises(ValueError, match="demands must exclude"):
+        complete_split({(0, 1): 1.0, (1, 2): 1.0}, 0, 1, demands, 3, 1.5)
 
 
 def test_complete_split_chain_preserves_cut():
@@ -221,6 +228,8 @@ def test_recorder_state_degrees_zeroed():
             x, _ = rec.state(b)
             deg = sum(val for k, val in x.items() if v in k)
             assert abs(deg) <= 1e-9
+        # split states hold only live mass, as the capacity adjacency does
+        assert all(val > SUPPORT_FLOOR for x, _ in rec.states for val in x.values())
 
 
 def test_recorder_thresholds_are_the_positive_vertex_values():

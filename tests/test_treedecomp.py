@@ -1,11 +1,11 @@
 import pytest
 
-from pcrpp.core import ekey, endpoints
+from pcrpp.core import ekey, endpoints, parse_instance
 from pcrpp.lp import LpSolution, solve_pcrpp_lp
 from pcrpp.preprocess import preprocess
 from pcrpp.solvers import _check_stage
 from pcrpp.splitoff import SplitRecorder
-from pcrpp.treedecomp import project_to_hat, stage_distribution
+from pcrpp.treedecomp import DecompositionError, TreeDistribution, project_to_hat, stage_distribution
 from conftest import FRACTIONAL_INSTANCES, random_suite, rnd37_point
 from oracles import apply_threshold_split, check_pctsp_feasible, decompose_by_lp, lift_to_aux
 
@@ -121,8 +121,6 @@ def test_decompose_matches_lp_oracle(single_pos):
 
 def test_project_identity_and_chord(single_pos):
     pg = preprocess(single_pos)
-    from pcrpp.treedecomp import TreeDistribution
-
     bare = TreeDistribution((frozenset(),), (1.0,))
     assert project_to_hat(bare, pg).trees[0] == frozenset()
     chord_only = TreeDistribution((frozenset({chord(pg)}),), (1.0,))
@@ -133,11 +131,35 @@ def test_project_merges_and_deletes_longest_root_edge(single_pos):
     # tree r-copy2, copy2-a, a-rcopy merges into a triangle at the root;
     # the longer zero-profit root edge r-a goes, keeping the positive edge
     pg = preprocess(single_pos)
-    from pcrpp.treedecomp import TreeDistribution
-
     tree = frozenset({ekey(0, 2), ekey(2, 1), ekey(1, pg.vertex_count)})
     out = project_to_hat(TreeDistribution((tree,), (1.0,)), pg)
     assert out.trees[0] == frozenset({ekey(0, 2), ekey(2, 1)})
+
+
+def projected(pg, *edges):
+    return project_to_hat(TreeDistribution((frozenset(edges),), (1.0,)), pg).trees[0]
+
+
+def test_project_tie_drops_the_root_edge_to_the_smaller_id():
+    # unit triangle 0-1-2 with copy 3: both root ends of the path have length
+    # 1, so r-1 goes whichever end of the path it sits at
+    pg = preprocess(parse_instance("3 3 1\n1 2 1 0\n2 3 1 0\n1 3 1 0\n"))
+    assert pg.lengths[(0, 1)] == pg.lengths[(0, 2)] == 1.0 and pg.vertex_count == 3
+    assert projected(pg, (0, 1), (1, 2), (2, 3)) == frozenset({(0, 2), (1, 2)})
+    assert projected(pg, (0, 2), (1, 2), (1, 3)) == frozenset({(0, 2), (1, 2)})
+
+
+def test_project_root_a_copy_path_keeps_its_merged_edge(zero_profit):
+    # r-a-copy merges both edges into r-a: no cycle, nothing dropped
+    pg = preprocess(zero_profit)
+    assert pg.vertex_count == 3
+    assert projected(pg, (0, 1), (1, 3)) == frozenset({(0, 1)})
+
+
+def test_project_rejects_an_edge_set_that_is_not_a_tree(zero_profit):
+    pg = preprocess(zero_profit)
+    with pytest.raises(DecompositionError, match="not a tree"):
+        projected(pg, (0, 1), (1, 2), (0, 2))
 
 
 def test_distribution_contract_on_fractional_instances():
