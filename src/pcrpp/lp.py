@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .core import bfs, ekey
+from .core import ekey
 from .preprocess import PreprocessedGraph
 
 FEAS_TOL = 1e-7
@@ -255,15 +255,18 @@ def capacity_adjacency(capacities: dict[tuple[int, int], float]) -> dict[int, di
 
 def _flow(
     adj: dict[int, dict[int, float]], s: int, t: int, need: float
-) -> tuple[float, dict[int, dict[int, float]]]:
+) -> tuple[float, dict[int, int] | None]:
     """Edmonds-Karp s-t flow on symmetric rows, augmenting while the value is below ``need``.
 
-    Returns the flow value and the residual rows.  Each row is copied once
-    per flow, and its keys are sorted once, when a breadth-first search
-    first visits it: a symmetric residual never gains a key, so every search
-    scans neighbours in increasing id order.  An arc is usable while its
-    residual exceeds ``SUPPORT_FLOOR``.  The value only grows, so it reaches
-    ``need`` exactly when the full flow does.
+    Returns the flow value and, when no augmenting path is left, the
+    predecessor map of that last, failed search: its keys are the vertices
+    reached from s in the residual graph.  When the value reaches ``need``
+    the map is ``None``.  Each row is copied once per flow, and its keys are
+    sorted once, when a breadth-first search first visits it: a symmetric
+    residual never gains a key, so every search scans neighbours in
+    increasing id order.  An arc is usable while its residual exceeds
+    ``SUPPORT_FLOOR``.  The value only grows, so it reaches ``need`` exactly
+    when the full flow does.
     """
     if s == t:
         raise ValueError("source equals sink")
@@ -287,7 +290,7 @@ def _flow(
             if t in pred:
                 break
         else:
-            break
+            return value, pred
         push = math.inf
         b = t
         while b != s:
@@ -302,7 +305,7 @@ def _flow(
             res[b][a] += push
             b = a
         value += push
-    return value, res
+    return value, None
 
 
 def max_flow_min_cut(
@@ -313,14 +316,14 @@ def max_flow_min_cut(
     With ``need`` given the flow stops once its value reaches ``need`` and
     the result is ``(value, None)``: the cut is at least ``need``.  Otherwise
     the value is the exact maximum and the side is the set reached from s in
-    the residual graph.  ``adj`` is not changed.  ``cut_at_least`` asks the
-    same question with a 1e-12 slack and without the side.
+    the residual graph, read off the flow's last, failed search.  ``adj`` is
+    not changed.  ``cut_at_least`` asks the same question with a 1e-12 slack
+    and without the side.
     """
-    value, res = _flow(adj, s, t, need)
+    value, reached = _flow(adj, s, t, need)
     if not value < need:  # a NaN demand counts as met, as the flow loop's exit test has it
         return value, None
-    side = bfs(res, s, lambda a, b: res[a][b] > SUPPORT_FLOOR)
-    return value, frozenset(side)
+    return value, frozenset(reached)
 
 
 def cut_at_least(

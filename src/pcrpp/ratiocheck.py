@@ -1,18 +1,36 @@
 """Numerical certification of the approximation constant.
 
-The grid sweep runs in two phases.  A float64 pass evaluates the profit-miss
-curve at every grid point and brackets each value with the error bound
-m(xi) = FILTER_BOUND / (1 - xi): it keeps the largest f - m over the grid as a
-lower bound on the maximum and, per block of BLOCK points, the largest f + m
-as an upper bound on that block.  Only the blocks whose upper bound is not
-below the lower bound (NaN included) are evaluated again in extended
-precision (numpy longdouble, 64-bit mantissa on x86-64), whose round-off
-stays far below the 1e-8 margin the certificate needs; the tests demonstrate
-that budget against a high-precision reference.  The grid maximum, its
-argument and the certificate are those of a longdouble evaluation of every
-point.  On each block evaluated again the float64 error times (1 - xi) is
-checked against FILTER_BOUND, and a larger one raises FilterBoundError
-instead of returning a certificate that rests on a broken bound.
+The grid sweep runs in three phases, chunk by chunk of grid points.
+
+1. End bounds.  On the window h(xi) = c(xi)(1 - xi) is nonincreasing.  With
+   t = kappa - xi, both a = (span^(beta+2) - t^(beta+2))/(beta+2) and
+   d = span (span^(beta+1) - t^(beta+1))/(beta+1) - a are at least zero and
+   nondecreasing in xi (dd/dt = t^beta (t - span) <= 0); both kernels
+   phi_low and phi_high are positive and increasing; so
+   h = 1 - (nu/span) xi (phi_low a + phi_high d) is nonincreasing.  As
+   1/(1 - xi) increases, every value on [x_a, x_c] is at most
+   h(x_a)/(1 - x_c), or h(x_a)/(1 - x_a) when h(x_a) < 0.  Each sub-block
+   of SUB points gets that bound from a longdouble value at its first
+   point x_a, with FILTER_BOUND added to h and x_c the first point of the
+   next sub-block.  The largest of those values minus its margin m (below)
+   is the chunk's first lower bound on the maximum.
+2. Float64 filter.  Only the sub-blocks whose bound reaches that lower bound
+   (NaN included) are evaluated in float64, each value bracketed with the
+   error bound m(xi) = FILTER_BOUND / (1 - xi): the largest f - m raises
+   the lower bound, and a sub-block's bound drops to its largest f + m
+   when that is lower.  A block of BLOCK points keeps the largest bound of
+   its sub-blocks as its upper bound.
+3. Longdouble pass.  Only the blocks whose upper bound is not below the
+   largest lower bound of all chunks (NaN included) are evaluated again in
+   extended precision (numpy longdouble, 64-bit mantissa on x86-64), whose
+   round-off stays far below the 1e-8 margin the certificate needs; the
+   tests demonstrate that budget against a high-precision reference.
+
+The grid maximum, its argument and the certificate are those of a
+longdouble evaluation of every point.  On each block evaluated again the
+float64 error times (1 - xi) is checked against FILTER_BOUND, and a larger
+one raises FilterBoundError instead of returning a certificate that rests
+on a broken bound.
 """
 from __future__ import annotations
 
@@ -35,6 +53,7 @@ CERT_TARGET = 1.6
 # 6.2e-16 on the grids the tests scan, so about 1600 times the worst seen.
 FILTER_BOUND = 1e-12
 BLOCK = 4096  # grid points per block of the float64 filter
+SUB = 512  # grid points per sub-block bounded from its ends; BLOCK and FILTER_SLICE are multiples
 # Grid points per float64 evaluation: 2 blocks, whose 64 KiB temporaries stay
 # in cache and below glibc's default 128 KiB mmap threshold.  With the default
 # heap thresholds a 1e-7 sweep took no minor page faults at 2 blocks, and 1.4k
@@ -152,6 +171,10 @@ def _curve_array(p: RatioParams, xs: np.ndarray, dtype=LD) -> np.ndarray:
     a quarter slower whenever the process had not raised glibc's heap trim
     threshold: freed temporaries were trimmed from the heap and faulted in
     again on every slice, 25k minor page faults in a 1e-7 sweep.
+
+    The sweep's end bounds rest on h = value * (1 - xi) being nonincreasing
+    in xi, so a test stand-in for this function must keep it so, as
+    ``np.ones`` does.
     """
     k, b1, b2, span_b2, span_b1, span, low, low_num, high, high_num, nu, one = _curve_constants(
         p, dtype
@@ -223,26 +246,62 @@ def _check_sweep_args(step: float, jobs: int) -> None:
 
 def _grid(p: RatioParams, step: float, lo: int, hi: int, dtype=LD) -> np.ndarray:
     """Grid points lo..hi-1 of the sweep in dtype, one-sided at xi = 1."""
-    idx = np.arange(lo, hi, dtype=np.int64)
+    return _grid_at(p, step, np.arange(lo, hi, dtype=np.int64), dtype)
+
+
+def _grid_at(p: RatioParams, step: float, idx: np.ndarray, dtype=LD) -> np.ndarray:
+    """The grid points of the int64 indices idx in dtype, as ``_grid`` computes them."""
     xs = dtype(p.kappa0) + idx.astype(dtype) * dtype(step)
     top_x = dtype(p.kappa) if p.kappa < 1.0 else dtype(1.0) - dtype(1e-12)
     return np.minimum(xs, top_x)
 
 
+def _end_bounds(p: RatioParams, step: float, lo: int, hi: int) -> tuple[np.ndarray, np.longdouble]:
+    """Float64 bound per sub-block of grid points lo..hi-1, and max(f - m) over their starts.
+
+    A sub-block runs from its first point x_a to the first point x_c of the
+    next one, a grid point at or past its own last point.  Its bound is the
+    larger of (h(x_a) + FILTER_BOUND) / (1 - x) at x = x_a and x = x_c,
+    rounded up to float64, with h from the longdouble value at x_a on the
+    grid ``_exact_block`` evaluates.
+    """
+    xs = _grid_at(p, step, np.arange(lo, hi + SUB, SUB, dtype=np.int64))
+    vals = _curve_array(p, xs[:-1])
+    gaps = np.subtract(LD(1.0), xs, out=xs)
+    lower = np.fmax.reduce(vals - LD(FILTER_BOUND) / gaps[:-1])  # NaN only if every value is
+    h = np.multiply(vals, gaps[:-1], out=vals)
+    np.add(h, LD(FILTER_BOUND), out=h)
+    bounds = np.maximum(h / gaps[:-1], np.divide(h, gaps[1:], out=h)).astype(np.float64)
+    return np.nextafter(bounds, np.inf, out=bounds), lower
+
+
 def _filter_chunk(args) -> tuple[float, np.ndarray]:
-    """Float64 pass over one chunk: max(f - m) over it and max(f + m) per block."""
+    """One chunk's lower bound on its maximum and an upper bound per block.
+
+    Each sub-block of SUB points is bounded from its ends first (see the
+    module docstring), and the chunk's lower bound starts at the largest
+    value at a sub-block start minus its margin m.  Float64 then runs over
+    each run of sub-blocks whose bound reaches that lower bound (NaN
+    included), FILTER_SLICE points at a time, and raises the lower bound to
+    max(f - m) over them.  A sub-block's upper bound is the smaller of its
+    end bound and its max(f + m), so NaN in either stays NaN; a block's is
+    the largest of its sub-blocks'.
+    """
     k0, k, b, step, lo, hi = args
     p = RatioParams(k0, k, b)
-    lower = -math.inf
-    uppers = []
-    for part_lo in range(lo, hi, FILTER_SLICE):
-        part_hi = min(part_lo + FILTER_SLICE, hi)
-        xs = _grid(p, step, part_lo, part_hi, np.float64)
-        vals = _curve_array(p, xs, np.float64)
-        margin = FILTER_BOUND / (1.0 - xs)
-        lower = np.fmax(lower, np.fmax.reduce(vals - margin))  # NaN only if every value is
-        uppers.append(np.maximum.reduceat(vals + margin, np.arange(0, part_hi - part_lo, BLOCK)))
-    return float(lower), np.concatenate(uppers)
+    uppers, lower = _end_bounds(p, step, lo, hi)
+    edges = np.flatnonzero(np.diff(~(uppers < lower), prepend=False, append=False))
+    per_slice = FILTER_SLICE // SUB
+    for run_lo, run_hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        for part_lo in range(run_lo, run_hi, per_slice):
+            part_hi = min(part_lo + per_slice, run_hi)
+            xs = _grid(p, step, lo + part_lo * SUB, min(lo + part_hi * SUB, hi), np.float64)
+            vals = _curve_array(p, xs, np.float64)
+            margin = FILTER_BOUND / (1.0 - xs)
+            lower = np.fmax(lower, np.fmax.reduce(vals - margin))
+            part = uppers[part_lo:part_hi]
+            np.minimum(part, np.maximum.reduceat(vals + margin, np.arange(0, len(xs), SUB)), out=part)
+    return float(lower), np.maximum.reduceat(uppers, np.arange(0, len(uppers), BLOCK // SUB))
 
 
 def _exact_block(p: RatioParams, step: float, lo: int, hi: int) -> tuple[np.longdouble, np.longdouble]:
@@ -270,8 +329,9 @@ def sweep_curve(
 
     The result equals a longdouble evaluation of every grid point reduced per
     chunk and across chunks, keeping the first maximum in xi order each time.
-    Blocks whose float64 upper bound lies below the float64 lower bound on the
-    maximum hold no point whose float value reaches it, so they are skipped.
+    Blocks whose upper bound from ``_filter_chunk`` lies below the largest
+    chunk lower bound hold no point whose longdouble value reaches the
+    maximum, so they are skipped.
     """
     _check_sweep_args(step, jobs)
     count = _grid_count(p, step)

@@ -46,6 +46,12 @@ def test_param_validation_rejects_non_finite(field, value):
         RatioParams(**kwargs)
 
 
+def test_degenerate_normalization_raises():
+    # span^(beta + 1) underflows to zero, so nu has no finite value
+    with pytest.raises(ValueError, match="normalization is not positive"):
+        RatioParams(0.5, 0.5 + 1e-9, 1000.0).nu
+
+
 @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
 def test_verify_bound_rejects_bad_step(step):
     with pytest.raises(ValueError, match="step must be finite and positive"):
@@ -94,6 +100,11 @@ def test_density_normalizes():
         lambda d: density(PAPER, float(d)), [PAPER.kappa0, PAPER.kappa]
     )
     assert abs(float(val) - 1.0) <= 1e-12
+
+
+def test_density_is_zero_outside_the_window():
+    assert density(PAPER, PAPER.kappa0 - 1e-3) == 0.0
+    assert density(PAPER, PAPER.kappa + 1e-3) == 0.0
 
 
 def test_nu_matches_integral_identity():
@@ -201,6 +212,23 @@ def test_verify_bound_fine_is_conclusive():
     assert abs(cert.argmax - 0.94817979) < 1e-4
 
 
+@pytest.mark.parametrize("step, grid_max, argmax, certified, points", [
+    (1e-7, 1.598622558152412, 0.94817975, 1.5996173603111328, 6_305_734),
+    (1e-8, 1.5986225581524323, 0.94817979, 1.5987220383683043, 63_057_325),
+])
+def test_paper_certificates_are_pinned(step, grid_max, argmax, certified, points):
+    cert = verify_bound(PAPER, step)
+    assert (cert.grid_max, cert.argmax, cert.certified, cert.points) == (
+        grid_max, argmax, certified, points
+    )
+    assert cert.conclusive
+
+
+def test_curve_value_at_one_needs_a_window_ending_at_one():
+    with pytest.raises(ValueError, match="outside the window"):
+        curve_value(PAPER, 1.0)
+
+
 def test_window_ending_at_one_stays_finite():
     # at kappa = 1 the curve has a removable point at xi = 1 (h vanishes);
     # the sweep must evaluate one-sided instead of dividing by zero
@@ -243,6 +271,18 @@ def _grid_index(p: RatioParams, step: float, xi: float) -> int:
     return i
 
 
+def _seeded_windows():
+    rng = random.Random(23)
+    seeded = []
+    for _ in range(12):
+        k0 = rng.uniform(0.0, 0.5)
+        k = 1.0 if rng.random() < 0.25 else rng.uniform(k0 + 0.2, 0.999)
+        p = RatioParams(k0, k, rng.uniform(0.3, 3.0))
+        step = 10 ** rng.uniform(-5.5, -4.0)
+        seeded.append((p, step, 1 << rng.randint(10, 20), rng.choice((1, 2))))
+    return seeded
+
+
 def _oracle_cases():
     fixed = [
         (PAPER, 1e-5, 1 << 10, 1),
@@ -258,15 +298,7 @@ def _oracle_cases():
         (RatioParams(0.2, 0.8, 0.5), 1e-5, 1 << 14, 1),
         (RatioParams(0.3, 0.95, 0.25), 1e-5, 1 << 11, 2),
     ]
-    rng = random.Random(23)
-    seeded = []
-    for _ in range(12):
-        k0 = rng.uniform(0.0, 0.5)
-        k = 1.0 if rng.random() < 0.25 else rng.uniform(k0 + 0.2, 0.999)
-        p = RatioParams(k0, k, rng.uniform(0.3, 3.0))
-        step = 10 ** rng.uniform(-5.5, -4.0)
-        seeded.append((p, step, 1 << rng.randint(10, 20), rng.choice((1, 2))))
-    return fixed + seeded
+    return fixed + _seeded_windows()
 
 
 @pytest.mark.parametrize("p, step, chunk, jobs", _oracle_cases())
@@ -299,10 +331,26 @@ def test_sweep_plateau_keeps_first_maximum(chunk, monkeypatch):
     assert sweep_curve(PAPER, 1e-5, chunk=chunk) == want
 
 
+def test_sweep_later_chunk_beats_an_earlier_maximum(monkeypatch):
+    # c = 1 up to a chunk edge and 1 + 1e-13 from it keeps h = c (1 - xi)
+    # nonincreasing; the first chunk's maximum survives the filter and the
+    # second chunk's larger one replaces it
+    step, chunk = 1e-5, 3 * 4096
+    edge = PAPER.kappa0 + (chunk - 0.5) * step
+    monkeypatch.setattr(
+        ratiocheck,
+        "_curve_array",
+        lambda p, xs, dtype=LD: np.where(xs > edge, dtype(1.0 + 1e-13), dtype(1.0)),
+    )
+    want = _sweep_oracle(PAPER, step, chunk)
+    assert want == (1.0 + 1e-13, float(_grid(PAPER, step, chunk, chunk + 1)[0]))
+    assert sweep_curve(PAPER, step, chunk=chunk) == want
+
+
 @pytest.mark.parametrize("p", [PAPER, RatioParams(0.1, 1.0, 0.5), RatioParams(0.3, 0.95, 0.25)])
 def test_filter_brackets_longdouble_values(p):
-    # max(f - m) is a lower bound on the chunk maximum, and max(f + m) an
-    # upper bound on every longdouble value of its block
+    # the chunk's lower bound is at most its longdouble maximum, and each
+    # block's upper bound at least every longdouble value of the block
     step = 1e-5
     count = _grid_count(p, step)
     for lo in range(0, count, 1 << 14):
@@ -314,6 +362,74 @@ def test_filter_brackets_longdouble_values(p):
         for j, upper in enumerate(uppers):
             block = exact[j * ratiocheck.BLOCK:(j + 1) * ratiocheck.BLOCK]
             assert upper >= block.max()
+
+
+_BOUND_CASES = [
+    (PAPER, 1e-5, 1 << 20),  # one chunk ending in a partial sub-block
+    (PAPER, 3e-6, 3 * 4096 + 5),  # chunk edges off the sub-block grid
+    (PAPER, 1e-5, 1000),  # every chunk shorter than a sub-block
+    (RatioParams(0.38, 1.0, 2.0), 1e-5, 1 << 20),  # kappa = 1: the top point is clamped
+    (RatioParams(0.1, 1.0, 0.5), 2e-5, 5000),
+] + [(p, step, chunk) for p, step, chunk, _ in _seeded_windows()]
+
+
+@pytest.mark.parametrize("p, step, chunk", _BOUND_CASES)
+def test_sub_block_bounds_cover_longdouble_values(p, step, chunk):
+    # each sub-block's end bound is at least every longdouble value in it, and
+    # the chunk's seed lower bound at most the chunk's longdouble maximum
+    count = _grid_count(p, step)
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
+        bounds, lower = ratiocheck._end_bounds(p, step, lo, hi)
+        exact = _curve_array(p, _grid(p, step, lo, hi))
+        sub_max = np.maximum.reduceat(exact, np.arange(0, hi - lo, ratiocheck.SUB))
+        assert len(bounds) == len(sub_max)
+        assert np.all(bounds >= sub_max)
+        assert lower <= exact.max()
+
+
+def test_h_nonincreasing_along_the_grid():
+    # the end bounds rest on h = c (1 - xi) being nonincreasing on the window
+    rng = random.Random(29)
+    worst = -math.inf
+    for _ in range(200):
+        k0 = rng.uniform(0.0, 0.5)
+        k = 1.0 if rng.random() < 0.25 else rng.uniform(k0 + 0.2, 0.999)
+        p = RatioParams(k0, k, rng.uniform(0.3, 3.0))
+        step = p.span / rng.randint(500, 2000)
+        xs = _grid(p, step, 0, _grid_count(p, step))
+        h = _curve_array(p, xs) * (LD(1.0) - xs)
+        worst = max(worst, np.diff(h).max())
+    assert worst <= 0.0
+
+
+def test_nan_at_a_sub_block_start_keeps_it_live_and_raises(monkeypatch):
+    # a NaN longdouble value at a sub-block start far below the maximum makes
+    # that sub-block's bound NaN: float64 still runs over it, its block's
+    # upper bound is NaN, and the block evaluated again must raise
+    step = 1e-5
+    count = _grid_count(PAPER, step)
+    i = 2 * ratiocheck.SUB
+    target = _grid(PAPER, step, i, i + 1)[0]
+    real = ratiocheck._curve_array
+    float64_points = []
+
+    def corrupted(p, xs, dtype=LD):
+        vals = real(p, xs, dtype)
+        if dtype is LD:
+            vals = np.where(xs == target, LD(math.nan), vals)
+        else:
+            float64_points.append(xs)
+        return vals
+
+    monkeypatch.setattr(ratiocheck, "_curve_array", corrupted)
+    bounds, _ = ratiocheck._end_bounds(PAPER, step, 0, count)
+    assert np.flatnonzero(np.isnan(bounds)).tolist() == [2]
+    _, uppers = ratiocheck._filter_chunk((PAPER.kappa0, PAPER.kappa, PAPER.beta, step, 0, count))
+    assert np.isnan(uppers[i // ratiocheck.BLOCK])
+    assert _grid(PAPER, step, i, i + 1, np.float64)[0] in np.concatenate(float64_points)
+    with pytest.raises(FilterBoundError, match=re.escape(f"at xi {float(target)!r}:")):
+        verify_bound(PAPER, step)
 
 
 @pytest.mark.parametrize("p", [
@@ -339,19 +455,20 @@ def test_float64_error_within_filter_bound(p):
 
 @pytest.mark.parametrize("where, delta", [("max", 1e-6), ("max", -1e-6), ("low", math.nan)])
 def test_wrong_float64_value_trips_filter_check(where, delta, monkeypatch):
-    # a float64 value off by more than the bound, at the maximum or (NaN) far
-    # from it, lies in a block evaluated again and must raise, naming xi
+    # a float64 value off by more than the bound at the maximum, or a NaN far
+    # from it at a sub-block start, where the sweep evaluates it in every
+    # dtype, lies in a block evaluated again and must raise, naming xi
     step = 1e-5
     _, arg = _sweep_oracle(PAPER, step)
-    i = _grid_index(PAPER, step, arg) if where == "max" else 10
+    i = _grid_index(PAPER, step, arg) if where == "max" else 2 * ratiocheck.SUB
     xi = float(_grid(PAPER, step, i, i + 1)[0])
-    target = _grid(PAPER, step, i, i + 1, np.float64)[0]
+    targets = {dtype: _grid(PAPER, step, i, i + 1, dtype)[0] for dtype in (LD, np.float64)}
     real = ratiocheck._curve_array
 
     def corrupted(p, xs, dtype=LD):
         vals = real(p, xs, dtype)
-        if dtype is np.float64:
-            vals = np.where(xs == target, vals + delta, vals)
+        if dtype is np.float64 or where == "low":
+            vals = np.where(xs == targets[dtype], vals + delta, vals)
         return vals
 
     monkeypatch.setattr(ratiocheck, "_curve_array", corrupted)
