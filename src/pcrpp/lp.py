@@ -176,19 +176,23 @@ class HighsBackend:
     ``decompose_by_lp`` oracle (``tests/oracles.py``).
 
     The model goes in through the array overload of ``_Highs.passModel``,
-    which reads the numpy arrays directly (int32 for the column starts and
-    row indices); no Python list or ``HighsLp`` is built.  That overload
-    requires an integrality array of length ncols, all zeros (continuous)
-    here: an empty one makes it fail.  A malformed model raises ``LpError``
-    before HiGHS sees it, and so does a ``passModel`` status other than OK
-    (HiGHS warns when it changes the model, for example by dropping a
-    matrix value below 1e-9).
+    which reads the numpy arrays directly; no Python list or ``HighsLp`` is
+    built.  That overload requires an integrality array of length ncols, all
+    zeros (continuous) here: an empty one makes it fail.  A malformed model
+    raises ``LpError`` before HiGHS sees it, and so does a ``passModel``
+    status other than OK (HiGHS warns when it changes the model, for example
+    by dropping a matrix value below 1e-9).
+
+    The handoff contract: the column starts and row indices arrive as int32,
+    built so at the source by ``_master_model``, and reach ``passModel`` as
+    they are, without a second copy.  Other integer dtypes, from direct
+    callers, are checked first and converted after.  Float64 arrays pass
+    uncopied.  While HiGHS runs, the caller holds nothing but the master.
 
     Each call uses a fresh HiGHS instance that is dropped when it returns.
     One instance kept for a whole ``lp-ladder`` pass raised ``peak_rss_mb``
-    from 124.7 to 144-150 MB, and clearing its solver and model after each
-    solve still left a replay of the recorded masters at 121.5-122.4 MB
-    against 102.9 MB with fresh instances.
+    from 113.7-114.6 to 137.2-140.2 MB, and clearing its solver and model
+    after each solve still left it at 139.1-139.6 MB.
     """
 
     def solve(self, cost, col_upper, row_lower, row_upper, indptr, indices, values) -> BackendResult:
@@ -197,13 +201,13 @@ class HighsBackend:
         )
         indptr, indices = np.asarray(indptr), np.asarray(indices)
         _check_model(cost, col_upper, row_lower, row_upper, indptr, indices, values)
+        indptr, indices = indptr.astype(np.int32, copy=False), indices.astype(np.int32, copy=False)
         ncols, nrows = len(cost), len(row_lower)
         highs = _core._Highs()
         highs.passOptions(HIGHS_OPTIONS)
         passed = highs.passModel(
             ncols, nrows, len(values), _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize, 0.0,
-            cost, np.zeros(ncols), col_upper, row_lower, row_upper,
-            np.asarray(indptr, dtype=np.int32), np.asarray(indices, dtype=np.int32), values,
+            cost, np.zeros(ncols), col_upper, row_lower, row_upper, indptr, indices, values,
             np.zeros(ncols, dtype=np.int32),
         )
         if passed != _core.HighsStatus.kOk:
@@ -460,13 +464,29 @@ def solve_pcrpp_lp(
 def _solve_master(pg, backend, cols, crossing, cuts, y_vertices):
     """Solve the master over the active columns ``cols`` and the recorded cuts.
 
+    The handoff: ``_master_model`` returns the master alone, so its
+    assembly's intermediates are freed before ``backend.solve`` starts and
+    only the master's arrays are alive here while HiGHS runs.  Its column
+    starts and row indices are int32 from the start, which the backend
+    passes on without a copy.  Returns the x and y values, the degree duals
+    by vertex (0 at the root), the root-degree dual and the cut duals in
+    recorded order.
+    """
+    res = backend.solve(*_master_model(pg, cols, crossing, cuts, y_vertices))
+    nx, deg0 = len(cols), 1 + len(cuts)
+    mu = np.zeros(pg.pairs.vertex_count)
+    mu[y_vertices] = res.row_duals[deg0:deg0 + len(y_vertices)]
+    return res.x[:nx], res.x[nx:], mu, res.row_duals[0], res.row_duals[1:deg0]
+
+
+def _master_model(pg, cols, crossing, cuts, y_vertices):
+    """The master as ``HighsBackend.solve`` takes it: cost, bounds and int32 CSC arrays.
+
     Columns are ``cols`` then ``y_vertices``.  Rows are root degree at most
     2, one row 2 y_w - x(delta(S)) <= 0 per cut, the degree rows
     x(delta(v)) - 2 y_v = 0, then y_a = x_ab = y_b as two rows per positive
     column: linprog's A_ub over A_eq, an order on which HiGHS's choice among
-    optimal vertices depends.  Returns the x and y values, the degree duals by
-    vertex (0 at the root), the root-degree dual and the cut duals in
-    recorded order.
+    optimal vertices depends.
     """
     root, pairs = pg.root, pg.pairs
     nx, ny, ncuts = len(cols), len(y_vertices), len(cuts)
@@ -495,12 +515,12 @@ def _solve_master(pg, backend, cols, crossing, cuts, y_vertices):
         (nx + yidx[np.column_stack([u[pos_cols], v[pos_cols]]).ravel()], cpl_rows, 1.0),
     )
     col = np.concatenate([c for c, _, _ in blocks])
-    row = np.concatenate([r for _, r, _ in blocks])
+    row = np.concatenate([r for _, r, _ in blocks], dtype=np.int32)
     val = np.concatenate([np.full(len(c), a) for c, _, a in blocks])
     # Each (column, row) occurs once.  Most blocks are already sorted runs
     # of this key, which the stable sort merges in linear time.
     order = np.argsort(col * nrows + row, kind="stable")
-    indptr = np.zeros(nx + ny + 1, dtype=np.intp)
+    indptr = np.zeros(nx + ny + 1, dtype=np.int32)
     np.cumsum(np.bincount(col, minlength=nx + ny), out=indptr[1:])
 
     cost = np.zeros(nx + ny)
@@ -510,11 +530,7 @@ def _solve_master(pg, backend, cols, crossing, cuts, y_vertices):
     row_lower[:deg0] = -np.inf
     row_upper = np.zeros(nrows)
     row_upper[0] = 2.0
-
-    res = backend.solve(cost, col_upper, row_lower, row_upper, indptr, row[order], val[order])
-    mu = np.zeros(pairs.vertex_count)
-    mu[y_vertices] = res.row_duals[deg0:cpl0]
-    return res.x[:nx], res.x[nx:], mu, res.row_duals[0], res.row_duals[1:deg0]
+    return cost, col_upper, row_lower, row_upper, indptr, row[order], val[order]
 
 
 def _price_variables(pairs, active, crossing, mu, rho, cut_duals, tol):

@@ -221,15 +221,14 @@ def restore(pg: PreprocessedGraph, selected: Counter) -> Counter:
 
     Positive edges return to their originating edges, zero-profit edges
     expand along their shortest paths, and copies merge back via ``copy_map``;
-    tether steps collapse to nothing.  The total length is preserved exactly,
-    which is asserted.
+    tether steps collapse to nothing.  Multiplicities are positive (callers
+    pass ``Counter(core)``).  The total length is preserved exactly, which
+    is asserted.
     """
     copy_map = pg.copied.copy_map
     counts: Counter = Counter()
     expect = 0.0
     for key, mult in selected.items():
-        if mult <= 0:
-            continue
         if key not in pg.lengths:
             raise ValueError(f"edge {key} is not in the preprocessed graph")
         expect += mult * pg.lengths[key]

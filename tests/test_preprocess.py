@@ -1,9 +1,10 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from pcrpp.core import Edge, Instance, ekey, parse_instance
-from pcrpp.preprocess import copy_vertices, preprocess, restore
+from pcrpp.preprocess import CopiedGraph, complete, copy_vertices, preprocess, restore
 from conftest import random_suite
 
 
@@ -119,6 +120,32 @@ def test_restore_rejects_a_key_outside_the_graph(single_pos):
     pg = preprocess(single_pos)
     with pytest.raises(ValueError, match="not in the preprocessed graph"):
         restore(pg, Counter({(0, pg.vertex_count): 1}))
+
+
+def _path_graph(*profits: float) -> CopiedGraph:
+    """The path 0-1-...-k of unit edges with the given profits, copied by hand (no tethers)."""
+    edges = tuple(Edge(i, i + 1, 1.0, p) for i, p in enumerate(profits))
+    n = len(profits) + 1
+    return CopiedGraph(n, 0, edges, {v: v for v in range(n)})
+
+
+def test_complete_rejects_a_positive_edge_at_the_root():
+    with pytest.raises(AssertionError, match="^root incident to a positive edge$"):
+        complete(_path_graph(2.0, 0.0))
+
+
+def test_complete_rejects_a_vertex_on_two_positive_edges():
+    with pytest.raises(AssertionError, match="^vertex incident to two positive edges$"):
+        complete(_path_graph(0.0, 2.0, 3.0))
+
+
+def test_restore_rejects_lengths_its_paths_do_not_add_up_to():
+    # the pair (0, 2) claims length 5 but stands for the path 0-1-2 of length 2
+    pg = complete(_path_graph(0.0, 0.0))
+    wrong = replace(pg, lengths={**pg.lengths, (0, 2): 5.0})
+    assert restore(pg, Counter({(0, 2): 1})) == {(0, 1): 1, (1, 2): 1}
+    with pytest.raises(AssertionError, match="^restoration length 2.0 != selected length 5.0$"):
+        restore(wrong, Counter({(0, 2): 1}))
 
 
 def test_restore_tether_plus_positive(single_pos):

@@ -25,7 +25,14 @@ A call that raises is recorded as ``"Type: message"``.  Floats are written
 with ``repr``, dicts with sorted keys and cut sides as sorted lists, so two
 runs agree byte for byte exactly when every output agrees bit for bit.
 Compare two source trees by running this script in each and comparing the
-files with ``cmp``.
+files with ``cmp``, or report what moved between two such files:
+
+    python3 tools/bitcheck.py --diff OLD.json NEW.json
+
+prints each instance whose ``best_of_many`` value or lower bound moved, as
+``old -> new``, then how many instances differ in their walk, their cuts,
+their split operations, their stage trees and in any other output.  It
+exits with 1 when anything differs and 0 when the files agree.
 """
 from __future__ import annotations
 
@@ -121,10 +128,74 @@ def record(inst) -> dict:
     }
 
 
+def _field(out, key: str):
+    """``out[key]`` of one output section; a failed call stands as its error text."""
+    return out[key] if isinstance(out, dict) else out
+
+
+# (name, section of a record, key in it) of each output the diff counts
+COUNTED = (
+    ("walks", "best_of_many", "walk"),
+    ("cuts", "lp", "cuts"),
+    ("split operations", "split", "ops"),
+    ("stage trees", "split", "stages"),
+)
+MOVED = ("value", "lower_bound")  # the best_of_many fields printed per instance
+
+
+def _rest(rec: dict) -> dict:
+    """The record without the outputs that the diff prints or counts."""
+    drop = {"best_of_many": MOVED}
+    for _, section, key in COUNTED:
+        drop[section] = drop.get(section, ()) + (key,)
+    return {
+        section: {k: v for k, v in out.items() if k not in drop.get(section, ())}
+        if isinstance(out, dict) else out
+        for section, out in rec.items()
+    }
+
+
+def diff(old: dict, new: dict) -> list[str]:
+    """Report lines for two ``record`` tables keyed by instance label."""
+    lines = [f"{label}: only in the old file" for label in sorted(old.keys() - new.keys())]
+    lines += [f"{label}: only in the new file" for label in sorted(new.keys() - old.keys())]
+    common = sorted(old.keys() & new.keys())
+    moved = 0
+    for label in common:
+        a, b = old[label]["best_of_many"], new[label]["best_of_many"]
+        changes = [
+            f"{key} {_field(a, key)!r} -> {_field(b, key)!r}"
+            for key in MOVED
+            if _field(a, key) != _field(b, key)
+        ]
+        if changes:
+            moved += 1
+            lines.append(f"{label}: " + ", ".join(changes))
+    lines.append(f"{len(common)} instances in both files, value or lower bound moved on {moved}")
+    for name, section, key in COUNTED:
+        count = sum(
+            _field(old[label][section], key) != _field(new[label][section], key)
+            for label in common
+        )
+        lines.append(f"{name} differ on {count} instances")
+    rest = sum(_rest(old[label]) != _rest(new[label]) for label in common)
+    lines.append(f"any other output differs on {rest} instances")
+    return lines
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: python3 tools/bitcheck.py OUT.json", file=sys.stderr)
+    if len(args) == 3 and args[0] == "--diff":
+        old, new = (json.loads(Path(a).read_text()) for a in args[1:])
+        lines = diff(old, new)
+        print("\n".join(lines))
+        return int(old != new)
+    if len(args) != 1 or args[0].startswith("--"):
+        print(
+            "usage: python3 tools/bitcheck.py OUT.json\n"
+            "       python3 tools/bitcheck.py --diff OLD.json NEW.json",
+            file=sys.stderr,
+        )
         return 2
     out = {label: record(inst) for label, inst in instances()}
     text = json.dumps(out, sort_keys=True, indent=1)
