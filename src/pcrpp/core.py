@@ -115,19 +115,18 @@ def endpoints(pairs) -> frozenset:
     return frozenset(v for pair in pairs for v in pair)
 
 
-def bfs(adj, start: int, arc_ok=None) -> dict[int, int | None]:
+def bfs(adj, start: int) -> dict[int, int | None]:
     """Breadth-first predecessor map from the start; its keys are the reached set.
 
     ``adj[v]`` iterates the neighbours of v, and a vertex missing from ``adj``
-    has none.  With ``arc_ok`` given, the arc v -> u is followed only when
-    ``arc_ok(v, u)`` holds.
+    has none.
     """
     pred: dict[int, int | None] = {start: None}
     queue = deque([start])
     while queue:
         v = queue.popleft()
         for u in adj.get(v, ()):
-            if u not in pred and (arc_ok is None or arc_ok(v, u)):
+            if u not in pred:
                 pred[u] = v
                 queue.append(u)
     return pred

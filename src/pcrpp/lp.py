@@ -10,7 +10,9 @@ private bindings (``scipy.optimize._highspy._core``, verified with scipy 1.17
 and HiGHS 1.12); it hands HiGHS the same model and options that
 ``scipy.optimize.linprog(method="highs")`` would, as numpy arrays through the
 array overload of ``_Highs.passModel``.  ``linprog`` itself is used only in
-the tests, as the reference.
+the tests, as the reference.  ``write_lp_text`` prints that same master, over
+every pair with the recorded cuts and with the positive edges' profit sum as
+its objective constant, as CPLEX LP text.
 
 The bindings are loaded from their file, without running
 ``scipy/optimize/__init__.py``: that file imports all of ``scipy.optimize``,
@@ -385,18 +387,14 @@ def _solution_dicts(pg, cols, x_vals, y_vals, y_vertices):
     return x, y
 
 
-def canonicalize(pg: PreprocessedGraph, x, y, snap: float = SNAP_TOL):
-    """Snap near-integral values and make coupled triples exactly equal."""
-    for k, val in x.items():
-        if abs(val) <= snap:
-            x[k] = 0.0
-        elif abs(val - 1.0) <= snap:
-            x[k] = 1.0
-    for v, val in y.items():
-        if abs(val) <= snap:
-            y[v] = 0.0
-        elif abs(val - 1.0) <= snap:
-            y[v] = 1.0
+def canonicalize(pg: PreprocessedGraph, x, y):
+    """Snap values within ``SNAP_TOL`` of 0 or 1 and make coupled triples exactly equal."""
+    for table in (x, y):
+        for k, val in table.items():
+            if abs(val) <= SNAP_TOL:
+                table[k] = 0.0
+            elif abs(val - 1.0) <= SNAP_TOL:
+                table[k] = 1.0
     for u, v in pg.pos_edges:
         val = x[(u, v)]
         y[u] = val
@@ -550,36 +548,35 @@ def _price_variables(pairs, active, crossing, mu, rho, cut_duals, tol):
 
 
 def write_lp_text(pg: PreprocessedGraph, cert: CutCertificate) -> str:
-    """Full model with the recorded cuts in CPLEX LP text format (debug aid)."""
+    """The master over every pair with the recorded cuts, in CPLEX LP text format (debug aid).
 
-    def xname(key):
-        return f"x_{key[0]}_{key[1]}"
-
-    terms = [f"{pg.lengths[k] - pg.profits[k]:+.12g} {xname(k)}" for k in pg.lengths]
-    lines = ["Minimize", " obj: " + " ".join(terms), "Subject To"]
-    root = pg.root
-    for v in range(pg.vertex_count):
-        if v == root:
-            continue
-        body = " + ".join(xname(ekey(v, u)) for u in range(pg.vertex_count) if u != v)
-        lines.append(f" deg_{v}: {body} - 2 y_{v} = 0")
-    body = " + ".join(xname(ekey(root, u)) for u in range(pg.vertex_count) if u != root)
-    lines.append(f" root: {body} <= 2")
-    for u, v in sorted(pg.pos_edges):
-        lines.append(f" cpl_{u}_{v}_a: y_{u} - {xname((u, v))} = 0")
-        lines.append(f" cpl_{u}_{v}_b: y_{v} - {xname((u, v))} = 0")
-    names = [xname(k) for k in pg.lengths]
-    for i, (side, wit, _) in enumerate(cert.cuts):
-        body = " + ".join(compress(names, pg.pairs.crossing(side).tolist()))
-        lines.append(f" cut_{i}: {body} - 2 y_{wit} >= 0")
+    ``_master_model``'s arrays printed as they are, rows in the master's
+    order with their entries in column order and the sense read off the row
+    bounds.  The positive edges' profit sum is the objective constant, so
+    the dump's optimum is the run's lower bound.  Numbers round-trip exactly.
+    """
+    pairs, ncuts = pg.pairs, len(cert.cuts)
+    y_vertices = [v for v in range(pg.vertex_count) if v != pg.root]
+    crossing = np.array([pairs.crossing(side) for side, _, _ in cert.cuts], dtype=bool)
+    cost, col_upper, row_lower, row_upper, indptr, indices, values = _master_model(
+        pg, np.arange(len(pairs.u)), crossing.reshape(ncuts, len(pairs.u)), cert.cuts, y_vertices
+    )
+    cols = [f"x_{u}_{v}" for u, v in pg.lengths] + [f"y_{v}" for v in y_vertices]
+    rows = ["root"] + [f"cut_{i}" for i in range(ncuts)] + [f"deg_{v}" for v in y_vertices]
+    rows += [f"cpl_{u}_{v}_{s}" for u, v in pairs.keys(pairs.positive) for s in "ab"]
+    # the CSC entries in column order, bucketed by row: a stable sort by row
+    terms = [[] for _ in rows]
+    entry_cols = np.repeat(np.arange(len(cols)), np.diff(indptr)).tolist()
+    for i, a, j in zip(indices.tolist(), values.tolist(), entry_cols):
+        terms[i].append(f"{a:+} {cols[j]}")
+    objective = " ".join(f"{c:+} {name}" for c, name in zip(cost.tolist(), cols))
+    constant = float(pairs.profits[pairs.positive].sum())
+    lines = ["Minimize", f" obj: {objective} {constant:+}", "Subject To"]
+    for name, body, lo, hi in zip(rows, terms, row_lower.tolist(), row_upper.tolist()):
+        sense = f"= {hi}" if lo == hi else f"<= {hi}" if lo == -math.inf else f">= {lo}"
+        lines.append(f" {name}: {' '.join(body)} {sense}")
     lines.append("Bounds")
-    for k in pg.lengths:
-        if k in pg.pos_edges:
-            lines.append(f" 0 <= {xname(k)} <= 1")
-        else:
-            lines.append(f" 0 <= {xname(k)}")
-    for v in range(pg.vertex_count):
-        if v != root:
-            lines.append(f" 0 <= y_{v} <= 1")
+    for name, ub in zip(cols, col_upper.tolist()):
+        lines.append(f" 0 <= {name} <= {ub}" if ub < math.inf else f" 0 <= {name}")
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -31,6 +31,7 @@ RATIO_BOUND = 1.6
 VALUE_TIE = 1e-12
 ORACLE_CAP = 12  # most edges exact_oracle enumerates: 3**12 traversal vectors
 PCTSP_CAP = 12  # most representatives pctsp_solve_exact takes: 2**12 subsets
+STAGE_TOL = 1e-6  # slack of the stage checks on tree weights, marginals and length
 
 
 class CheckError(AssertionError):
@@ -159,18 +160,18 @@ class SolveRun:
         return Solution(best.walk, best.value, lower_bound=self.sol.objective, stats=stats)
 
 
-def _check_stage(ghat, xt, yt, pg, delta, tol=1e-6):
-    """Raise CheckError unless the stage's trees reproduce (xt, yt) within ``tol``."""
-    where = f"at stage {delta} (tolerance {tol})"
+def _check_stage(ghat, xt, yt, pg, delta):
+    """Raise CheckError unless the stage's trees reproduce (xt, yt) within ``STAGE_TOL``."""
+    where = f"at stage {delta} (tolerance {STAGE_TOL})"
     total = ghat.total_weight
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > STAGE_TOL:
         raise CheckError(
             f"tree weight check failed {where}: weights sum to {total}, off by {total - 1.0}"
         )
     edge_marg = ghat.edge_marginals()
     for key in pg.pos_edges:
         want, got = xt.get(key, 0.0), edge_marg.get(key, 0.0)
-        if abs(got - want) > tol:
+        if abs(got - want) > STAGE_TOL:
             raise CheckError(
                 f"edge marginal check failed {where}: {got} on positive edge {key} against x {want},"
                 f" off by {got - want}"
@@ -180,14 +181,14 @@ def _check_stage(ghat, xt, yt, pg, delta, tol=1e-6):
         if v == pg.root:
             continue
         got = vert_marg.get(v, 0.0)
-        if abs(got - want) > tol:
+        if abs(got - want) > STAGE_TOL:
             raise CheckError(
                 f"vertex marginal check failed {where}: {got} at vertex {v} against y {want},"
                 f" off by {got - want}"
             )
     expect = ghat.expected_length(lambda k: pg.lengths[k])
     budget = sum(pg.lengths[k] * val for k, val in xt.items())
-    if expect > budget + tol:
+    if expect > budget + STAGE_TOL:
         raise CheckError(
             f"tree length check failed {where}: expected length {expect} exceeds the vector"
             f" length {budget} by {expect - budget}"

@@ -205,7 +205,7 @@ def split_every_vertex(x, e0: float, y: dict[int, float], root: int, copy: int):
         states.append((dict(x), e0))
     residue = sum(abs(val) for val in x.values())
     if residue > 1e-6:
-        raise SplitError(f"residual mass {residue} left after splitting every vertex")
+        raise SplitError(f"residual mass {residue} on {sorted(x)} after splitting every vertex")
     return tuple(ops), tuple(groups), states
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from pcrpp.core import bfs, ekey, pair_lookup
+from pcrpp.core import ekey, pair_lookup
 from pcrpp.lp import LpSolution, capacity_adjacency, max_flow_min_cut, separate_cuts
 from pcrpp.preprocess import PreprocessedGraph
 from pcrpp.splitoff import SplitOp, SplitRecorder
@@ -38,8 +38,8 @@ def _residual(capacities: dict[tuple[int, int], float]) -> dict[int, dict[int, f
     return adj
 
 
-def _augment(res: dict[int, dict[int, float]], s: int, t: int) -> float:
-    """One BFS augmentation; returns the pushed amount (0 when t unreachable)."""
+def _reach(res: dict[int, dict[int, float]], s: int, t=None) -> dict[int, int]:
+    """BFS predecessors over arcs with residual above 1e-12, stopping once t is reached."""
     pred = {s: s}
     queue = deque([s])
     while queue and t not in pred:
@@ -48,6 +48,12 @@ def _augment(res: dict[int, dict[int, float]], s: int, t: int) -> float:
             if u not in pred and res[v][u] > 1e-12:
                 pred[u] = v
                 queue.append(u)
+    return pred
+
+
+def _augment(res: dict[int, dict[int, float]], s: int, t: int) -> float:
+    """One BFS augmentation; returns the pushed amount (0 when t unreachable)."""
+    pred = _reach(res, s, t)
     if t not in pred:
         return 0.0
     path = [t]
@@ -76,8 +82,7 @@ def max_flow_by_dict(
         if push <= 0.0:
             break
         value += push
-    side = bfs(res, s, lambda a, b: res[a][b] > 1e-12)
-    return value, frozenset(side)
+    return value, frozenset(_reach(res, s))
 
 
 def cut_at_least_by_dict(

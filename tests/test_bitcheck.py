@@ -18,10 +18,12 @@ def bitcheck(monkeypatch):
     return module
 
 
-def _record(value=3.0, bound=2.5, walk=(0, 1, 0), cuts=(), ops=(), stages=(), oracle=3.0):
+def _record(
+    value=3.0, bound=2.5, walk=(0, 1, 0), cuts=(), ops=(), stages=(), oracle=3.0, lp_text="0"
+):
     return {
         "best_of_many": {"value": value, "lower_bound": bound, "walk": list(walk), "stats": {}},
-        "lp": {"x": [], "y": [], "objective": 2.5, "cuts": list(cuts), "lp_text_sha256": "0"},
+        "lp": {"x": [], "y": [], "objective": 2.5, "cuts": list(cuts), "lp_text_sha256": lp_text},
         "split": {"ops": list(ops), "groups": [], "chord": 0.0, "stages": list(stages)},
         "pctsp_reduction": 3.0,
         "exact_oracle": oracle,
@@ -39,6 +41,7 @@ def test_diff_of_equal_files_reports_nothing_moved(bitcheck, tmp_path, capsys):
         "cuts differ on 0 instances",
         "split operations differ on 0 instances",
         "stage trees differ on 0 instances",
+        "LP dumps differ on 0 instances",
         "any other output differs on 0 instances",
     ]
 
@@ -70,5 +73,23 @@ def test_diff_lists_moved_values_and_counts_the_rest(bitcheck):
         "cuts differ on 1 instances",
         "split operations differ on 1 instances",
         "stage trees differ on 1 instances",
+        "LP dumps differ on 0 instances",
         "any other output differs on 2 instances",
+    ]
+
+
+def test_diff_counts_a_changed_lp_dump_on_its_own(bitcheck, tmp_path, capsys):
+    # a new dump format moves only the dump hash: no value, nor any other output
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, lp_text in zip(paths, ("0", "1")):
+        path.write_text(json.dumps({"a": _record(), "b": _record(lp_text=lp_text)}))
+    assert bitcheck.main(["--diff", *map(str, paths)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "2 instances in both files, value or lower bound moved on 0",
+        "walks differ on 0 instances",
+        "cuts differ on 0 instances",
+        "split operations differ on 0 instances",
+        "stage trees differ on 0 instances",
+        "LP dumps differ on 1 instances",
+        "any other output differs on 0 instances",
     ]

@@ -333,7 +333,8 @@ def test_lp_text_dump(barrier):
     assert text.startswith("Minimize")
     assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
 
-    # one cut row per recorded cut, listing exactly the pairs across its side
+    # one cut row per recorded cut in the master's sign convention:
+    # -1 on exactly the pairs across its side, +2 on the witness, <= 0
     frac = preprocess(FRACTIONAL_INSTANCES[0])
     _, cert = solve_pcrpp_lp(frac)
     rows = [
@@ -342,26 +343,27 @@ def test_lp_text_dump(barrier):
     assert cert.cuts and len(rows) == len(cert.cuts)
     n = frac.vertex_count
     for i, ((side, wit, _), line) in enumerate(zip(cert.cuts, rows)):
-        body = " + ".join(
-            f"x_{u}_{v}"
+        body = " ".join(
+            f"-1.0 x_{u}_{v}"
             for u in range(n)
             for v in range(u + 1, n)
             if (u in side) != (v in side)
         )
-        assert line == f" cut_{i}: {body} - 2 y_{wit} >= 0"
+        assert line == f" cut_{i}: {body} +2.0 y_{wit} <= 0.0"
 
 
 DUMP_INSTANCES = (
     [parse_instance(barrier_text(0.1), name="barrier")]
     + list(FRACTIONAL_INSTANCES)
     + random_suite(6, base_seed=4200)
+    + [gen_random(0, 12, 24)]
 )
 
 
 @pytest.mark.parametrize("inst", DUMP_INSTANCES, ids=[f"{i}-{x.name}" for i, x in enumerate(DUMP_INSTANCES)])
 def test_lp_dump_is_the_solved_model(inst, tmp_path):
-    # HiGHS reads the dump back; with the recorded cuts it is the relaxation
-    # that was solved, up to the constant profit sum of the positive edges
+    # HiGHS reads the dump back; with the recorded cuts and the constant
+    # profit sum of the positive edges it is the relaxation that was solved
     pg = preprocess(inst)
     sol, cert = solve_pcrpp_lp(pg)
     path = tmp_path / "model.lp"
@@ -372,8 +374,7 @@ def test_lp_dump_is_the_solved_model(inst, tmp_path):
     highs.run()
     assert highs.getModelStatus() == lp._core.HighsModelStatus.kOptimal
     objective = highs.getInfo().objective_function_value
-    total = objective + sum(pg.profits[k] for k in pg.pos_edges)
-    assert abs(total - sol.objective) <= 1e-7 * max(1.0, abs(objective))
+    assert abs(objective - sol.objective) <= 1e-7 * max(1.0, abs(sol.objective))
 
 
 def _price_oracle(pg, active, sides, mu, rho, cut_duals, tol):

@@ -19,6 +19,7 @@ from pcrpp.splitoff import (
     SplitOp,
     SplitRecorder,
     complete_split,
+    split_every_vertex,
 )
 from conftest import FRACTIONAL_INSTANCES, random_suite, rnd37_point
 from oracles import apply_threshold_split, check_threshold_split
@@ -240,3 +241,9 @@ def test_recorder_thresholds_are_the_positive_vertex_values():
         rec = SplitRecorder(pg, sol)
         assert rec.thresholds == sorted({v for k, v in sol.y.items() if k != pg.root and v > 0.0})
         assert (rec.root, rec.copy) == (pg.root, pg.vertex_count)
+
+
+def test_split_every_vertex_rejects_residual_mass():
+    # no vertex to split but the root, so the mass on (1, 2) is left over
+    with pytest.raises(SplitError, match=r"^residual mass 1\.0 on \[\(1, 2\)\] after"):
+        split_every_vertex({(1, 2): 1.0}, 1.0, {0: 1.0}, 0, 3)

@@ -1,11 +1,19 @@
+from types import SimpleNamespace
+
 import pytest
 
 from pcrpp.core import ekey, endpoints, parse_instance
 from pcrpp.lp import LpSolution, solve_pcrpp_lp
 from pcrpp.preprocess import preprocess
 from pcrpp.solvers import _check_stage
-from pcrpp.splitoff import SplitRecorder
-from pcrpp.treedecomp import DecompositionError, TreeDistribution, project_to_hat, stage_distribution
+from pcrpp.splitoff import SplitOp, SplitRecorder
+from pcrpp.treedecomp import (
+    DecompositionError,
+    TreeDistribution,
+    _undo_step,
+    project_to_hat,
+    stage_distribution,
+)
 from conftest import FRACTIONAL_INSTANCES, random_suite, rnd37_point
 from oracles import apply_threshold_split, check_pctsp_feasible, decompose_by_lp, lift_to_aux
 
@@ -230,3 +238,37 @@ def test_rnd37_point_splits_exactly_and_every_stage_checks():
         yt = {v: (val if v == pg.root or val >= delta else 0.0) for v, val in sol.y.items()}
         ghat = project_to_hat(stage_distribution(recorder, boundary), pg)
         _check_stage(ghat, xt, yt, pg, delta)
+
+
+def test_undo_rejects_a_chord_in_no_tree():
+    op = SplitOp(1, 2, 3, 0.5)
+    trees = [[1.0, frozenset({(0, 1)})]]
+    with pytest.raises(DecompositionError) as err:
+        _undo_step(trees, op, 0)
+    assert str(err.value) == f"chord (2, 3) carries too little tree mass while undoing {op}"
+
+
+def test_undo_rejects_a_pendant_with_no_host():
+    # the one tree holds the chord and vertex 1: it swaps the chord for (1, 3)
+    # and books (1, 2) as a pendant, but every tree then holds vertex 1
+    op = SplitOp(1, 2, 3, 0.5)
+    trees = [[1.0, frozenset({(0, 2), (0, 1), (2, 3)})]]
+    with pytest.raises(DecompositionError) as err:
+        _undo_step(trees, op, 0)
+    assert str(err.value) == f"no host tree for pendant (1, 2) while undoing {op}"
+
+
+def test_stage_distribution_rejects_weights_off_one():
+    # a stand-in recorder whose pass ends with chord mass 1.5 and no operations
+    recorder = SimpleNamespace(root=0, copy=3, states=[({}, 1.5)], ops=[], prefix=[0])
+    with pytest.raises(DecompositionError, match=r"^tree weights sum to 0\.5$"):
+        stage_distribution(recorder, 0)
+
+
+def test_project_rejects_a_tree_that_breaks_the_coupling(single_pos):
+    # the tree reaches vertex 1 of the positive edge (1, 2) without the edge
+    pg = preprocess(single_pos)
+    assert pg.pos_edges == {(1, 2)}
+    dist = TreeDistribution(trees=(frozenset({(0, 1)}),), weights=(1.0,))
+    with pytest.raises(DecompositionError, match=r"^coupling violated on \(1, 2\)$"):
+        project_to_hat(dist, pg)

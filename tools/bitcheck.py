@@ -31,8 +31,9 @@ files with ``cmp``, or report what moved between two such files:
 
 prints each instance whose ``best_of_many`` value or lower bound moved, as
 ``old -> new``, then how many instances differ in their walk, their cuts,
-their split operations, their stage trees and in any other output.  It
-exits with 1 when anything differs and 0 when the files agree.
+their split operations, their stage trees, their ``write_lp_text`` hash and
+in any other output.  It exits with 1 when anything differs and 0 when the
+files agree.
 """
 from __future__ import annotations
 
@@ -139,6 +140,7 @@ COUNTED = (
     ("cuts", "lp", "cuts"),
     ("split operations", "split", "ops"),
     ("stage trees", "split", "stages"),
+    ("LP dumps", "lp", "lp_text_sha256"),  # a dump format change moves only this count
 )
 MOVED = ("value", "lower_bound")  # the best_of_many fields printed per instance
 
