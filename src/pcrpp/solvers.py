@@ -105,7 +105,7 @@ class SolveRun:
             # every non-root vertex has a group, so distinct thresholds give
             # strictly increasing boundaries
             boundary = recorder.boundary(delta)
-            xt, _ = recorder.state(boundary)
+            xt = recorder.state(boundary)
             yt = {
                 v: (val if v == pg.root or val >= delta else 0.0)
                 for v, val in self.sol.y.items()

@@ -8,12 +8,12 @@ taken with the largest admissible amount, computed exactly from one min-cut
 probe per demand (see ``_max_feasible``).
 
 The splitting loop works in a merged view of the root-copy construction:
-the working vector lives on the preprocessed graph while the mass retired
-onto the distinguished root-copy chord is tracked in a scalar.  Each merged
-operation expands into one or two recorded operations on the auxiliary
-graph (a root-incident pair expands into the two balanced halves, a root
-drop becomes the pair of the root with its copy), which is exactly the shape
-the tree decomposition later undoes.
+the working vector lives on the preprocessed graph, and the mass retired
+onto the distinguished root-copy chord is read off the recorded root drops.
+Each merged operation expands into one or two recorded operations on the
+auxiliary graph (a root-incident pair expands into the two balanced halves,
+a root drop becomes the pair of the root with its copy), which is exactly
+the shape the tree decomposition later undoes.
 """
 from __future__ import annotations
 
@@ -54,22 +54,23 @@ def _set_value(x, adj, key, val):
             adj[v].pop(u, None)
 
 
-def _max_feasible(x, adj, delta_fn, demands, root, hi):
+def _max_feasible(x, adj, move, demands, root, hi):
     """Largest amount up to ``hi`` that keeps every demand, or 0.0.
 
-    Splitting eps off lowers each root cut by exactly 2 eps or leaves it
-    unchanged (Mader 1978; Frank 1992, "On a theorem of Mader").  So with
-    the candidate applied at ``hi``, a demand whose probe falls short is
-    short on a cut that lost 2 hi, since the others keep a value that
-    already met it; with f its full cut value at ``hi``, that cut is worth
-    f + 2 (hi - eps) at eps, and the demand admits hi - (demand - f) / 2.
-    The amount is the smallest admitted one; at or below ``PRECISION`` the
-    candidate admits nothing.  x and ``adj`` are restored before returning.
+    ``move`` lists the candidate's (edge, coefficient) pairs: at amount eps
+    each edge changes by coefficient * eps.  Splitting eps off lowers each
+    root cut by exactly 2 eps or leaves it unchanged (Mader 1978; Frank
+    1992, "On a theorem of Mader").  So with the candidate applied at
+    ``hi``, a demand whose probe falls short is short on a cut that lost
+    2 hi, since the others keep a value that already met it; with f its full
+    cut value at ``hi``, that cut is worth f + 2 (hi - eps) at eps, and the
+    demand admits hi - (demand - f) / 2.  The amount is the smallest
+    admitted one; at or below ``PRECISION`` the candidate admits nothing.
+    x and ``adj`` are restored before returning.
     """
-    deltas = delta_fn(hi)
-    saved = [(key, x.get(key, 0.0)) for key, _ in deltas]
-    for key, d in deltas:
-        _set_value(x, adj, key, x.get(key, 0.0) + d)
+    saved = [(key, x.get(key, 0.0)) for key, _ in move]
+    for key, c in move:
+        _set_value(x, adj, key, x.get(key, 0.0) + c * hi)
     eps = hi
     for t in sorted(demands):
         need = demands[t]
@@ -85,39 +86,30 @@ def _max_feasible(x, adj, delta_fn, demands, root, hi):
 
 
 def _candidates(adj, root, v):
-    """Ordered candidate operations at v.
+    """Ordered candidate operations at v as (tag, a, b, cap, move), lazily.
 
-    Entries are sorted by descending edge value with vertex-id tie-break; the
-    root mass counts as the two balanced halves, so a root entry and its
-    mirror sit at half the merged value.  ``adj`` holds only values above
-    ``SUPPORT_FLOOR``, as ``complete_split`` and ``_set_value`` store them.
+    Entries are (value, id) pairs sorted by descending value with id
+    tie-break; the root mass counts as the two balanced halves, the root's
+    at its id and the copy's at id -1, which sorts it first of the two.  A
+    pair of plain entries or of the root with a plain entry moves mass onto
+    their chord (coefficients -1, -1, +1); the two halves together drop the
+    root edge (-2); the copy's half pairs with nothing else.  ``adj`` holds
+    only values above ``SUPPORT_FLOOR``, as ``complete_split`` and
+    ``_set_value`` store them.
     """
     nbrs = adj.get(v, {})
-    entries = []
-    root_val = nbrs.get(root, 0.0)
-    for u in sorted(nbrs):
-        val = nbrs[u]
-        if u == root:
-            entries.append((val / 2.0, root, "root"))
-            entries.append((val / 2.0, -1, "rootcopy"))
-        else:
-            entries.append((val, u, "plain"))
+    entries = [(val, u) for u, val in nbrs.items() if u != root]
+    if root in nbrs:
+        entries += [(nbrs[root] / 2.0, root), (nbrs[root] / 2.0, -1)]
     entries.sort(key=lambda t: (-t[0], t[1]))
-    cands = []
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            ki, kj = entries[i][2], entries[j][2]
-            if {ki, kj} == {"root", "rootcopy"}:
-                cands.append(("rootdrop", None, None, root_val / 2.0))
-            elif "rootcopy" in (ki, kj):
-                continue
-            elif "root" in (ki, kj):
-                u = entries[j][1] if ki == "root" else entries[i][1]
-                cands.append(("rootpair", root, u, min(root_val, nbrs[u])))
-            else:
-                a, b = entries[i][1], entries[j][1]
-                cands.append(("pair", a, b, min(nbrs[a], nbrs[b])))
-    return cands
+    for i, (_, a) in enumerate(entries):
+        for _, b in entries[i + 1:]:
+            if (a, b) == (-1, root):
+                yield "rootdrop", None, None, nbrs[root] / 2.0, [(ekey(v, root), -2)]
+            elif -1 not in (a, b):
+                p, q = (b, a) if b == root else (a, b)
+                move = [(ekey(v, p), -1), (ekey(v, q), -1), (ekey(p, q), 1)]
+                yield "rootpair" if p == root else "pair", p, q, min(nbrs[p], nbrs[q]), move
 
 
 def complete_split(
@@ -126,13 +118,13 @@ def complete_split(
     v: int,
     demands: dict[int, float],
     aux_copy: int,
-    e0: float,
-) -> tuple[dict[tuple[int, int], float], list[SplitOp], float]:
+) -> tuple[dict[tuple[int, int], float], list[SplitOp]]:
     """Zero out the degree of v while preserving all demanded root cuts.
 
-    ``aux_copy`` is the root copy and ``e0`` the mass on its chord: a root
-    drop moves mass onto the chord and is recorded as the pair of the root
-    with its copy.  Raises SplitError when the remaining degree cannot be
+    ``aux_copy`` is the root copy: a root drop moves mass onto its chord and
+    is recorded as the pair of the root with its copy, so the chord mass is
+    read off those operations.  Returns a fresh edge vector and the
+    operations.  Raises SplitError when the remaining degree cannot be
     split, which for feasible relaxation solutions indicates a bug or
     inconsistent demands.
     """
@@ -149,29 +141,16 @@ def complete_split(
         guard += 1
         if guard > 64 * (len(adj) + 2):
             raise SplitError(f"splitting at vertex {v} did not converge")
-        chosen = None
-        for kind, a, b, cap in _candidates(adj, root, v):
-            if kind == "pair" or kind == "rootpair":
-                def deltas(eps, a=a, b=b):
-                    return [
-                        (ekey(v, a), -eps),
-                        (ekey(v, b), -eps),
-                        (ekey(a, b), eps),
-                    ]
-            else:  # rootdrop: merged x loses 2*eps on the root edge
-                def deltas(eps):
-                    return [(ekey(v, root), -2.0 * eps)]
-            eps = _max_feasible(x, adj, deltas, demands, root, cap)
+        for kind, a, b, cap, move in _candidates(adj, root, v):
+            eps = _max_feasible(x, adj, move, demands, root, cap)
             if eps > PRECISION:
-                chosen = (kind, a, b, eps, deltas)
                 break
-        if chosen is None:
+        else:
             raise SplitError(
                 f"no feasible splitting pair at vertex {v} with remaining degree {degree}"
             )
-        kind, a, b, eps, deltas = chosen
-        for key, d in deltas(eps):
-            _set_value(x, adj, key, x.get(key, 0.0) + d)
+        for key, c in move:
+            _set_value(x, adj, key, x.get(key, 0.0) + c * eps)
         if kind == "pair":
             ops.append(SplitOp(v, *ekey(a, b), eps))
         elif kind == "rootpair":
@@ -179,30 +158,30 @@ def complete_split(
             ops.append(SplitOp(v, *ekey(root, b), half))
             ops.append(SplitOp(v, *ekey(aux_copy, b), half))
         else:
-            e0 = e0 + eps
             ops.append(SplitOp(v, *ekey(root, aux_copy), eps))
-    return x, ops, e0
+    return x, ops
 
 
-def split_every_vertex(x, e0: float, y: dict[int, float], root: int, copy: int):
+def split_every_vertex(x, y: dict[int, float], root: int, copy: int):
     """Split off every vertex but the root and its copy, in the merged view.
 
     Vertices go in nondecreasing order of their values with vertex-id
     tie-break, each keeping the root cuts of the vertices still pending.
     Returns the operations, the (vertex, operation count) groups and the
-    (edge vector, chord mass) state at every vertex boundary.  Raises
-    SplitError when mass is left after the last vertex.
+    edge vector at every vertex boundary; the chord mass is read off the
+    root drops among the operations.  Raises SplitError when mass is left
+    after the last vertex.
     """
     order = sorted((v for v in y if v not in (root, copy)), key=lambda v: (y[v], v))
-    states: list[tuple[dict, float]] = [(dict(x), e0)]
+    states: list[dict] = [dict(x)]
     groups: list[tuple[int, int]] = []
     ops: list[SplitOp] = []
     for i, v in enumerate(order):
         demands = {t: 2.0 * y[t] for t in order[i + 1:] if y[t] > SUPPORT_FLOOR}
-        x, vops, e0 = complete_split(x, root, v, demands, copy, e0)
+        x, vops = complete_split(x, root, v, demands, copy)
         ops.extend(vops)
         groups.append((v, len(vops)))
-        states.append((dict(x), e0))
+        states.append(x)
     residue = sum(abs(val) for val in x.values())
     if residue > 1e-6:
         raise SplitError(f"residual mass {residue} on {sorted(x)} after splitting every vertex")
@@ -217,9 +196,12 @@ def root_copy(pg: PreprocessedGraph) -> int:
 class SplitRecorder:
     """One full splitting pass over all non-root vertices, replayable per threshold.
 
-    The state at every vertex boundary is kept so any threshold maps to a
-    stored prefix of the recorded operations.  ``thresholds`` are the outer
-    thresholds: the distinct positive values of the split vertices, sorted.
+    The edge vector at every vertex boundary is kept so any threshold maps
+    to a stored prefix of the recorded operations.  ``thresholds`` are the
+    outer thresholds: the distinct positive values of the split vertices,
+    sorted.  ``chord`` is the mass on the root-copy chord after the whole
+    pass, read off the recorded root drops: 2 - deg(root) / 2 plus the
+    amount of every (root, copy) operation, added in operation order.
     """
 
     def __init__(self, pg: PreprocessedGraph, sol: LpSolution):
@@ -227,9 +209,11 @@ class SplitRecorder:
         self.y = dict(sol.y)
         x = {k: val for k, val in sol.x.items() if val > SUPPORT_FLOOR}
         deg_r = sum(val for k, val in x.items() if self.root in k)
-        self.ops, self.groups, self.states = split_every_vertex(
-            x, 2.0 - 0.5 * deg_r, self.y, self.root, self.copy
-        )
+        self.ops, self.groups, self.states = split_every_vertex(x, self.y, self.root, self.copy)
+        self.chord = 2.0 - 0.5 * deg_r
+        for op in self.ops:
+            if (op.left, op.right) == ekey(self.root, self.copy):
+                self.chord += op.amount
         self.prefix = [0]
         for _, cnt in self.groups:
             self.prefix.append(self.prefix[-1] + cnt)
@@ -245,6 +229,5 @@ class SplitRecorder:
                 break
         return count
 
-    def state(self, boundary: int) -> tuple[dict, float]:
-        x, e0 = self.states[boundary]
-        return dict(x), e0
+    def state(self, boundary: int) -> dict:
+        return dict(self.states[boundary])

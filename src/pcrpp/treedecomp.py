@@ -74,22 +74,22 @@ def _undo_step(trees: list, op: SplitOp, root: int) -> None:
     side_left = ekey(v, op.left)
     side_right = ekey(v, op.right)
 
-    free_idx = []
-    busy_idx = []
-    for i, (w, edges) in enumerate(trees):
-        if w > 0.0 and chord in edges:
-            (busy_idx if _contains(edges, v, root) else free_idx).append(i)
-    busy_set = set(busy_idx)
+    # trees holding the chord: those missing v first, each part in list order
+    holders = sorted(
+        (_contains(edges, v, root), i)
+        for i, (w, edges) in enumerate(trees)
+        if w > 0.0 and chord in edges
+    )
 
     need = eps
     pendants: list[tuple[tuple[int, int], int, float]] = []
     appended: list = []
-    for i in free_idx + busy_idx:
+    for busy, i in holders:
         if need <= WEIGHT_FLOOR:
             break
         w, edges = trees[i]
         take = min(need, w)
-        if i in busy_set:
+        if busy:
             remainder = edges - {chord}
             if v in bfs(neighbours(remainder), op.left):
                 newedges = remainder | {side_right}
@@ -144,12 +144,13 @@ def stage_distribution(recorder: SplitRecorder, boundary: int) -> TreeDistributi
     """Replay the recorded splitting back to a vertex boundary.
 
     The operations past the boundary are undone in reverse, starting from
-    the residual chord mass of the whole pass: weight chord_mass - 1 on the
-    two-vertex chord tree.  Exact split amounts leave a chord mass of 2, so
-    that weight is 1; the sum-to-one check below rejects any shortfall.
+    the chord mass of the whole pass, which the recorder reads off its root
+    drops: weight chord - 1 on the two-vertex chord tree.  Exact split
+    amounts leave a chord mass of 2, so that weight is 1; the sum-to-one
+    check below rejects any shortfall.
     """
     root = recorder.root
-    lam = min(max(recorder.states[-1][1] - 1.0, 0.0), 1.0)
+    lam = min(max(recorder.chord - 1.0, 0.0), 1.0)
     trees: list = [[lam, frozenset({ekey(root, recorder.copy)})]]
     for op in reversed(recorder.ops[recorder.prefix[boundary]:]):
         _undo_step(trees, op, root)

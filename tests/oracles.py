@@ -150,7 +150,7 @@ def apply_threshold_split(
     """
     recorder = recorder or SplitRecorder(pg, sol)
     b = recorder.boundary(delta)
-    x, _ = recorder.state(b)
+    x = recorder.state(b)
     y = {
         v: (val if v == pg.root or val >= delta else 0.0) for v, val in sol.y.items()
     }

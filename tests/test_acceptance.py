@@ -100,7 +100,7 @@ def test_tree_decomposition_contract(solved_suite):
                 if boundary in seen:
                     continue
                 seen.add(boundary)
-                xt, _ = recorder.state(boundary)
+                xt = recorder.state(boundary)
                 yt = {
                     v: (val if v == pg.root or val >= delta else 0.0)
                     for v, val in sol.y.items()

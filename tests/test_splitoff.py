@@ -29,40 +29,58 @@ def test_complete_split_forced_pairing():
     # degree at v forces the root pair; the chord r-2 picks up the mass as
     # two balanced halves, one at the root and one at its copy 3
     x = {(0, 1): 0.7, (1, 2): 0.7}
-    out, ops, e0 = complete_split(x, 0, 1, {}, 3, 1.65)
+    out, ops = complete_split(x, 0, 1, {}, 3)
     assert ops == [SplitOp(1, 0, 2, 0.35), SplitOp(1, 2, 3, 0.35)]
     assert (0, 1) not in out
     assert (1, 2) not in out
     assert out[(0, 2)] == pytest.approx(0.7)
-    assert e0 == 1.65
 
 
 def test_complete_split_root_drop():
     # a doubled root edge has only its two halves to pair: the mass moves
     # onto the chord between the root and its copy
-    out, ops, e0 = complete_split({(0, 1): 2.0}, 0, 1, {}, 2, 1.0)
+    out, ops = complete_split({(0, 1): 2.0}, 0, 1, {}, 2)
     assert ops == [SplitOp(1, 0, 2, 1.0)]
     assert (0, 1) not in out
-    assert e0 == pytest.approx(2.0)
+
+
+def test_candidates_order_and_moves():
+    # entries by descending value: 2 (0.9), the copy's half (0.5, id -1), the
+    # root's half (0.5), 3 (0.3); the copy's half pairs only with the root's
+    adj = capacity_adjacency({(0, 1): 1.0, (1, 2): 0.9, (1, 3): 0.3})
+    assert list(splitoff._candidates(adj, 0, 1)) == [
+        ("rootpair", 0, 2, 0.9, [((0, 1), -1), ((1, 2), -1), ((0, 2), 1)]),
+        ("pair", 2, 3, 0.3, [((1, 2), -1), ((1, 3), -1), ((2, 3), 1)]),
+        ("rootdrop", None, None, 0.5, [((0, 1), -2)]),
+        ("rootpair", 0, 3, 0.3, [((0, 1), -1), ((1, 3), -1), ((0, 3), 1)]),
+    ]
 
 
 def test_complete_split_rejects_unsplittable_degree():
     # a lone incident edge admits no pair; degree parity cannot hold
     with pytest.raises(SplitError):
-        complete_split({(1, 2): 1.0}, 0, 1, {}, 3, 2.0)
+        complete_split({(1, 2): 1.0}, 0, 1, {}, 3)
+
+
+def test_complete_split_rejects_a_split_that_does_not_converge(monkeypatch):
+    # a stand-in that admits only 2 * PRECISION per move would need 3.5e8
+    # moves to clear the degree 1.4 at vertex 1; the guard stops the loop
+    monkeypatch.setattr(splitoff, "_max_feasible", lambda *args: 2 * PRECISION)
+    with pytest.raises(SplitError, match=r"^splitting at vertex 1 did not converge$"):
+        complete_split({(0, 1): 0.7, (1, 2): 0.7}, 0, 1, {}, 3)
 
 
 @pytest.mark.parametrize("demands", [{0: 1.0}, {1: 1.0}])
 def test_complete_split_rejects_demands_at_the_root_or_split_vertex(demands):
     with pytest.raises(ValueError, match="demands must exclude"):
-        complete_split({(0, 1): 1.0, (1, 2): 1.0}, 0, 1, demands, 3, 1.5)
+        complete_split({(0, 1): 1.0, (1, 2): 1.0}, 0, 1, demands, 3)
 
 
 def test_complete_split_chain_preserves_cut():
     # chain r-c-a with unit values; the r-a min cut is 1 and must survive
     x = {(0, 1): 1.0, (1, 2): 1.0}
     before, _ = max_flow_min_cut(capacity_adjacency({k: v for k, v in x.items() if v > 0}), 0, 2)
-    out, ops, _ = complete_split(x, 0, 1, {2: before}, 3, 1.5)
+    out, ops = complete_split(x, 0, 1, {2: before}, 3)
     assert ops == [SplitOp(1, 0, 2, 0.5), SplitOp(1, 2, 3, 0.5)]
     after, _ = max_flow_min_cut(capacity_adjacency({k: v for k, v in out.items() if v > 0}), 0, 2)
     assert after == pytest.approx(before) == pytest.approx(1.0)
@@ -73,7 +91,7 @@ def test_complete_split_amount_is_exact():
     # {2, 3} a cut of 2 - 2 eps, so the demand 0.7 at 2 admits eps <= 0.65
     # and the full cap 1 is infeasible: the amount is 0.65 itself
     x = {(0, 1): 1.0, (1, 2): 1.0, (1, 3): 1.0}
-    _, ops, _ = complete_split(x, 0, 1, {2: 0.7}, 4, 1.0)
+    _, ops = complete_split(x, 0, 1, {2: 0.7}, 4)
     first = ops[0]
     assert (first.left, first.right) == (2, 3)
     assert first.amount == 0.65
@@ -96,8 +114,8 @@ def _keeps_demands(call, eps):
     overshoots the exact one breaks a demand here.
     """
     x = dict(call["x"])
-    for key, d in call["delta_fn"](eps):
-        x[key] = x.get(key, 0.0) + d
+    for key, c in call["move"]:
+        x[key] = x.get(key, 0.0) + c * eps
     adj = capacity_adjacency(x)
     return all(
         max_flow_min_cut(adj, t, call["root"])[0] >= need - 1e-12
@@ -116,15 +134,15 @@ def test_max_feasible_amounts_are_exact(monkeypatch):
     def nonzero(x):
         return {k: val for k, val in x.items() if val != 0.0}
 
-    def recording(x, adj, delta_fn, demands, root, hi):
+    def recording(x, adj, move, demands, root, hi):
         before = (nonzero(x), {u: dict(row) for u, row in adj.items()})
-        got = real(x, adj, delta_fn, demands, root, hi)
+        got = real(x, adj, move, demands, root, hi)
         assert (nonzero(x), adj) == before
-        calls.append(dict(x=before[0], delta_fn=delta_fn, demands=demands, root=root, hi=hi, got=got))
+        calls.append(dict(x=before[0], move=move, demands=demands, root=root, hi=hi, got=got))
         return got
 
     monkeypatch.setattr(splitoff, "_max_feasible", recording)
-    complete_split({(0, 1): 1.0, (1, 2): 1.0, (1, 3): 1.0}, 0, 1, {2: 0.7}, 4, 1.0)
+    complete_split({(0, 1): 1.0, (1, 2): 1.0, (1, 3): 1.0}, 0, 1, {2: 0.7}, 4)
     inst, sol = rnd37_point()
     SplitRecorder(preprocess(inst), sol)
     for inst in list(FRACTIONAL_INSTANCES) + random_suite(10, base_seed=5300):
@@ -226,11 +244,11 @@ def test_recorder_state_degrees_zeroed():
         sol, _ = solve_pcrpp_lp(pg)
         rec = SplitRecorder(pg, sol)
         for b, (v, _) in enumerate(rec.groups, start=1):
-            x, _ = rec.state(b)
+            x = rec.state(b)
             deg = sum(val for k, val in x.items() if v in k)
             assert abs(deg) <= 1e-9
         # split states hold only live mass, as the capacity adjacency does
-        assert all(val > SUPPORT_FLOOR for x, _ in rec.states for val in x.values())
+        assert all(val > SUPPORT_FLOOR for x in rec.states for val in x.values())
 
 
 def test_recorder_thresholds_are_the_positive_vertex_values():
@@ -246,4 +264,4 @@ def test_recorder_thresholds_are_the_positive_vertex_values():
 def test_split_every_vertex_rejects_residual_mass():
     # no vertex to split but the root, so the mass on (1, 2) is left over
     with pytest.raises(SplitError, match=r"^residual mass 1\.0 on \[\(1, 2\)\] after"):
-        split_every_vertex({(1, 2): 1.0}, 1.0, {0: 1.0}, 0, 3)
+        split_every_vertex({(1, 2): 1.0}, {0: 1.0}, 0, 3)

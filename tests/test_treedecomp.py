@@ -177,7 +177,7 @@ def test_distribution_contract_on_fractional_instances():
         recorder = SplitRecorder(pg, sol)
         for delta in recorder.thresholds:
             boundary = recorder.boundary(delta)
-            xt, _ = recorder.state(boundary)
+            xt = recorder.state(boundary)
             yt = {
                 v: (val if v == pg.root or val >= delta else 0.0)
                 for v, val in sol.y.items()
@@ -230,11 +230,11 @@ def test_rnd37_point_splits_exactly_and_every_stage_checks():
     inst, sol = rnd37_point()
     pg = preprocess(inst)
     recorder = SplitRecorder(pg, sol)
-    assert recorder.states[-1][1] == 2.0
+    assert recorder.chord == 2.0
     assert recorder.thresholds == [0.25, 1.0]
     for delta in recorder.thresholds:
         boundary = recorder.boundary(delta)
-        xt, _ = recorder.state(boundary)
+        xt = recorder.state(boundary)
         yt = {v: (val if v == pg.root or val >= delta else 0.0) for v, val in sol.y.items()}
         ghat = project_to_hat(stage_distribution(recorder, boundary), pg)
         _check_stage(ghat, xt, yt, pg, delta)
@@ -258,9 +258,43 @@ def test_undo_rejects_a_pendant_with_no_host():
     assert str(err.value) == f"no host tree for pendant (1, 2) while undoing {op}"
 
 
+def test_undo_hosts_a_root_anchored_pendant_on_the_root_only_tree():
+    # undoing the root pair half (0, 2) at vertex 1 swaps the chord for (1, 2)
+    # in the tree holding vertex 1 and books (0, 1) as a pendant at the root;
+    # the root-only tree holds the root though none of its edges does
+    op = SplitOp(1, 0, 2, 0.5)
+    trees = [[0.5, frozenset({(0, 1), (0, 2)})], [0.5, frozenset()]]
+    _undo_step(trees, op, 0)
+    assert trees == [
+        [0.0, frozenset({(0, 1), (0, 2)})],
+        [0.0, frozenset()],
+        [0.5, frozenset({(0, 1), (1, 2)})],
+        [0.5, frozenset({(0, 1)})],
+    ]
+
+
+def test_undo_skips_a_host_that_misses_the_anchor():
+    # the pendant (1, 2) is anchored at 2: the tree {(0, 3)} misses both 1 and
+    # 2 and is passed over, the next tree {(0, 2)} hosts it
+    op = SplitOp(1, 2, 3, 0.4)
+    trees = [
+        [0.4, frozenset({(0, 2), (0, 1), (2, 3)})],
+        [0.2, frozenset({(0, 3)})],
+        [0.4, frozenset({(0, 2)})],
+    ]
+    _undo_step(trees, op, 0)
+    assert trees == [
+        [0.0, frozenset({(0, 2), (0, 1), (2, 3)})],
+        [0.2, frozenset({(0, 3)})],
+        [0.0, frozenset({(0, 2)})],
+        [0.4, frozenset({(0, 2), (0, 1), (1, 3)})],
+        [0.4, frozenset({(0, 2), (1, 2)})],
+    ]
+
+
 def test_stage_distribution_rejects_weights_off_one():
     # a stand-in recorder whose pass ends with chord mass 1.5 and no operations
-    recorder = SimpleNamespace(root=0, copy=3, states=[({}, 1.5)], ops=[], prefix=[0])
+    recorder = SimpleNamespace(root=0, copy=3, chord=1.5, ops=[], prefix=[0])
     with pytest.raises(DecompositionError, match=r"^tree weights sum to 0\.5$"):
         stage_distribution(recorder, 0)
 

@@ -112,7 +112,7 @@ def _split(pg, sol) -> dict:
     return {
         "ops": [[op.vertex, op.left, op.right, repr(op.amount)] for op in rec.ops],
         "groups": [list(group) for group in rec.groups],
-        "chord": rec.state(len(rec.groups))[1],
+        "chord": rec.chord,
         "stages": [[b, _guard(lambda b=b: _trees(pg, rec, b))] for b in boundaries],
     }
 
