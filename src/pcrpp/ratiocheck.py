@@ -1,36 +1,50 @@
 """Numerical certification of the approximation constant.
 
-The grid sweep runs in three phases, chunk by chunk of grid points.
+The grid sweep runs in two passes, chunk by chunk of grid points.
 
-1. End bounds.  On the window h(xi) = c(xi)(1 - xi) is nonincreasing.  With
-   t = kappa - xi, both a = (span^(beta+2) - t^(beta+2))/(beta+2) and
+1. Float64 filter, an interval branch-and-bound over segments of consecutive
+   grid points (Hansen & Walster, Global Optimization Using Interval
+   Analysis, 2004).  On the window h(xi) = c(xi)(1 - xi) is nonincreasing.
+   With t = kappa - xi, both a = (span^(beta+2) - t^(beta+2))/(beta+2) and
    d = span (span^(beta+1) - t^(beta+1))/(beta+1) - a are at least zero and
    nondecreasing in xi (dd/dt = t^beta (t - span) <= 0); both kernels
    phi_low and phi_high are positive and increasing; so
-   h = 1 - (nu/span) xi (phi_low a + phi_high d) is nonincreasing.  As
-   1/(1 - xi) increases, every value on [x_a, x_c] is at most
-   h(x_a)/(1 - x_c), or h(x_a)/(1 - x_a) when h(x_a) < 0.  Each sub-block
-   of SUB points gets that bound from a longdouble value at its first
-   point x_a, with FILTER_BOUND added to h and x_c the first point of the
-   next sub-block.  The largest of those values minus its margin m (below)
-   is the chunk's first lower bound on the maximum.
-2. Float64 filter.  Only the sub-blocks whose bound reaches that lower bound
-   (NaN included) are evaluated in float64, each value bracketed with the
-   error bound m(xi) = FILTER_BOUND / (1 - xi): the largest f - m raises
-   the lower bound, and a sub-block's bound drops to its largest f + m
-   when that is lower.  A block of BLOCK points keeps the largest bound of
-   its sub-blocks as its upper bound.
-3. Longdouble pass.  Only the blocks whose upper bound is not below the
+   h = 1 - (nu/span) xi (phi_low a + phi_high d) is nonincreasing, and at
+   least h(kappa) = 1 - kappa >= 0.  A segment runs from its first point
+   x_a to x_c, the first point of the next segment of its size, so every
+   value in it is at most h(x_a)/(1 - x_c).  From the float64 value f at
+   x_a a segment is bounded by max(H/(1 - x_a), H/(1 - x_c)) with
+   H = f (1 - x_a) + 2 FILTER_BOUND, rounded up; a single point by f + m,
+   with m(xi) = FILTER_BOUND/(1 - xi).  Every segment start raises the
+   chunk's lower bound on the maximum to max(f - m).  The levels are the
+   sub-blocks of SUB = 512 points across the chunk, then, inside each live
+   segment, its FANOUT = 8 segments of 64, 8 and 1 points.  A segment whose
+   bound lies below the lower bound is pruned; any other one (NaN
+   included) is split.  A block of BLOCK points takes the largest bound of
+   the pruned segments and single points it holds as its upper bound.
+2. Longdouble pass.  Only the blocks whose upper bound is not below the
    largest lower bound of all chunks (NaN included) are evaluated again in
    extended precision (numpy longdouble, 64-bit mantissa on x86-64), whose
    round-off stays far below the 1e-8 margin the certificate needs; the
    tests demonstrate that budget against a high-precision reference.
 
 The grid maximum, its argument and the certificate are those of a
-longdouble evaluation of every point.  On each block evaluated again the
-float64 error times (1 - xi) is checked against FILTER_BOUND, and a larger
-one raises FilterBoundError instead of returning a certificate that rests
-on a broken bound.
+longdouble evaluation of every point.  The filter rests on one bracket,
+|f64 - f_ld| (1 - xi) <= FILTER_BOUND between the float64 and longdouble
+values at one grid index, and uses it only at the points it evaluates: the
+segment starts and the single points.  In H, one FILTER_BOUND is that
+bracket at x_a; the other covers the float64 rounding of H and the
+distance of at most 2^-52 between a float64 grid point and its longdouble
+twin.  Dividing by the float64 1 - x_c keeps the bound: every point of a
+segment lies a step (far above 2^-52) below x_c, except at the clamped top
+of the window, whose float64 point is not below its longdouble twin.  The
+tests measure the bracket with a 64-fold margin over whole grids, and on
+each block evaluated again the float64 error times (1 - xi) is checked
+against FILTER_BOUND; a larger one raises FilterBoundError instead of
+returning a certificate that rests on a broken bound.
+
+The live segments of a level are split FILTER_SLICE // FANOUT at a time, so
+no float64 evaluation takes more than FILTER_SLICE points.
 """
 from __future__ import annotations
 
@@ -52,14 +66,14 @@ CERT_TARGET = 1.6
 # Bound on |float64 - longdouble| * (1 - xi) for the curve; measured at most
 # 6.2e-16 on the grids the tests scan, so about 1600 times the worst seen.
 FILTER_BOUND = 1e-12
-BLOCK = 4096  # grid points per block of the float64 filter
-SUB = 512  # grid points per sub-block bounded from its ends; BLOCK and FILTER_SLICE are multiples
-# Grid points per float64 evaluation: 2 blocks, whose 64 KiB temporaries stay
-# in cache and below glibc's default 128 KiB mmap threshold.  With the default
-# heap thresholds a 1e-7 sweep took no minor page faults at 2 blocks, and 1.4k
-# at 4 blocks, whose 128 KiB temporaries are mapped afresh until a free raises
-# the threshold; both ran in about the same time.
-FILTER_SLICE = 2 * BLOCK
+BLOCK = 4096  # grid points per block: the unit the longdouble pass evaluates again
+SUB = 512  # grid points per segment of the level bounded across the whole chunk
+FANOUT = 8  # segments a live segment splits into; SUB is a power of it
+# Most points one float64 evaluation of the filter takes, so its temporaries
+# stay at 32 KiB each, in cache.  At 2 * BLOCK (64 KiB each) a 1e-7 sweep
+# trimmed glibc's heap and faulted the pages in again, 192 minor page faults
+# per sweep against none at BLOCK, in about the same time.
+FILTER_SLICE = BLOCK
 
 
 class FilterBoundError(ArithmeticError):
@@ -136,11 +150,11 @@ def skip_factor(p: RatioParams) -> float:
 def _curve_constants(p: RatioParams, dtype) -> tuple:
     """The scalars of ``_curve_array`` in dtype, computed once per (params, dtype).
 
-    A 1e-7 sweep calls ``_curve_array`` 770 times with the same params and
-    dtype, and computing these scalars, the longdouble powers of ``_nu_ld``
-    included, took about a fifth of a one-point call.  The tests replace
-    ``_curve_array`` by stand-ins with its signature, so the scalars are
-    memoized here rather than passed in.
+    A 1e-7 sweep calls ``_curve_array`` 49 times with the same params, most
+    calls on a few thousand points or fewer, and computing these scalars,
+    the longdouble powers of ``_nu_ld`` included, took about a fifth of a
+    one-point call.  The tests replace ``_curve_array`` by stand-ins with
+    its signature, so the scalars are memoized here rather than passed in.
     """
     k0, k, b = dtype(p.kappa0), dtype(p.kappa), dtype(p.beta)
     span = k - k0
@@ -172,9 +186,9 @@ def _curve_array(p: RatioParams, xs: np.ndarray, dtype=LD) -> np.ndarray:
     threshold: freed temporaries were trimmed from the heap and faulted in
     again on every slice, 25k minor page faults in a 1e-7 sweep.
 
-    The sweep's end bounds rest on h = value * (1 - xi) being nonincreasing
-    in xi, so a test stand-in for this function must keep it so, as
-    ``np.ones`` does.
+    The sweep's segment bounds rest on h = value * (1 - xi) being
+    nonincreasing in xi, so a test stand-in for this function must keep it
+    so, as ``np.ones`` does.
     """
     k, b1, b2, span_b2, span_b1, span, low, low_num, high, high_num, nu, one = _curve_constants(
         p, dtype
@@ -256,52 +270,70 @@ def _grid_at(p: RatioParams, step: float, idx: np.ndarray, dtype=LD) -> np.ndarr
     return np.minimum(xs, top_x)
 
 
-def _end_bounds(p: RatioParams, step: float, lo: int, hi: int) -> tuple[np.ndarray, np.longdouble]:
-    """Float64 bound per sub-block of grid points lo..hi-1, and max(f - m) over their starts.
+def _segment_bounds(
+    p: RatioParams, step: float, starts: np.ndarray, size: int
+) -> tuple[np.ndarray, float]:
+    """Float64 bound per segment of size grid points at starts, and max(f - m) over the starts.
 
-    A sub-block runs from its first point x_a to the first point x_c of the
-    next one, a grid point at or past its own last point.  Its bound is the
-    larger of (h(x_a) + FILTER_BOUND) / (1 - x) at x = x_a and x = x_c,
-    rounded up to float64, with h from the longdouble value at x_a on the
-    grid ``_exact_block`` evaluates.
+    A segment runs from its start x_a to the next start x_c, the grid point
+    size further on.  Its bound is the larger of (f (1 - x_a) + 2 FILTER_BOUND)
+    / (1 - x) at x = x_a and x = x_c, rounded up, with f the float64 value at
+    x_a; a segment of one point is bounded by f + m.
     """
-    xs = _grid_at(p, step, np.arange(lo, hi + SUB, SUB, dtype=np.int64))
-    vals = _curve_array(p, xs[:-1])
-    gaps = np.subtract(LD(1.0), xs, out=xs)
-    lower = np.fmax.reduce(vals - LD(FILTER_BOUND) / gaps[:-1])  # NaN only if every value is
-    h = np.multiply(vals, gaps[:-1], out=vals)
-    np.add(h, LD(FILTER_BOUND), out=h)
-    bounds = np.maximum(h / gaps[:-1], np.divide(h, gaps[1:], out=h)).astype(np.float64)
+    xs = _grid_at(p, step, starts, np.float64)
+    vals = _curve_array(p, xs, np.float64)
+    gaps = np.subtract(1.0, xs, out=xs)
+    margin = FILTER_BOUND / gaps
+    lower = np.fmax.reduce(vals - margin)  # NaN only if every value is
+    if size == 1:
+        return np.add(vals, margin, out=margin), lower
+    h = np.multiply(vals, gaps, out=vals)
+    np.add(h, 2.0 * FILTER_BOUND, out=h)
+    ends = np.subtract(1.0, _grid_at(p, step, starts + size, np.float64))
+    bounds = np.maximum(np.divide(h, gaps, out=margin), np.divide(h, ends, out=ends), out=h)
     return np.nextafter(bounds, np.inf, out=bounds), lower
+
+
+def _refine(
+    p: RatioParams, step: float, lo: int, hi: int, starts: np.ndarray, size: int,
+    lower: float, uppers: np.ndarray,
+) -> float:
+    """Bound the segments at starts, split the live ones, and return the raised lower bound.
+
+    A segment whose bound lies below the lower bound, and every single point,
+    raises the upper bound of its block in uppers to its bound; any other
+    segment (NaN included) is split into FANOUT segments, FILTER_SLICE points
+    at a time.
+    """
+    bounds, top = _segment_bounds(p, step, starts, size)
+    lower = np.fmax(lower, top)
+    live = ~(bounds < lower) & (size > 1)
+    np.maximum.at(uppers, (starts[~live] - lo) // BLOCK, bounds[~live])
+    parents, part = starts[live], size // FANOUT
+    for i in range(0, len(parents), FILTER_SLICE // FANOUT):
+        children = np.add.outer(parents[i:i + FILTER_SLICE // FANOUT], np.arange(0, size, part))
+        lower = _refine(p, step, lo, hi, children[children < hi], part, lower, uppers)
+    return lower
 
 
 def _filter_chunk(args) -> tuple[float, np.ndarray]:
     """One chunk's lower bound on its maximum and an upper bound per block.
 
-    Each sub-block of SUB points is bounded from its ends first (see the
-    module docstring), and the chunk's lower bound starts at the largest
-    value at a sub-block start minus its margin m.  Float64 then runs over
-    each run of sub-blocks whose bound reaches that lower bound (NaN
-    included), FILTER_SLICE points at a time, and raises the lower bound to
-    max(f - m) over them.  A sub-block's upper bound is the smaller of its
-    end bound and its max(f + m), so NaN in either stays NaN; a block's is
-    the largest of its sub-blocks'.
+    The sub-blocks of SUB points across the chunk are bounded first, then
+    each live segment is split down to single points (see the module
+    docstring).  A block's upper bound is the largest bound of the pruned
+    segments and single points it holds, so NaN in any of them stays NaN.
     """
     k0, k, b, step, lo, hi = args
     p = RatioParams(k0, k, b)
-    uppers, lower = _end_bounds(p, step, lo, hi)
-    edges = np.flatnonzero(np.diff(~(uppers < lower), prepend=False, append=False))
-    per_slice = FILTER_SLICE // SUB
-    for run_lo, run_hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
-        for part_lo in range(run_lo, run_hi, per_slice):
-            part_hi = min(part_lo + per_slice, run_hi)
-            xs = _grid(p, step, lo + part_lo * SUB, min(lo + part_hi * SUB, hi), np.float64)
-            vals = _curve_array(p, xs, np.float64)
-            margin = FILTER_BOUND / (1.0 - xs)
-            lower = np.fmax(lower, np.fmax.reduce(vals - margin))
-            part = uppers[part_lo:part_hi]
-            np.minimum(part, np.maximum.reduceat(vals + margin, np.arange(0, len(xs), SUB)), out=part)
-    return float(lower), np.maximum.reduceat(uppers, np.arange(0, len(uppers), BLOCK // SUB))
+    uppers = np.full(-(-(hi - lo) // BLOCK), -np.inf)
+    starts = np.arange(lo, hi, SUB, dtype=np.int64)
+    lower = -np.inf
+    # NaN values need no warning: their blocks go to the longdouble pass, whose check raises
+    with np.errstate(invalid="ignore"):
+        for i in range(0, len(starts), FILTER_SLICE):
+            lower = _refine(p, step, lo, hi, starts[i:i + FILTER_SLICE], SUB, lower, uppers)
+    return float(lower), uppers
 
 
 def _exact_block(p: RatioParams, step: float, lo: int, hi: int) -> tuple[np.longdouble, np.longdouble]:

@@ -128,6 +128,8 @@ def _undo_step(trees: list, op: SplitOp, root: int) -> None:
             )
         trees.extend(adds)
 
+    # trees drawn down to nothing would only be walked past by later scans
+    trees[:] = [tree for tree in trees if tree[0] != 0.0]
     if len(trees) > 4096:
         _compact(trees)
 

@@ -314,6 +314,48 @@ def test_cli_verify_ratio_coarse(capsys):
     assert "certified=" in out
 
 
+@pytest.mark.parametrize("step, code, lines", [
+    ("1e-4", 2, [
+        "ratio certificate",
+        "  window          [0.36621005, 0.99678328]  beta 1.9809442",
+        "  grid step       0.0001",
+        "  grid points     6307",
+        "  grid maximum    1.5986225466 at xi 0.9482100500",
+        "  slack           0.9948021587",
+        "  certified bound 2.5934247053",
+        "  conclusive      no (slack dominates)",
+        "step=0.0001",
+        "points=6307",
+        "grid_max=1.5986225466",
+        "argmax=0.9482100500",
+        "slack=0.9948021587",
+        "certified=2.5934247053",
+        "conclusive=0",
+    ]),
+    ("1e-7", 0, [
+        "ratio certificate",
+        "  window          [0.36621005, 0.99678328]  beta 1.9809442",
+        "  grid step       1e-07",
+        "  grid points     6305734",
+        "  grid maximum    1.5986225582 at xi 0.9481797500",
+        "  slack           0.0009948022",
+        "  certified bound 1.5996173603",
+        "  conclusive      yes",
+        "step=1e-07",
+        "points=6305734",
+        "grid_max=1.5986225582",
+        "argmax=0.9481797500",
+        "slack=0.0009948022",
+        "certified=1.5996173603",
+        "conclusive=1",
+    ]),
+])
+def test_cli_verify_ratio_prints_the_pinned_certificate(step, code, lines, capsys):
+    # the printed certificate, line for line, so it cannot drift with the sweep's internals
+    assert main(["verify-ratio", "--step", step]) == code
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_cli_verify_ratio_filter_failure_returns_three(capsys, monkeypatch):
     # a float64 curve off by more than the filter bound fails the run, not the input
     real = ratiocheck._curve_array

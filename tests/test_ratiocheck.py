@@ -373,23 +373,34 @@ _BOUND_CASES = [
 ] + [(p, step, chunk) for p, step, chunk, _ in _seeded_windows()]
 
 
+def _levels():
+    """The segment sizes of the filter, from SUB down to single points."""
+    size = ratiocheck.SUB
+    while size >= 1:
+        yield size
+        size //= ratiocheck.FANOUT
+
+
 @pytest.mark.parametrize("p, step, chunk", _BOUND_CASES)
 def test_sub_block_bounds_cover_longdouble_values(p, step, chunk):
-    # each sub-block's end bound is at least every longdouble value in it, and
-    # the chunk's seed lower bound at most the chunk's longdouble maximum
+    # at every level each segment's bound is at least every longdouble value
+    # in it, and each lower bound, the chunk's included, at most the chunk's
+    # longdouble maximum
     count = _grid_count(p, step)
     for lo in range(0, count, chunk):
         hi = min(lo + chunk, count)
-        bounds, lower = ratiocheck._end_bounds(p, step, lo, hi)
         exact = _curve_array(p, _grid(p, step, lo, hi))
-        sub_max = np.maximum.reduceat(exact, np.arange(0, hi - lo, ratiocheck.SUB))
-        assert len(bounds) == len(sub_max)
-        assert np.all(bounds >= sub_max)
+        for size in _levels():
+            starts = np.arange(lo, hi, size, dtype=np.int64)
+            bounds, lower = ratiocheck._segment_bounds(p, step, starts, size)
+            assert np.all(bounds >= np.maximum.reduceat(exact, starts - lo))
+            assert lower <= exact.max()
+        lower, _ = ratiocheck._filter_chunk((p.kappa0, p.kappa, p.beta, step, lo, hi))
         assert lower <= exact.max()
 
 
 def test_h_nonincreasing_along_the_grid():
-    # the end bounds rest on h = c (1 - xi) being nonincreasing on the window
+    # the segment bounds rest on h = c (1 - xi) being nonincreasing on the window
     rng = random.Random(29)
     worst = -math.inf
     for _ in range(200):
@@ -404,31 +415,35 @@ def test_h_nonincreasing_along_the_grid():
 
 
 def test_nan_at_a_sub_block_start_keeps_it_live_and_raises(monkeypatch):
-    # a NaN longdouble value at a sub-block start far below the maximum makes
-    # that sub-block's bound NaN: float64 still runs over it, its block's
-    # upper bound is NaN, and the block evaluated again must raise
+    # a NaN float64 value at a segment start far below the maximum makes that
+    # segment's bound NaN at every level, so it is split down to the single
+    # point; its block's upper bound is NaN, and the block evaluated again
+    # must raise
     step = 1e-5
     count = _grid_count(PAPER, step)
-    i = 2 * ratiocheck.SUB
-    target = _grid(PAPER, step, i, i + 1)[0]
+    i = 2 * ratiocheck.BLOCK + 3 * ratiocheck.SUB
+    target = _grid(PAPER, step, i, i + 1, np.float64)[0]
     real = ratiocheck._curve_array
-    float64_points = []
 
     def corrupted(p, xs, dtype=LD):
         vals = real(p, xs, dtype)
-        if dtype is LD:
-            vals = np.where(xs == target, LD(math.nan), vals)
-        else:
-            float64_points.append(xs)
-        return vals
+        return np.where(xs == target, np.nan, vals) if dtype is np.float64 else vals
+
+    real_bounds = ratiocheck._segment_bounds
+    nan_starts = {}
+
+    def recording(p, step, starts, size):
+        bounds, lower = real_bounds(p, step, starts, size)
+        nan_starts.setdefault(size, []).extend(starts[np.isnan(bounds)].tolist())
+        return bounds, lower
 
     monkeypatch.setattr(ratiocheck, "_curve_array", corrupted)
-    bounds, _ = ratiocheck._end_bounds(PAPER, step, 0, count)
-    assert np.flatnonzero(np.isnan(bounds)).tolist() == [2]
+    monkeypatch.setattr(ratiocheck, "_segment_bounds", recording)
     _, uppers = ratiocheck._filter_chunk((PAPER.kappa0, PAPER.kappa, PAPER.beta, step, 0, count))
-    assert np.isnan(uppers[i // ratiocheck.BLOCK])
-    assert _grid(PAPER, step, i, i + 1, np.float64)[0] in np.concatenate(float64_points)
-    with pytest.raises(FilterBoundError, match=re.escape(f"at xi {float(target)!r}:")):
+    assert nan_starts == {size: [i] for size in _levels()}
+    assert np.flatnonzero(np.isnan(uppers)).tolist() == [i // ratiocheck.BLOCK]
+    xi = float(_grid(PAPER, step, i, i + 1)[0])
+    with pytest.raises(FilterBoundError, match=re.escape(f"at xi {xi!r}:")):
         verify_bound(PAPER, step)
 
 

@@ -8,6 +8,7 @@ from pcrpp.preprocess import preprocess
 from pcrpp.solvers import _check_stage
 from pcrpp.splitoff import SplitOp, SplitRecorder
 from pcrpp.treedecomp import (
+    WEIGHT_FLOOR,
     DecompositionError,
     TreeDistribution,
     _undo_step,
@@ -266,8 +267,6 @@ def test_undo_hosts_a_root_anchored_pendant_on_the_root_only_tree():
     trees = [[0.5, frozenset({(0, 1), (0, 2)})], [0.5, frozenset()]]
     _undo_step(trees, op, 0)
     assert trees == [
-        [0.0, frozenset({(0, 1), (0, 2)})],
-        [0.0, frozenset()],
         [0.5, frozenset({(0, 1), (1, 2)})],
         [0.5, frozenset({(0, 1)})],
     ]
@@ -284,11 +283,23 @@ def test_undo_skips_a_host_that_misses_the_anchor():
     ]
     _undo_step(trees, op, 0)
     assert trees == [
-        [0.0, frozenset({(0, 2), (0, 1), (2, 3)})],
         [0.2, frozenset({(0, 3)})],
-        [0.0, frozenset({(0, 2)})],
         [0.4, frozenset({(0, 2), (0, 1), (1, 3)})],
         [0.4, frozenset({(0, 2), (1, 2)})],
+    ]
+
+
+def test_undo_compacts_a_list_past_4096_trees():
+    # 4,096 copies of one chord tree and a tree at the weight floor: the first
+    # copy gives a quarter of its weight to a detour tree, which makes 4,098
+    # entries, so the list is merged by edge set and the light tree dropped
+    op = SplitOp(1, 2, 3, 2.0 ** -14)
+    chord_tree = frozenset({(0, 2), (2, 3)})
+    trees = [[WEIGHT_FLOOR, frozenset({(0, 4)})]] + [[2.0 ** -12, chord_tree] for _ in range(4096)]
+    _undo_step(trees, op, 0)
+    assert trees == [
+        [1.0 - 2.0 ** -14, chord_tree],
+        [2.0 ** -14, frozenset({(0, 2), (1, 2), (1, 3)})],
     ]
 
 
@@ -297,6 +308,15 @@ def test_stage_distribution_rejects_weights_off_one():
     recorder = SimpleNamespace(root=0, copy=3, chord=1.5, ops=[], prefix=[0])
     with pytest.raises(DecompositionError, match=r"^tree weights sum to 0\.5$"):
         stage_distribution(recorder, 0)
+
+
+def test_project_skips_trees_at_the_weight_floor(single_pos):
+    # the light tree would break the coupling on (1, 2), but a weight at the
+    # floor leaves it out before any check
+    pg = preprocess(single_pos)
+    dist = TreeDistribution(trees=(frozenset({(0, 1)}), frozenset()), weights=(WEIGHT_FLOOR, 1.0))
+    out = project_to_hat(dist, pg)
+    assert (out.trees, out.weights) == ((frozenset(),), (1.0,))
 
 
 def test_project_rejects_a_tree_that_breaks_the_coupling(single_pos):
