@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -363,13 +362,16 @@ def sweep_curve(
     chunk and across chunks, keeping the first maximum in xi order each time.
     Blocks whose upper bound from ``_filter_chunk`` lies below the largest
     chunk lower bound hold no point whose longdouble value reaches the
-    maximum, so they are skipped.
+    maximum, so they are skipped.  ``multiprocessing`` is imported only when
+    ``jobs > 1``, for the pool that filters the chunks.
     """
     _check_sweep_args(step, jobs)
     count = _grid_count(p, step)
     ranges = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
     args = [(p.kappa0, p.kappa, p.beta, step, lo, hi) for lo, hi in ranges]
     if jobs > 1 and len(ranges) > 1:
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(min(jobs, len(ranges))) as pool:
             filtered = pool.map(_filter_chunk, args)
     else:

@@ -6,7 +6,7 @@ import pytest
 
 from pcrpp import candidates
 from pcrpp.candidates import build_candidate, edge_profit_core, min_perfect_matching, min_tjoin
-from pcrpp.core import Walk, ekey, odd_vertices, parse_instance
+from pcrpp.core import Edge, Instance, Walk, ekey, odd_vertices, parse_instance
 from pcrpp.preprocess import preprocess
 from conftest import random_suite
 from oracles import matching_by_dp
@@ -27,6 +27,13 @@ def test_core_path_with_positive_tip(single_pos):
     assert edge_profit_core(tree, x, 0.7, pg) == frozenset()
 
 
+def test_core_rejects_a_tree_off_the_root(single_pos):
+    # the positive edge (1, 2) qualifies, but the tree never reaches root 0
+    pg = preprocess(single_pos)
+    with pytest.raises(ValueError, match="^qualifying endpoint 1 is not connected to the root$"):
+        edge_profit_core(frozenset({(1, 2)}), {(1, 2): 0.5}, 0.3, pg)
+
+
 def test_core_monotone_in_threshold():
     for inst in random_suite(15, base_seed=7000):
         pg = preprocess(inst)
@@ -45,6 +52,12 @@ def test_core_monotone_in_threshold():
             c_hi = edge_profit_core(tree, x, max(g1, g2), pg)
             c_lo = edge_profit_core(tree, x, min(g1, g2), pg)
             assert c_hi <= c_lo
+
+
+def test_tjoin_rejects_targets_in_different_components():
+    inst = Instance(4, 0, (Edge(0, 1, 1.0, 0.0), Edge(2, 3, 1.0, 5.0)))
+    with pytest.raises(ValueError, match="^targets 0 and 2 lie in different components$"):
+        min_tjoin(inst, [0, 2])
 
 
 def test_matching_empty_and_pair():

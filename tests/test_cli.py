@@ -306,6 +306,16 @@ def test_cli_bench_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_bench_writes_the_csv_to_out(tmp_path, capsys):
+    good = tmp_path / "g.txt"
+    good.write_text(barrier_text(0.1))
+    csv_path = tmp_path / "bench.csv"
+    assert main(["bench", "--out", str(csv_path), str(good)]) == 0
+    assert "name,vertices" not in capsys.readouterr().out
+    [row] = parse_bench_csv(csv_path.read_text())
+    assert (row["name"], row["opt"], row["alg"], row["red"]) == ("g", "1.300000", "1.300000", "2.100000")
+
+
 def test_cli_verify_ratio_coarse(capsys):
     # coarse grid: certificate prints but the slack dominates
     assert main(["verify-ratio", "--step", "1e-2"]) == 2
@@ -391,6 +401,10 @@ def test_cli_gen_random_roundtrip(tmp_path, capsys):
     inst = parse_instance(out_path.read_text())
     assert inst.vertex_count == 4
     assert len(inst.edges) == 4
+    # without -o the same text goes to stdout
+    capsys.readouterr()
+    assert main(["gen-random", "--seed", "5", "-n", "4", "-m", "4"]) == 0
+    assert capsys.readouterr().out == out_path.read_text()
 
 
 def test_cli_parse_error_returns_one(tmp_path, capsys):

@@ -10,12 +10,14 @@ from pcrpp.core import (
     Instance,
     ParseError,
     Walk,
+    check_walk,
     connected_to,
     ekey,
     euler_tour,
     objective,
     odd_vertices,
     parse_instance,
+    reconstruct_path,
     serialize_instance,
     shortest_paths,
 )
@@ -232,5 +234,12 @@ def test_shortest_paths_barrier():
 
 def test_shortest_paths_unreachable():
     adj = {0: [(1, 1.0)], 1: [(0, 1.0)], 2: []}
-    dist, _ = shortest_paths(adj, 0)
+    dist, pred = shortest_paths(adj, 0)
     assert math.isinf(dist[2])
+    with pytest.raises(ValueError, match="^no path from 0 to 2$"):
+        reconstruct_path(pred, 0, 2)
+
+
+def test_check_walk_rejects_an_empty_sequence(barrier):
+    with pytest.raises(ValueError, match="^empty vertex sequence$"):
+        check_walk(barrier, Walk(()))

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 import scipy
 from scipy.optimize import linprog
 
+import pcrpp
 from pcrpp import lp
 from pcrpp.core import serialize_instance
 from pcrpp.solvers import best_of_many
@@ -45,6 +47,26 @@ import pcrpp
 
 report = {"shared": pcrpp.lp._core is core}
 """ + SOLVE_BOTH
+
+# Every module name in sys.modules after running the statements in argv[1].
+LOADED_BY = """
+import json, sys
+exec(sys.argv[1])
+print(json.dumps(sorted(sys.modules)))
+"""
+
+EXPORTS = [
+    "AlphaComponents", "BoundCertificate", "Candidate", "CheckError", "CutCertificate",
+    "DecompositionError", "Edge", "Instance", "LpError", "LpSolution", "ParseError",
+    "PreprocessedGraph", "RatioParams", "Solution", "SplitError", "SplitOp", "SplitRecorder",
+    "TreeDistribution", "Walk", "alpha_components", "best_of_many", "build_candidate",
+    "candidates", "capacity_adjacency", "complete", "complete_split", "copy_vertices", "core",
+    "edge_profit_core", "euler_tour", "exact_oracle", "fixed_threshold_terms", "lp",
+    "max_flow_min_cut", "min_perfect_matching", "min_tjoin", "objective", "odd_vertices",
+    "parse_instance", "pctsp_reduction", "pctsp_solve_exact", "preprocess", "project_to_hat",
+    "ratiocheck", "restore", "separate_cuts", "serialize_instance", "shortest_paths",
+    "solve_pcrpp_lp", "solvers", "splitoff", "stage_distribution", "treedecomp", "verify_bound",
+]
 
 
 def run_child(script: str) -> dict:
@@ -90,3 +112,48 @@ def test_missing_highs_extension_names_version_and_directory(tmp_path, monkeypat
     assert str(tmp_path) in str(info.value)
     assert info.value.name == lp.HIGHS_CORE
     assert lp.HIGHS_CORE not in sys.modules
+
+
+def loaded_by(statements: str) -> set:
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_BY, statements],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_import_pcrpp_loads_core_and_preprocess_only():
+    loaded = loaded_by("import pcrpp")
+    assert {m for m in loaded if m.startswith("pcrpp")} == {"pcrpp", "pcrpp.core", "pcrpp.preprocess"}
+    assert "scipy" not in loaded
+    assert lp.HIGHS_CORE not in loaded
+
+
+def test_ratio_certificate_loads_no_solver_layer():
+    loaded = loaded_by(
+        "import pcrpp.ratiocheck\n"
+        "pcrpp.ratiocheck.verify_bound(pcrpp.ratiocheck.RatioParams(), 1e-4)"
+    )
+    unwanted = {
+        "pcrpp.lp", "pcrpp.splitoff", "pcrpp.treedecomp", "pcrpp.candidates", "pcrpp.solvers",
+        "pcrpp.cli", "scipy", lp.HIGHS_CORE, "multiprocessing", "networkx",
+    }
+    assert "pcrpp.ratiocheck" in loaded
+    assert loaded & unwanted == set()
+
+
+def test_exports_are_the_defining_modules_objects():
+    assert pcrpp.__all__ == EXPORTS
+    for name in EXPORTS:
+        value = getattr(pcrpp, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"pcrpp.{name}"]
+        else:
+            assert getattr(sys.modules[value.__module__], name) is value
+            assert value.__module__.startswith("pcrpp.")
+    # the function, not the submodule of the same name
+    assert isinstance(pcrpp.preprocess, types.FunctionType)
+    assert set(EXPORTS) <= set(dir(pcrpp))
+    with pytest.raises(AttributeError, match="'pcrpp' has no attribute 'no_such_name'"):
+        pcrpp.no_such_name

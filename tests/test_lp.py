@@ -326,6 +326,27 @@ def test_backend_rejects_malformed_model():
     ]
 
 
+@pytest.mark.parametrize(
+    "position, bad, message",
+    [
+        (1, [1.0], "LP model has 1 column upper bounds for 2 columns"),
+        (3, [1.0, 1.0], "LP model has 2 row upper bounds for 1 rows"),
+        (4, [0, 2], "LP model has 2 column starts for 2 columns"),
+        (4, [1, 1, 2], "LP model column 0 starts at entry 1, not 0"),
+        (4, [0, 2, 1], "LP model column 2 starts at entry 1, before column 1 at 2"),
+        (6, [1.0], "LP model columns end at entry 2 but it has 2 row indices and 1 values"),
+        (5, [0, 5], r"LP model entry 1 \(column 1\) has row index 5, outside the 1 rows"),
+    ],
+)
+def test_check_model_rejects_malformed_csc(position, bad, message):
+    # _check_model runs before HiGHS sees the arrays, so this stays in process
+    two = np.ones(2)
+    model = [two, two, np.array([1.0]), np.array([1.0]), np.array([0, 1, 2]), np.array([0, 0]), two]
+    model[position] = np.array(bad)
+    with pytest.raises(LpError, match=f"^{message}$"):
+        lp._check_model(*model)
+
+
 def test_lp_text_dump(barrier):
     pg = preprocess(barrier)
     _, cert = solve_pcrpp_lp(pg)

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import random
 import re
 
@@ -513,7 +514,8 @@ class _RecordingContext:
 
 def test_sweep_pool_capped_at_chunk_count(monkeypatch):
     ctx = _RecordingContext()
-    monkeypatch.setattr(ratiocheck, "get_context", lambda method: ctx)
+    # sweep_curve imports get_context from multiprocessing when it builds a pool
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
     count = _grid_count(PAPER, 1e-4)
     assert 4096 < count <= 2 * 4096
     got = sweep_curve(PAPER, 1e-4, jobs=64, chunk=4096)
