@@ -190,7 +190,7 @@ def run_bench(paths, *, oracle_cap: int = ORACLE_CAP, pctsp_cap: int = PCTSP_CAP
     return records, records_to_csv(records), summarize(records)
 
 
-def _print_summary(rows, out=sys.stdout):
+def _print_summary(rows, out=None):  # None: the sys.stdout of call time
     cols = [
         ("family", 10),
         ("count", 6),

@@ -1,6 +1,6 @@
 """Numerical certification of the approximation constant.
 
-The grid sweep runs in two passes, chunk by chunk of grid points.
+The grid sweep runs in two passes over chunks of grid points.
 
 1. Float64 filter, an interval branch-and-bound over segments of consecutive
    grid points (Hansen & Walster, Global Optimization Using Interval
@@ -16,12 +16,15 @@ The grid sweep runs in two passes, chunk by chunk of grid points.
    x_a a segment is bounded by max(H/(1 - x_a), H/(1 - x_c)) with
    H = f (1 - x_a) + 2 FILTER_BOUND, rounded up; a single point by f + m,
    with m(xi) = FILTER_BOUND/(1 - xi).  Every segment start raises the
-   chunk's lower bound on the maximum to max(f - m).  The levels are the
-   sub-blocks of SUB = 512 points across the chunk, then, inside each live
-   segment, its FANOUT = 8 segments of 64, 8 and 1 points.  A segment whose
-   bound lies below the lower bound is pruned; any other one (NaN
-   included) is split.  A block of BLOCK points takes the largest bound of
-   the pruned segments and single points it holds as its upper bound.
+   lower bound on the grid maximum to max(f - m).  The levels are the
+   sub-blocks of SUB = 512 points, bounded across the whole grid first, so
+   that their lower bound holds for every chunk; then, chunk by chunk,
+   inside each live segment, its FANOUT = 8 segments of 64, 8 and 1 points.
+   A segment whose bound lies below the lower bound is pruned; any other
+   one (NaN included) is split, so a chunk none of whose sub-blocks reaches
+   the grid-wide lower bound makes no further float64 evaluation.  A block
+   of BLOCK points takes the largest bound of the pruned segments and single
+   points it holds as its upper bound.
 2. Longdouble pass.  Only the blocks whose upper bound is not below the
    largest lower bound of all chunks (NaN included) are evaluated again in
    extended precision (numpy longdouble, 64-bit mantissa on x86-64), whose
@@ -43,8 +46,9 @@ each block evaluated again the float64 error times (1 - xi) is checked
 against FILTER_BOUND; a larger one raises FilterBoundError instead of
 returning a certificate that rests on a broken bound.
 
-The live segments of a level are split FILTER_SLICE // FANOUT at a time, so
-no float64 evaluation takes more than FILTER_SLICE points.
+The sub-block starts are bounded FILTER_SLICE at a time and the live
+segments of a level are split FILTER_SLICE // FANOUT at a time, so no float64
+evaluation takes more than FILTER_SLICE points.
 """
 from __future__ import annotations
 
@@ -149,7 +153,7 @@ def skip_factor(p: RatioParams) -> float:
 def _curve_constants(p: RatioParams, dtype) -> tuple:
     """The scalars of ``_curve_array`` in dtype, computed once per (params, dtype).
 
-    A 1e-7 sweep calls ``_curve_array`` 49 times with the same params, most
+    A 1e-7 sweep calls ``_curve_array`` 31 times with the same params, most
     calls on a few thousand points or fewer, and computing these scalars,
     the longdouble powers of ``_nu_ld`` included, took about a fifth of a
     one-point call.  The tests replace ``_curve_array`` by stand-ins with
@@ -293,45 +297,64 @@ def _segment_bounds(
     return np.nextafter(bounds, np.inf, out=bounds), lower
 
 
+def _sub_block_bounds(
+    p: RatioParams, step: float, ranges: list[tuple[int, int]]
+) -> tuple[list[np.ndarray], float]:
+    """The bound of every SUB-point sub-block of each chunk in ranges, and max(f - m) over them.
+
+    The sub-block starts of all the chunks are bounded FILTER_SLICE at a
+    time, so each start is evaluated once, and the lower bound they give
+    holds for the whole grid.
+    """
+    starts = [np.arange(lo, hi, SUB, dtype=np.int64) for lo, hi in ranges]
+    flat = np.concatenate(starts)
+    bounds = np.empty(len(flat))
+    lower = -np.inf
+    for i in range(0, len(flat), FILTER_SLICE):
+        bounds[i:i + FILTER_SLICE], top = _segment_bounds(p, step, flat[i:i + FILTER_SLICE], SUB)
+        lower = np.fmax(lower, top)
+    return np.split(bounds, np.cumsum([len(s) for s in starts[:-1]])), float(lower)
+
+
 def _refine(
-    p: RatioParams, step: float, lo: int, hi: int, starts: np.ndarray, size: int,
-    lower: float, uppers: np.ndarray,
+    p: RatioParams, step: float, lo: int, hi: int, starts: np.ndarray, bounds: np.ndarray,
+    size: int, lower: float, uppers: np.ndarray,
 ) -> float:
-    """Bound the segments at starts, split the live ones, and return the raised lower bound.
+    """Prune the segments at starts against lower, split the live ones, return the raised lower bound.
 
     A segment whose bound lies below the lower bound, and every single point,
     raises the upper bound of its block in uppers to its bound; any other
     segment (NaN included) is split into FANOUT segments, FILTER_SLICE points
-    at a time.
+    at a time, whose bounds and values raise the lower bound in turn.
     """
-    bounds, top = _segment_bounds(p, step, starts, size)
-    lower = np.fmax(lower, top)
     live = ~(bounds < lower) & (size > 1)
     np.maximum.at(uppers, (starts[~live] - lo) // BLOCK, bounds[~live])
     parents, part = starts[live], size // FANOUT
     for i in range(0, len(parents), FILTER_SLICE // FANOUT):
         children = np.add.outer(parents[i:i + FILTER_SLICE // FANOUT], np.arange(0, size, part))
-        lower = _refine(p, step, lo, hi, children[children < hi], part, lower, uppers)
+        children = children[children < hi]
+        child_bounds, top = _segment_bounds(p, step, children, part)
+        lower = _refine(p, step, lo, hi, children, child_bounds, part, np.fmax(lower, top), uppers)
     return lower
 
 
 def _filter_chunk(args) -> tuple[float, np.ndarray]:
-    """One chunk's lower bound on its maximum and an upper bound per block.
+    """One chunk's lower bound on the grid maximum and an upper bound per block.
 
-    The sub-blocks of SUB points across the chunk are bounded first, then
-    each live segment is split down to single points (see the module
-    docstring).  A block's upper bound is the largest bound of the pruned
-    segments and single points it holds, so NaN in any of them stays NaN.
+    args ends with the bounds of the chunk's sub-blocks and the lower bound
+    to start from, as ``_sub_block_bounds`` gives them.  Each sub-block whose
+    bound reaches the lower bound is split down to single points (see the
+    module docstring); if none does, the chunk makes no float64 evaluation.
+    A block's upper bound is the largest bound of the pruned segments and
+    single points it holds, so NaN in any of them stays NaN.
     """
-    k0, k, b, step, lo, hi = args
+    k0, k, b, step, lo, hi, bounds, lower = args
     p = RatioParams(k0, k, b)
     uppers = np.full(-(-(hi - lo) // BLOCK), -np.inf)
     starts = np.arange(lo, hi, SUB, dtype=np.int64)
-    lower = -np.inf
     # NaN values need no warning: their blocks go to the longdouble pass, whose check raises
     with np.errstate(invalid="ignore"):
-        for i in range(0, len(starts), FILTER_SLICE):
-            lower = _refine(p, step, lo, hi, starts[i:i + FILTER_SLICE], SUB, lower, uppers)
+        lower = _refine(p, step, lo, hi, starts, bounds, SUB, lower, uppers)
     return float(lower), uppers
 
 
@@ -360,15 +383,22 @@ def sweep_curve(
 
     The result equals a longdouble evaluation of every grid point reduced per
     chunk and across chunks, keeping the first maximum in xi order each time.
-    Blocks whose upper bound from ``_filter_chunk`` lies below the largest
-    chunk lower bound hold no point whose longdouble value reaches the
-    maximum, so they are skipped.  ``multiprocessing`` is imported only when
+    The sub-blocks of the whole grid are bounded first, and each chunk is
+    refined by ``_filter_chunk`` from their lower bound, serially or in the
+    pool alike.  Blocks whose upper bound lies below the largest chunk lower
+    bound hold no point whose longdouble value reaches the maximum, so they
+    are skipped.  ``multiprocessing`` is imported only when
     ``jobs > 1``, for the pool that filters the chunks.
     """
     _check_sweep_args(step, jobs)
     count = _grid_count(p, step)
     ranges = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-    args = [(p.kappa0, p.kappa, p.beta, step, lo, hi) for lo, hi in ranges]
+    with np.errstate(invalid="ignore"):  # NaN bounds are kept live, as in _filter_chunk
+        sub_bounds, lower = _sub_block_bounds(p, step, ranges)
+    args = [
+        (p.kappa0, p.kappa, p.beta, step, lo, hi, bounds, lower)
+        for (lo, hi), bounds in zip(ranges, sub_bounds)
+    ]
     if jobs > 1 and len(ranges) > 1:
         from multiprocessing import get_context
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from collections import Counter
 
@@ -314,6 +316,18 @@ def test_cli_bench_writes_the_csv_to_out(tmp_path, capsys):
     assert "name,vertices" not in capsys.readouterr().out
     [row] = parse_bench_csv(csv_path.read_text())
     assert (row["name"], row["opt"], row["alg"], row["red"]) == ("g", "1.300000", "1.300000", "2.100000")
+
+
+def test_cli_bench_summary_follows_a_redirected_stdout(tmp_path):
+    good = tmp_path / "g.txt"
+    good.write_text(barrier_text(0.1))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["bench", "--out", str(tmp_path / "bench.csv"), str(good)]) == 0
+    header, family, total = (line.split() for line in buf.getvalue().splitlines())
+    assert header[:3] == ["family", "count", "avg_alg_gap"]
+    assert family[:2] == ["g", "1"]
+    assert total[:2] == ["All", "1"]
 
 
 def test_cli_verify_ratio_coarse(capsys):

@@ -157,3 +157,11 @@ def test_exports_are_the_defining_modules_objects():
     assert set(EXPORTS) <= set(dir(pcrpp))
     with pytest.raises(AttributeError, match="'pcrpp' has no attribute 'no_such_name'"):
         pcrpp.no_such_name
+
+
+def test_submodule_attribute_imports_on_access(monkeypatch):
+    import pcrpp.splitoff  # noqa: F401
+
+    monkeypatch.delattr(pcrpp, "splitoff")
+    assert "splitoff" not in vars(pcrpp)
+    assert pcrpp.splitoff is sys.modules["pcrpp.splitoff"]

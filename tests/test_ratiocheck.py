@@ -348,6 +348,12 @@ def test_sweep_later_chunk_beats_an_earlier_maximum(monkeypatch):
     assert sweep_curve(PAPER, step, chunk=chunk) == want
 
 
+def _filter(p: RatioParams, step: float, lo: int, hi: int) -> tuple[float, np.ndarray]:
+    """``_filter_chunk`` on the chunk lo..hi-1, from its own sub-block bounds and -inf."""
+    [bounds], _ = ratiocheck._sub_block_bounds(p, step, [(lo, hi)])
+    return ratiocheck._filter_chunk((p.kappa0, p.kappa, p.beta, step, lo, hi, bounds, -np.inf))
+
+
 @pytest.mark.parametrize("p", [PAPER, RatioParams(0.1, 1.0, 0.5), RatioParams(0.3, 0.95, 0.25)])
 def test_filter_brackets_longdouble_values(p):
     # the chunk's lower bound is at most its longdouble maximum, and each
@@ -356,7 +362,7 @@ def test_filter_brackets_longdouble_values(p):
     count = _grid_count(p, step)
     for lo in range(0, count, 1 << 14):
         hi = min(lo + (1 << 14), count)
-        lower, uppers = ratiocheck._filter_chunk((p.kappa0, p.kappa, p.beta, step, lo, hi))
+        lower, uppers = _filter(p, step, lo, hi)
         exact = _curve_array(p, _grid(p, step, lo, hi))
         assert lower <= exact.max()
         assert len(uppers) == -(-(hi - lo) // ratiocheck.BLOCK)
@@ -396,8 +402,61 @@ def test_sub_block_bounds_cover_longdouble_values(p, step, chunk):
             bounds, lower = ratiocheck._segment_bounds(p, step, starts, size)
             assert np.all(bounds >= np.maximum.reduceat(exact, starts - lo))
             assert lower <= exact.max()
-        lower, _ = ratiocheck._filter_chunk((p.kappa0, p.kappa, p.beta, step, lo, hi))
+        lower, _ = _filter(p, step, lo, hi)
         assert lower <= exact.max()
+
+
+@pytest.mark.parametrize("p, step, chunk", _BOUND_CASES)
+def test_grid_lower_bound_brackets_longdouble_values(p, step, chunk):
+    # the lower bound from the sub-blocks of the whole grid is at most the
+    # grid's longdouble maximum, and a chunk refined from it still bounds
+    # every longdouble value of each block from above
+    count = _grid_count(p, step)
+    ranges = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
+    sub_bounds, lower = ratiocheck._sub_block_bounds(p, step, ranges)
+    exact = _curve_array(p, _grid(p, step, 0, count))
+    assert lower <= exact.max()
+    for (lo, hi), bounds in zip(ranges, sub_bounds):
+        assert len(bounds) == -(-(hi - lo) // ratiocheck.SUB)
+        args = (p.kappa0, p.kappa, p.beta, step, lo, hi, bounds, lower)
+        _, uppers = ratiocheck._filter_chunk(args)
+        block_max = np.maximum.reduceat(exact[lo:hi], np.arange(0, hi - lo, ratiocheck.BLOCK))
+        assert np.all(uppers >= block_max)
+
+
+def test_sweep_bounds_each_sub_block_once_and_refines_only_live_chunks(monkeypatch):
+    # the sub-blocks of the whole grid are bounded first, each start once and
+    # at most FILTER_SLICE per call; every smaller segment lies in a chunk
+    # that holds a sub-block bound not below the grid-wide lower bound, and
+    # chunks without one make no further call
+    step, chunk = 1e-6, 1 << 16
+    count = _grid_count(PAPER, step)
+    real_bounds = ratiocheck._segment_bounds
+    calls = []
+
+    def recording(p, step, starts, size):
+        bounds, lower = real_bounds(p, step, starts, size)
+        calls.append((starts.copy(), size, bounds, lower))
+        return bounds, lower
+
+    monkeypatch.setattr(ratiocheck, "_segment_bounds", recording)
+    assert sweep_curve(PAPER, step, chunk=chunk) == _sweep_oracle(PAPER, step, chunk)
+    sub_calls = [c for c in calls if c[1] == ratiocheck.SUB]
+    assert all(len(starts) <= ratiocheck.FILTER_SLICE for starts, *_ in sub_calls)
+    starts = np.concatenate([c[0] for c in sub_calls])
+    ranges = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
+    want = np.concatenate([np.arange(lo, hi, ratiocheck.SUB) for lo, hi in ranges])
+    assert starts.tolist() == want.tolist()
+    lower = max(c[3] for c in sub_calls)
+    bounds = np.concatenate([c[2] for c in sub_calls])
+    live_chunks = set((starts[~(bounds < lower)] // chunk).tolist())
+    refined = set()
+    for seg_starts, size, *_ in calls[len(sub_calls):]:
+        assert size < ratiocheck.SUB
+        assert seg_starts[0] // chunk == seg_starts[-1] // chunk
+        refined.add(int(seg_starts[0]) // chunk)
+    assert refined == live_chunks
+    assert 0 < len(live_chunks) < -(-count // chunk)
 
 
 def test_h_nonincreasing_along_the_grid():
@@ -440,7 +499,9 @@ def test_nan_at_a_sub_block_start_keeps_it_live_and_raises(monkeypatch):
 
     monkeypatch.setattr(ratiocheck, "_curve_array", corrupted)
     monkeypatch.setattr(ratiocheck, "_segment_bounds", recording)
-    _, uppers = ratiocheck._filter_chunk((PAPER.kappa0, PAPER.kappa, PAPER.beta, step, 0, count))
+    [bounds], lower = ratiocheck._sub_block_bounds(PAPER, step, [(0, count)])
+    args = (PAPER.kappa0, PAPER.kappa, PAPER.beta, step, 0, count, bounds, lower)
+    _, uppers = ratiocheck._filter_chunk(args)
     assert nan_starts == {size: [i] for size in _levels()}
     assert np.flatnonzero(np.isnan(uppers)).tolist() == [i // ratiocheck.BLOCK]
     xi = float(_grid(PAPER, step, i, i + 1)[0])
