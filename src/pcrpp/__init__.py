@@ -2,7 +2,8 @@
 
 The exported names are bound on first use (PEP 562), so that importing
 the package, or only ``pcrpp.ratiocheck``, does not load the LP stack
-(scipy and its HiGHS extension) or the other solver layers.
+(``pcrpp.lp`` with scipy's HiGHS extension, which it loads without
+importing scipy's package) or the other solver layers.
 """
 
 from importlib import import_module

@@ -1,4 +1,8 @@
-"""Command-line harness: solve, oracle, reduce, bench, verify-ratio, gen-random."""
+"""Command-line harness: solve, oracle, reduce, bench, verify-ratio, gen-random.
+
+Each command imports the layers it runs when it runs, so ``verify-ratio``
+loads no solver layer and a solve does not load the ratio certifier.
+"""
 from __future__ import annotations
 
 import argparse
@@ -11,14 +15,26 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .core import Edge, Instance, parse_instance, serialize_instance
-from .lp import LpError, write_lp_text
-from .ratiocheck import FilterBoundError, RatioParams, verify_bound
-from .solvers import ORACLE_CAP, PCTSP_CAP, CheckError, SolveRun, best_of_many, exact_oracle, pctsp_reduction
-from .splitoff import SplitError
-from .treedecomp import DecompositionError
 
-# typed failures of a run on valid input; ``main`` reports them with exit code 3
-RUN_ERRORS = (LpError, SplitError, DecompositionError, CheckError, FilterBoundError)
+# typed failures of a run on valid input, by defining submodule; ``main``
+# reports them with exit code 3
+RUN_ERRORS = {
+    "lp": "LpError",
+    "splitoff": "SplitError",
+    "treedecomp": "DecompositionError",
+    "solvers": "CheckError",
+    "ratiocheck": "FilterBoundError",
+}
+
+
+def _run_errors() -> tuple:
+    """The ``RUN_ERRORS`` classes of the loaded submodules.
+
+    A run can only raise one whose submodule it has loaded, so the rest are
+    not imported just to be matched.
+    """
+    modules = ((sys.modules.get(f"{__package__}.{module}"), name) for module, name in RUN_ERRORS.items())
+    return tuple(getattr(module, name) for module, name in modules if module is not None)
 
 
 @dataclass
@@ -84,8 +100,13 @@ def _gap(value: float, opt: float) -> float | None:
 
 
 def bench_instance(
-    inst: Instance, *, oracle_cap: int = ORACLE_CAP, pctsp_cap: int = PCTSP_CAP
+    inst: Instance, *, oracle_cap: int | None = None, pctsp_cap: int | None = None
 ) -> BenchRecord:
+    """One instance's record; a cap left at None is the solver's default."""
+    from .solvers import ORACLE_CAP, PCTSP_CAP, best_of_many, exact_oracle, pctsp_reduction
+
+    oracle_cap = ORACLE_CAP if oracle_cap is None else oracle_cap
+    pctsp_cap = PCTSP_CAP if pctsp_cap is None else pctsp_cap
     rec = BenchRecord(name=inst.name or "?", vertices=inst.vertex_count, edges=len(inst.edges))
     alg = best_of_many(inst)
     red = pctsp_reduction(inst, cap=pctsp_cap)
@@ -178,8 +199,11 @@ def summarize(records: list[BenchRecord]) -> list[dict]:
     return rows
 
 
-def run_bench(paths, *, oracle_cap: int = ORACLE_CAP, pctsp_cap: int = PCTSP_CAP):
-    """Per-instance records, their CSV text and the family summary rows."""
+def run_bench(paths, *, oracle_cap: int | None = None, pctsp_cap: int | None = None):
+    """Per-instance records, their CSV text and the family summary rows.
+
+    A cap left at None is the solver's default.
+    """
     records = []
     for path in map(Path, paths):
         try:
@@ -222,6 +246,9 @@ def _walk_str(walk) -> str:
 
 def _cmd_solve(args) -> int:
     """Solve once; the dumps come from this run, the LP dump before splitting."""
+    from .lp import write_lp_text
+    from .solvers import SolveRun
+
     inst = parse_instance(Path(args.instance).read_text(), name=Path(args.instance).stem)
     run = SolveRun(inst)
     if args.dump_lp:
@@ -252,16 +279,20 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .solvers import ORACLE_CAP, exact_oracle
+
     inst = parse_instance(Path(args.instance).read_text(), name=Path(args.instance).stem)
-    sol = exact_oracle(inst, cap=args.cap)
+    sol = exact_oracle(inst, cap=ORACLE_CAP if args.cap is None else args.cap)
     print(f"value {sol.value:.6f}")
     print(f"walk {_walk_str(sol.walk)}")
     return 0
 
 
 def _cmd_reduce(args) -> int:
+    from .solvers import PCTSP_CAP, pctsp_reduction
+
     inst = parse_instance(Path(args.instance).read_text(), name=Path(args.instance).stem)
-    sol = pctsp_reduction(inst, cap=args.cap)
+    sol = pctsp_reduction(inst, cap=PCTSP_CAP if args.cap is None else args.cap)
     print(f"value {sol.value:.6f}")
     print(f"walk {_walk_str(sol.walk)}")
     print(f"exact_pctsp {int(sol.stats.get('exact', True))}")
@@ -282,7 +313,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify_ratio(args) -> int:
-    params = RatioParams(args.kappa0, args.kappa, args.beta)
+    from .ratiocheck import RatioParams, verify_bound
+
+    given = {name: getattr(args, name) for name in ("kappa0", "kappa", "beta")}
+    params = RatioParams(**{name: value for name, value in given.items() if value is not None})
     cert = verify_bound(params, args.step, jobs=args.jobs)
     print("ratio certificate")
     print(f"  window          [{params.kappa0}, {params.kappa}]  beta {params.beta}")
@@ -308,6 +342,7 @@ def _cmd_gen_random(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; a default of None stands for the default of the layer that runs."""
     parser = argparse.ArgumentParser(prog="pcrpp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -319,27 +354,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive exact optimum for small instances")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=ORACLE_CAP)
+    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("reduce", help="PCTSP-reduction baseline")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=PCTSP_CAP)
+    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("bench", help="benchmark a list of instance files")
     p.add_argument("instances", nargs="*")
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
-    p.add_argument("--pctsp-cap", type=int, default=PCTSP_CAP)
+    p.add_argument("--oracle-cap", type=int)
+    p.add_argument("--pctsp-cap", type=int)
     p.add_argument("--out", metavar="CSV")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify-ratio", help="certify the approximation constant")
     p.add_argument("--step", type=float, default=1e-8)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--kappa0", type=float, default=RatioParams().kappa0)
-    p.add_argument("--kappa", type=float, default=RatioParams().kappa)
-    p.add_argument("--beta", type=float, default=RatioParams().beta)
+    p.add_argument("--kappa0", type=float)
+    p.add_argument("--kappa", type=float)
+    p.add_argument("--beta", type=float)
     p.set_defaults(func=_cmd_verify_ratio)
 
     p = sub.add_parser("gen-random", help="write a random connected instance")
@@ -362,7 +397,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RUN_ERRORS as exc:
+    except _run_errors() as exc:  # evaluated once an exception reaches it
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

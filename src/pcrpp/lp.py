@@ -14,9 +14,10 @@ the tests, as the reference.  ``write_lp_text`` prints that same master, over
 every pair with the recorded cuts and with the positive edges' profit sum as
 its objective constant, as CPLEX LP text.
 
-The bindings are loaded from their file, without running
-``scipy/optimize/__init__.py``: that file imports all of ``scipy.optimize``,
-about 0.6 s that a solve does not need.
+The bindings are loaded from their file, without importing scipy's
+package: ``importlib.util.find_spec`` locates scipy's directory, so neither
+``scipy/__init__.py`` (about 6 ms) nor ``scipy/optimize/__init__.py``, which
+imports all of ``scipy.optimize`` (about 0.6 s), runs in a solve.
 """
 from __future__ import annotations
 
@@ -24,12 +25,11 @@ import math
 import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
-from importlib.util import module_from_spec, spec_from_file_location
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from itertools import compress
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .core import ekey
 from .preprocess import PreprocessedGraph
@@ -44,13 +44,23 @@ SUPPORT_FLOOR = 1e-12  # edge mass or residual capacity at or below this is abse
 HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
+def _highs_directory() -> Path:
+    """The directory of scipy's HiGHS extension, found without importing scipy."""
+    spec = find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed; pcrpp.lp needs its HiGHS extension", name="scipy")
+    return Path(spec.origin).parent / "optimize" / "_highspy"
+
+
 def _load_highs_core(directory: Path):
     """scipy's HiGHS extension module, loaded from ``directory`` by its spec.
 
-    An entry already in ``sys.modules`` (a prior ``import scipy.optimize``)
-    is reused.  Otherwise the module is registered under its own name before
-    it runs, so a later ``import scipy.optimize`` reuses it instead of
-    initialising a second copy of the pybind11 module.
+    Neither ``scipy`` nor ``scipy.optimize`` is imported.  An entry already
+    in ``sys.modules`` (a prior ``import scipy.optimize``) is reused.
+    Otherwise the module is registered under its own name before it runs,
+    so a later ``import scipy.optimize`` reuses it instead of initialising
+    a second copy of the pybind11 module.  A missing extension raises an
+    ``ImportError`` that names scipy's version, read from its metadata.
     """
     module = sys.modules.get(HIGHS_CORE)
     if module is not None:
@@ -61,8 +71,10 @@ def _load_highs_core(directory: Path):
         if path.is_file():
             break
     else:
+        from importlib.metadata import version
+
         raise ImportError(
-            f"scipy {scipy.__version__} has no HiGHS extension {stem}.* in {directory}"
+            f"scipy {version('scipy')} has no HiGHS extension {stem}.* in {directory}"
             f" (suffixes tried: {', '.join(EXTENSION_SUFFIXES)})",
             name=HIGHS_CORE,
         )
@@ -77,7 +89,7 @@ def _load_highs_core(directory: Path):
     return module
 
 
-_core = _load_highs_core(Path(scipy.__file__).parent / "optimize" / "_highspy")
+_core = _load_highs_core(_highs_directory())
 
 
 class LpError(RuntimeError):

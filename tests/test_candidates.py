@@ -214,6 +214,21 @@ def test_build_candidate_barrier_tree(barrier):
     assert odd_vertices(cand.walk.edge_multiset()) == frozenset()
 
 
+def test_build_candidate_rejects_a_core_off_the_root(single_pos, monkeypatch):
+    monkeypatch.setattr(candidates, "connected_to", lambda counts, root: False)
+    pg = preprocess(single_pos)
+    with pytest.raises(AssertionError, match="^restored core is disconnected from the root$"):
+        build_candidate(single_pos, pg, frozenset({(0, 2), (1, 2)}), (1.0, 0, 1.0))
+
+
+def test_build_candidate_rejects_a_join_that_leaves_odd_vertices(single_pos, monkeypatch):
+    # the restored edge (0, 1) leaves both ends odd; an empty join corrects neither
+    monkeypatch.setattr(candidates, "min_tjoin", lambda inst, targets, sp_cache=None: Counter())
+    pg = preprocess(single_pos)
+    with pytest.raises(AssertionError, match="^parity correction left an odd vertex$"):
+        build_candidate(single_pos, pg, frozenset({(0, 2), (1, 2)}), (1.0, 0, 1.0))
+
+
 def test_candidate_walks_are_valid_random():
     from pcrpp.core import check_walk
 

@@ -9,6 +9,7 @@ import pytest
 from pcrpp import lp, ratiocheck, solvers, splitoff
 from pcrpp.cli import (
     BenchRecord,
+    bench_instance,
     convert_optimum,
     family_of,
     gen_random,
@@ -17,7 +18,7 @@ from pcrpp.cli import (
     records_to_csv,
     run_bench,
 )
-from pcrpp.core import parse_instance, serialize_instance
+from pcrpp.core import Walk, parse_instance, serialize_instance
 from pcrpp.lp import solve_pcrpp_lp, write_lp_text
 from pcrpp.preprocess import preprocess
 from pcrpp.solvers import exact_oracle
@@ -306,6 +307,15 @@ def test_cli_bench_exit_codes(tmp_path, capsys):
     bad.write_text("junk\n")
     assert main(["bench", str(good), str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_bench_instance_credits_a_reduction_that_beats_alg(barrier, monkeypatch):
+    # the barrier's best walk stays at the root (1.3); a reduction claiming 0.65 wins
+    monkeypatch.setattr(solvers, "pctsp_reduction", lambda inst, cap: solvers.Solution(Walk.trivial(0), 0.65))
+    rec = bench_instance(barrier)
+    assert (rec.alg, rec.red, rec.opt) == (pytest.approx(1.3), 0.65, pytest.approx(1.3))
+    assert rec.better == "RED"
+    assert rec.red_gap == pytest.approx(-50.0)
 
 
 def test_cli_bench_writes_the_csv_to_out(tmp_path, capsys):

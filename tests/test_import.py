@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import types
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import pytest
@@ -48,7 +49,7 @@ import pcrpp
 report = {"shared": pcrpp.lp._core is core}
 """ + SOLVE_BOTH
 
-# Every module name in sys.modules after running the statements in argv[1].
+# Every module name in sys.modules after running the statements in argv[1], on the last line.
 LOADED_BY = """
 import json, sys
 exec(sys.argv[1])
@@ -114,13 +115,51 @@ def test_missing_highs_extension_names_version_and_directory(tmp_path, monkeypat
     assert lp.HIGHS_CORE not in sys.modules
 
 
+def test_broken_highs_extension_leaves_no_module_behind(tmp_path, monkeypatch):
+    (tmp_path / ("_core" + EXTENSION_SUFFIXES[0])).write_bytes(b"")
+    monkeypatch.delitem(sys.modules, lp.HIGHS_CORE)
+    with pytest.raises(ImportError, match="file too short"):
+        lp._load_highs_core(tmp_path)
+    assert lp.HIGHS_CORE not in sys.modules
+
+
+def test_highs_loader_unregisters_a_module_that_fails_to_run(tmp_path, monkeypatch):
+    # a source stand-in, since a broken extension fails in module_from_spec, before registration
+    monkeypatch.setattr(lp, "EXTENSION_SUFFIXES", [".py"])
+    monkeypatch.delitem(sys.modules, lp.HIGHS_CORE)
+    broken, working = tmp_path / "broken", tmp_path / "working"
+    broken.mkdir()
+    working.mkdir()
+    (broken / "_core.py").write_text("raise RuntimeError('stand-in fails to run')\n")
+    (working / "_core.py").write_text("VALUE = 1\n")
+    with pytest.raises(RuntimeError, match="stand-in fails to run"):
+        lp._load_highs_core(broken)
+    assert lp.HIGHS_CORE not in sys.modules
+    module = lp._load_highs_core(working)
+    assert module.VALUE == 1
+    assert sys.modules[lp.HIGHS_CORE] is module
+    assert lp._load_highs_core(broken) is module  # the registered module is reused
+
+
+def test_highs_directory_is_found_without_importing_scipy():
+    assert lp._highs_directory() == Path(scipy.__file__).parent / "optimize" / "_highspy"
+
+
+def test_missing_scipy_is_named(monkeypatch):
+    monkeypatch.setattr(lp, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="^scipy is not installed") as info:
+        lp._highs_directory()
+    assert info.value.name == "scipy"
+
+
 def loaded_by(statements: str) -> set:
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_BY, statements],
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    # the statements may print; the module list is the last line
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_import_pcrpp_loads_core_and_preprocess_only():
@@ -165,3 +204,23 @@ def test_submodule_attribute_imports_on_access(monkeypatch):
     monkeypatch.delattr(pcrpp, "splitoff")
     assert "splitoff" not in vars(pcrpp)
     assert pcrpp.splitoff is sys.modules["pcrpp.splitoff"]
+
+
+def test_solve_through_the_cli_loads_neither_scipy_nor_the_certifier():
+    loaded = loaded_by(
+        "import pcrpp.cli, pcrpp.solvers\n"
+        "pcrpp.solvers.best_of_many(pcrpp.cli.gen_random(0, 6, 10))"
+    )
+    assert lp.HIGHS_CORE in loaded
+    assert "pcrpp.solvers" in loaded
+    assert loaded & {"scipy", "scipy.optimize", "pcrpp.ratiocheck"} == set()
+
+
+def test_cli_verify_ratio_loads_no_solver_layer():
+    loaded = loaded_by('from pcrpp.cli import main\nmain(["verify-ratio", "--step", "1e-4"])')
+    unwanted = {
+        "pcrpp.lp", "pcrpp.solvers", "pcrpp.splitoff", "pcrpp.treedecomp", "pcrpp.candidates",
+        "scipy", lp.HIGHS_CORE,
+    }
+    assert "pcrpp.ratiocheck" in loaded
+    assert loaded & unwanted == set()

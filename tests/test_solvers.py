@@ -44,6 +44,19 @@ def test_oracle_cap():
         exact_oracle(inst, cap=12)
 
 
+def test_oracle_without_a_connected_vector_fails(single_pos, monkeypatch):
+    # the trivial vector at the root is always connected, so only a broken check finds none
+    monkeypatch.setattr(solvers, "connected_to", lambda edges, root: False)
+    with pytest.raises(AssertionError, match="^no feasible traversal vector found$"):
+        exact_oracle(single_pos)
+
+
+def test_oracle_walk_value_must_match_its_vector(single_pos, monkeypatch):
+    monkeypatch.setattr(solvers, "objective", lambda inst, walk: objective(inst, walk) + 1.0)
+    with pytest.raises(AssertionError, match="^walk value disagrees with the vector value$"):
+        exact_oracle(single_pos)
+
+
 def test_pctsp_exact_empty():
     assert pctsp_solve_exact([], {}, {}, 0) == []
 
