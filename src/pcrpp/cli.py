@@ -99,13 +99,13 @@ def _gap(value: float, opt: float) -> float | None:
     return 100.0 * (value - opt) / opt
 
 
-def bench_instance(
-    inst: Instance, *, oracle_cap: int | None = None, pctsp_cap: int | None = None
-) -> BenchRecord:
-    """One instance's record; a cap left at None is the solver's default."""
-    from .solvers import ORACLE_CAP, PCTSP_CAP, best_of_many, exact_oracle, pctsp_reduction
+def bench_instance(inst: Instance, *, pctsp_cap: int | None = None) -> BenchRecord:
+    """One instance's record; a cap left at None is the solver's default.
 
-    oracle_cap = ORACLE_CAP if oracle_cap is None else oracle_cap
+    OPT is the file's ``OPTMAX`` when it has one, else the exact oracle's.
+    """
+    from .solvers import PCTSP_CAP, best_of_many, exact_oracle, pctsp_reduction
+
     pctsp_cap = PCTSP_CAP if pctsp_cap is None else pctsp_cap
     rec = BenchRecord(name=inst.name or "?", vertices=inst.vertex_count, edges=len(inst.edges))
     alg = best_of_many(inst)
@@ -116,17 +116,15 @@ def bench_instance(
     rec.t_lp = alg.stats.get("t_lp", 0.0)
     rec.t_split = alg.stats.get("t_split", 0.0)
     rec.t_other = alg.stats.get("t_other", 0.0)
-    opt = None
     if inst.opt_max is not None:
         opt = convert_optimum(inst, inst.opt_max)
-    elif len(inst.edges) <= oracle_cap:
-        opt = exact_oracle(inst, cap=oracle_cap).value
+    else:
+        opt = exact_oracle(inst).value
     rec.opt = opt
-    if opt is not None:
-        rec.alg_gap = _gap(rec.alg, opt)
-        rec.red_gap = _gap(rec.red, opt)
-        if rec.opt_lp is not None:
-            rec.lp_gap = 100.0 * (opt - rec.opt_lp) / opt if abs(opt) > 1e-12 else 0.0
+    rec.alg_gap = _gap(rec.alg, opt)
+    rec.red_gap = _gap(rec.red, opt)
+    if rec.opt_lp is not None:
+        rec.lp_gap = 100.0 * (opt - rec.opt_lp) / opt if abs(opt) > 1e-12 else 0.0
     if rec.alg < rec.red - 1e-9:
         rec.better = "ALG"
     elif rec.red < rec.alg - 1e-9:
@@ -199,7 +197,7 @@ def summarize(records: list[BenchRecord]) -> list[dict]:
     return rows
 
 
-def run_bench(paths, *, oracle_cap: int | None = None, pctsp_cap: int | None = None):
+def run_bench(paths, *, pctsp_cap: int | None = None):
     """Per-instance records, their CSV text and the family summary rows.
 
     A cap left at None is the solver's default.
@@ -208,7 +206,7 @@ def run_bench(paths, *, oracle_cap: int | None = None, pctsp_cap: int | None = N
     for path in map(Path, paths):
         try:
             inst = parse_instance(path.read_text(), name=path.stem)
-            records.append(bench_instance(inst, oracle_cap=oracle_cap, pctsp_cap=pctsp_cap))
+            records.append(bench_instance(inst, pctsp_cap=pctsp_cap))
         except Exception as exc:  # failures are recorded, the run continues
             records.append(BenchRecord(name=path.stem, error=f"{type(exc).__name__}: {exc}"))
     return records, records_to_csv(records), summarize(records)
@@ -279,10 +277,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .solvers import ORACLE_CAP, exact_oracle
+    from .solvers import exact_oracle
 
     inst = parse_instance(Path(args.instance).read_text(), name=Path(args.instance).stem)
-    sol = exact_oracle(inst, cap=ORACLE_CAP if args.cap is None else args.cap)
+    sol = exact_oracle(inst)
     print(f"value {sol.value:.6f}")
     print(f"walk {_walk_str(sol.walk)}")
     return 0
@@ -300,7 +298,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    records, csv_text, rows = run_bench(args.instances, oracle_cap=args.oracle_cap, pctsp_cap=args.pctsp_cap)
+    records, csv_text, rows = run_bench(args.instances, pctsp_cap=args.pctsp_cap)
     if args.out:
         Path(args.out).write_text(csv_text)
     else:
@@ -352,9 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-trees", metavar="PATH")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("oracle", help="exhaustive exact optimum for small instances")
+    p = sub.add_parser("oracle", help="exact optimum by HiGHS MIP")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("reduce", help="PCTSP-reduction baseline")
@@ -364,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmark a list of instance files")
     p.add_argument("instances", nargs="*")
-    p.add_argument("--oracle-cap", type=int)
     p.add_argument("--pctsp-cap", type=int)
     p.add_argument("--out", metavar="CSV")
     p.set_defaults(func=_cmd_bench)

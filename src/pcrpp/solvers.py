@@ -1,7 +1,6 @@
-"""Top-level algorithms: best-of-many, the reduction baseline, the oracle."""
+"""Top-level algorithms: best-of-many, the reduction baseline, the exact MIP oracle."""
 from __future__ import annotations
 
-import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -13,23 +12,23 @@ from .core import (
     Edge,
     Instance,
     Walk,
-    connected_to,
+    bfs,
     ekey,
     euler_tour,
+    neighbours,
     objective,
     pair_lookup,
     reconstruct_path,
     shortest_paths,
     weighted_adjacency,
 )
-from .lp import solve_pcrpp_lp
+from .lp import LpError, solve_pcrpp_lp
 from .preprocess import preprocess
 from .splitoff import SplitRecorder
 from .treedecomp import project_to_hat, stage_distribution
 
 RATIO_BOUND = 1.6
 VALUE_TIE = 1e-12
-ORACLE_CAP = 12  # most edges exact_oracle enumerates: 3**12 traversal vectors
 PCTSP_CAP = 12  # most representatives pctsp_solve_exact takes: 2**12 subsets
 STAGE_TOL = 1e-6  # slack of the stage checks on tree weights, marginals and length
 
@@ -195,45 +194,92 @@ def _check_stage(ghat, xt, yt, pg, delta):
         )
 
 
-def exact_oracle(inst: Instance, cap: int = ORACLE_CAP) -> Solution:
-    """Exhaustive optimum over traversal vectors in {0,1,2} per edge."""
-    m = len(inst.edges)
-    if m > cap:
-        raise ValueError(f"instance has {m} edges, oracle cap is {cap}")
-    if m == 0:
-        walk = Walk.trivial(inst.root)
-        return Solution(walk, 0.0, lower_bound=0.0, stats={"vectors": 1})
+def exact_oracle(inst: Instance) -> Solution:
+    """Exact optimum by HiGHS MIP on the instance graph, with lazy connectivity cuts.
 
-    vecs = np.array(list(itertools.product((0, 1, 2), repeat=m)), dtype=np.int8)
-    incidence = np.zeros((m, inst.vertex_count), dtype=np.int8)
+    Per edge e, x_e in {0, 1, 2} traversals and w_e in {0, 1} with w_e <= x_e
+    (its profit collected); per vertex v, y_v in {0, 1} (visited) with
+    x_e <= 2 y_u, 2 y_v on e = uv and y_root = 1, and an integer k_v with
+    x(delta(v)) = 2 k_v.  Off the root x(delta(v)) >= 2 y_v.  While the
+    support of x has a component C without the root, x(delta(C)) >= 2 y_v is
+    added for every v in C and the MIP is solved again.  The MIP minimises
+    the length walked minus the profit collected.  The walk is the Euler tour
+    of the rounded counts; its objective is the returned value and must agree
+    with the MIP's.
+
+    No code of the approximation path runs here, so the optimum checks it.
+    ``scipy.optimize`` is imported on the call, not with the module, and it
+    reuses the HiGHS extension that ``pcrpp.lp`` loaded.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    m, n, root = len(inst.edges), inst.vertex_count, inst.root
+    X, W, Y, K = 0, m, 2 * m, 2 * m + n  # offsets of the four variable blocks
+    cost = np.zeros(2 * m + 2 * n)
+    cost[X:W] = [e.length for e in inst.edges]
+    cost[W:Y] = [-e.profit for e in inst.edges]
+    lower = np.zeros(len(cost))
+    upper = np.concatenate([np.full(m, 2.0), np.ones(m + n), np.full(n, 2.0 * m)])
+    lower[Y + root] = 1.0
+    rows, lo, hi = [], [], []
+
+    def row(coefs: dict[int, float], low: float, high: float) -> None:
+        r = np.zeros(len(cost))
+        for j, c in coefs.items():
+            r[j] = c
+        rows.append(r)
+        lo.append(low)
+        hi.append(high)
+
+    def crossing(side) -> dict[int, float]:
+        return {X + i: 1.0 for i, e in enumerate(inst.edges) if (e.u in side) != (e.v in side)}
+
     for i, e in enumerate(inst.edges):
-        incidence[i, e.u] = 1
-        incidence[i, e.v] = 1
-    degrees = vecs @ incidence
-    even = ~(degrees & 1).any(axis=1)
-    weights = np.array([e.length for e in inst.edges])
-    profits = np.array([e.profit for e in inst.edges])
-    values = vecs @ weights + (vecs == 0) @ profits
-
-    order = np.lexsort((np.arange(len(vecs)), values))
-    best_vec = None
-    best_val = None
-    for idx in order:
-        if not even[idx]:
-            continue
-        vec = vecs[idx]
-        if connected_to([(e.u, e.v) for e, k in zip(inst.edges, vec) if k], inst.root):
-            best_vec = vec
-            best_val = float(values[idx])
+        row({W + i: 1.0, X + i: -1.0}, -np.inf, 0.0)
+        row({X + i: 1.0, Y + e.u: -2.0}, -np.inf, 0.0)
+        row({X + i: 1.0, Y + e.v: -2.0}, -np.inf, 0.0)
+    for v in range(n):
+        row({**crossing({v}), K + v: -2.0}, 0.0, 0.0)
+        if v != root:
+            row({**crossing({v}), Y + v: -2.0}, 0.0, np.inf)
+    while True:
+        res = milp(
+            cost,
+            constraints=LinearConstraint(np.array(rows), lo, hi),
+            integrality=np.ones(len(cost)),
+            bounds=Bounds(lower, upper),
+            options={"mip_rel_gap": 0.0},
+        )
+        if res.status != 0:
+            raise LpError(
+                f"exact oracle MIP on instance {inst.name!r} ended with status {res.status}: {res.message}"
+            )
+        counts = Counter(
+            {ekey(e.u, e.v): round(res.x[X + i]) for i, e in enumerate(inst.edges) if res.x[X + i] > 0.5}
+        )
+        # one cut row per vertex of each support component that misses the root
+        adj = neighbours(counts)
+        seen = set(bfs(adj, root))
+        if adj.keys() <= seen:
             break
-    if best_vec is None:
-        raise AssertionError("no feasible traversal vector found")
-    counts = Counter({ekey(e.u, e.v): int(k) for e, k in zip(inst.edges, best_vec) if k})
-    walk = euler_tour(counts, inst.root)
+        for start in sorted(adj.keys() - seen):
+            if start not in seen:
+                side = bfs(adj, start).keys()
+                seen |= side
+                cut = crossing(side)
+                for v in sorted(side):
+                    row({**cut, Y + v: -2.0}, 0.0, np.inf)
+    walk = euler_tour(counts, root)
     value = objective(inst, walk)
-    if abs(value - best_val) > 1e-9:
-        raise AssertionError("walk value disagrees with the vector value")
-    return Solution(walk, value, lower_bound=value, stats={"vectors": len(vecs)})
+    mip_value = float(res.fun) + inst.total_profit
+    # relative to the largest value any traversal vector within the bounds can take
+    tol = 1e-9 * max(1.0, sum(2.0 * e.length + e.profit for e in inst.edges))
+    if abs(value - mip_value) > tol:
+        raise CheckError(
+            f"oracle walk check failed on instance {inst.name!r}: walk value {value} against"
+            f" MIP objective {mip_value} (tolerance {tol}), off by {value - mip_value}"
+        )
+    return Solution(walk, value, lower_bound=value)
 
 
 def pctsp_solve_exact(nodes, dist, penalties, root, cap: int = PCTSP_CAP) -> list:

@@ -10,19 +10,21 @@ assert the post-split guarantees; ``check_lp_solution`` replays the
 feasibility of a relaxation solution; ``max_flow_by_dict`` and
 ``cut_at_least_by_dict`` are the Edmonds-Karp flow the solver used before
 its single early-exit kernel, kept to check that kernel bit for bit;
-``mip_optimum`` is the exact optimum by HiGHS MIP on the instance graph.  None
+``optimum_by_enumeration`` is the exhaustive optimum over traversal vectors
+that checks the MIP of ``pcrpp.solvers.exact_oracle`` up to 12 edges.  None
 of them runs in a solve, so they live here rather than in the ``pcrpp``
 package, whose import then stays free of ``scipy.optimize``.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import linprog
 
-from pcrpp.core import Instance, ekey, pair_lookup
+from pcrpp.core import Instance, connected_to, ekey, pair_lookup
 from pcrpp.lp import LpSolution, capacity_adjacency, max_flow_min_cut, separate_cuts
 from pcrpp.preprocess import PreprocessedGraph
 from pcrpp.splitoff import SplitOp, SplitRecorder
@@ -345,85 +347,27 @@ def decompose_by_lp(xbar, ybar, root: int, copy: int, cap: int = 200_000) -> Tre
     )
 
 
-def _components_off_root(edges, root: int) -> list[set]:
-    """Vertex sets of the connected components of ``edges`` that miss the root."""
-    adj: dict[int, set] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    seen = {root}
-    out = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            for u in adj[queue.popleft()] - comp:
-                comp.add(u)
-                queue.append(u)
-        seen |= comp
-        if root not in comp:
-            out.append(comp)
-    return out
+def optimum_by_enumeration(inst: Instance) -> float:
+    """Exhaustive optimum over the traversal vectors in {0, 1, 2} per edge.
 
-
-def mip_optimum(inst: Instance) -> tuple[float, dict[tuple[int, int], int]]:
-    """Exact optimum and traversal counts by HiGHS MIP, with lazy connectivity cuts.
-
-    Per edge e, x_e in {0, 1, 2} traversals and w_e in {0, 1} with w_e <= x_e
-    (its profit collected); per vertex v, y_v in {0, 1} (visited) with
-    x_e <= 2 y_u, 2 y_v on e = uv and y_root = 1, and an integer k_v with
-    x(delta(v)) = 2 k_v.  Off the root x(delta(v)) >= 2 y_v.  While the
-    support of x has a component C without the root, x(delta(C)) >= 2 y_v is
-    added for every v in C and the MIP is solved again.  The objective is the
-    length walked plus the profit left, sum l_e x_e + sum p_e (1 - w_e).
+    A vector is feasible when every degree is even and its support is
+    connected to the root; its value is the length walked plus the profit
+    left.  Takes 3^m vectors, so keep m at 12 or less.  The zero vector is
+    always feasible.
     """
-    m, n, root = len(inst.edges), inst.vertex_count, inst.root
-    if m == 0:
-        return 0.0, {}
-    X, W, Y, K = 0, m, 2 * m, 2 * m + n  # offsets of the four variable blocks
-    cost = np.zeros(2 * m + 2 * n)
-    cost[X:W] = [e.length for e in inst.edges]
-    cost[W:Y] = [-e.profit for e in inst.edges]
-    lower = np.zeros(len(cost))
-    upper = np.concatenate([np.full(m, 2.0), np.ones(m + n), np.full(n, 2.0 * m)])
-    lower[Y + root] = 1.0
-    rows, lo, hi = [], [], []
-
-    def row(coefs: dict[int, float], low: float, high: float) -> None:
-        r = np.zeros(len(cost))
-        for j, c in coefs.items():
-            r[j] = c
-        rows.append(r)
-        lo.append(low)
-        hi.append(high)
-
-    def crossing(side: set) -> dict[int, float]:
-        return {X + i: 1.0 for i, e in enumerate(inst.edges) if (e.u in side) != (e.v in side)}
-
+    m = len(inst.edges)
+    vecs = np.array(list(itertools.product((0, 1, 2), repeat=m)), dtype=np.int8)
+    incidence = np.zeros((m, inst.vertex_count), dtype=np.int8)
     for i, e in enumerate(inst.edges):
-        row({W + i: 1.0, X + i: -1.0}, -np.inf, 0.0)
-        row({X + i: 1.0, Y + e.u: -2.0}, -np.inf, 0.0)
-        row({X + i: 1.0, Y + e.v: -2.0}, -np.inf, 0.0)
-    for v in range(n):
-        row({**crossing({v}), K + v: -2.0}, 0.0, 0.0)
-        if v != root:
-            row({**crossing({v}), Y + v: -2.0}, 0.0, np.inf)
-    while True:
-        res = milp(
-            cost,
-            constraints=LinearConstraint(np.array(rows), lo, hi),
-            integrality=np.ones(len(cost)),
-            bounds=Bounds(lower, upper),
-            options={"mip_rel_gap": 0.0},
-        )
-        if res.status != 0:
-            raise AssertionError(f"MIP on {inst.name} ended with status {res.status}: {res.message}")
-        counts = {ekey(e.u, e.v): round(res.x[X + i]) for i, e in enumerate(inst.edges) if res.x[X + i] > 0.5}
-        off_root = _components_off_root(counts, root)
-        if not off_root:
-            return float(res.fun) + inst.total_profit, counts
-        for comp in off_root:
-            for v in sorted(comp):
-                row({**crossing(comp), Y + v: -2.0}, 0.0, np.inf)
+        incidence[i, e.u] = 1
+        incidence[i, e.v] = 1
+    even = ~((vecs @ incidence) & 1).any(axis=1)
+    values = vecs @ np.array([e.length for e in inst.edges]) + (vecs == 0) @ np.array(
+        [e.profit for e in inst.edges]
+    )
+    feasible = (
+        idx
+        for idx in np.lexsort((np.arange(len(vecs)), values))
+        if even[idx] and connected_to([(e.u, e.v) for e, k in zip(inst.edges, vecs[idx]) if k], inst.root)
+    )
+    return float(values[next(feasible)])

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from pcrpp.solvers import exact_oracle
 from pcrpp.splitoff import SplitRecorder
 from pcrpp.treedecomp import DecompositionError, project_to_hat, stage_distribution
 from conftest import FRACTIONAL_INSTANCES, barrier_text
+
+RND37 = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "frac-small" / "rnd37.txt"
 
 
 def test_convert_optimum_formula():
@@ -289,6 +292,19 @@ def test_cli_oracle_and_reduce(tmp_path, capsys):
     assert "value 1.300000" in capsys.readouterr().out
     assert main(["reduce", str(path)]) == 0
     assert "value 2.100000" in capsys.readouterr().out
+
+
+def test_cli_oracle_solves_a_20_edge_instance(capsys):
+    assert len(parse_instance(RND37.read_text()).edges) == 20
+    assert main(["oracle", str(RND37)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "value 33.000000"
+
+
+def test_cli_bench_fills_opt_and_gaps_on_a_20_edge_instance(tmp_path, capsys):
+    csv_path = tmp_path / "bench.csv"
+    assert main(["bench", "--out", str(csv_path), str(RND37)]) == 0
+    [row] = parse_bench_csv(csv_path.read_text())
+    assert (row["name"], row["opt"], row["alg"], row["alg_gap"]) == ("rnd37", "33.000000", "35.000000", "6.060606")
 
 
 def test_cli_reduce_greedy_fallback(tmp_path, capsys):

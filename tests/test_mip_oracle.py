@@ -3,28 +3,34 @@ import json
 from pathlib import Path
 
 import pytest
+import scipy.optimize
+from scipy.optimize import OptimizeResult
 
-from pcrpp.core import parse_instance
-from pcrpp.solvers import RATIO_BOUND, best_of_many, exact_oracle
+from pcrpp import solvers
+from pcrpp.core import objective, parse_instance
+from pcrpp.lp import LpError
+from pcrpp.solvers import RATIO_BOUND, CheckError, best_of_many, exact_oracle
 from conftest import FRACTIONAL_INSTANCES, random_suite
-from oracles import mip_optimum
+from oracles import optimum_by_enumeration
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "frac-small"
 # the first six stored instances; rnd37 needs split amounts below their caps
 CORPUS_SUBSET = ("rnd10", "rnd18", "rnd19", "rnd20", "rnd27", "rnd37")
 
 
-def test_mip_optimum_matches_the_enumeration():
-    insts = [*random_suite(40, base_seed=4000, max_n=7, max_m=11), *FRACTIONAL_INSTANCES]
+def test_exact_oracle_matches_the_enumeration():
+    # 40 denser instances, then the acceptance suite's 198 and its two fractional ones
+    insts = [
+        *random_suite(40, base_seed=4000, max_n=7, max_m=11),
+        *random_suite(198, base_seed=1000),
+        *FRACTIONAL_INSTANCES,
+    ]
+    assert len(insts) == 240
     assert max(len(inst.edges) for inst in insts) == 10
     for inst in insts:
-        value, counts = mip_optimum(inst)
-        assert value == pytest.approx(exact_oracle(inst).value, abs=1e-6), inst.name
-        # the counts price out to the value: length walked plus profit left
-        kept = {(e.u, e.v): e for e in inst.edges}
-        walked = sum(kept[k].length * c for k, c in counts.items())
-        left = sum(e.profit for k, e in kept.items() if k not in counts)
-        assert walked + left == pytest.approx(value, abs=1e-6), inst.name
+        sol = exact_oracle(inst)
+        assert sol.value == pytest.approx(optimum_by_enumeration(inst), abs=1e-9), inst.name
+        assert sol.value == objective(inst, sol.walk) == sol.lower_bound, inst.name
 
 
 def test_stored_instances_sit_in_the_sandwich():
@@ -32,8 +38,25 @@ def test_stored_instances_sit_in_the_sandwich():
     for name in CORPUS_SUBSET:
         inst = parse_instance((CORPUS / f"{name}.txt").read_text(), name=name)
         assert len(inst.edges) == 20
-        opt, _ = mip_optimum(inst)
+        opt = exact_oracle(inst).value
         sol = best_of_many(inst)
         assert sol.lower_bound <= opt + 1e-6, name
         assert opt <= sol.value + 1e-6, name
         assert sol.value <= RATIO_BOUND * sol.lower_bound + 1e-6, name
+
+
+def test_exact_oracle_names_the_instance_when_the_mip_is_not_optimal(single_pos, monkeypatch):
+    def time_limit(*args, **kwargs):
+        return OptimizeResult(status=1, message="Time limit reached.", x=None, fun=None)
+
+    monkeypatch.setattr(scipy.optimize, "milp", time_limit)
+    with pytest.raises(
+        LpError, match="^exact oracle MIP on instance 'single' ended with status 1: Time limit reached\\.$"
+    ):
+        exact_oracle(single_pos)
+
+
+def test_exact_oracle_walk_value_must_match_the_mip_objective(single_pos, monkeypatch):
+    monkeypatch.setattr(solvers, "objective", lambda inst, walk: objective(inst, walk) + 1.0)
+    with pytest.raises(CheckError, match="^oracle walk check failed on instance 'single': walk value 3.0 against"):
+        exact_oracle(single_pos)

@@ -19,7 +19,9 @@ the benchmark (``perfbench/workloads.py``).  For each one the file holds:
   trees of ``project_to_hat(stage_distribution(...))`` as
   ``[sorted edge list, repr(weight)]`` in their constructed order, or the
   error the stage raises;
-- the ``pctsp_reduction`` and ``exact_oracle`` values.
+- the ``pctsp_reduction`` and ``exact_oracle`` values; the exact oracle is a
+  HiGHS MIP with no size cap, so it is recorded as a value on all 285
+  instances.
 
 A call that raises is recorded as ``"Type: message"``.  Floats are written
 with ``repr``, dicts with sorted keys and cut sides as sorted lists, so two
