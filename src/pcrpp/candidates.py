@@ -4,6 +4,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     Instance,
     Walk,
@@ -18,6 +20,7 @@ from .core import (
     reconstruct_path,
     shortest_paths,
 )
+from .lp import EXACT_MIP_OPTIONS, LpError, run_highs
 from .preprocess import PreprocessedGraph, restore
 
 
@@ -59,24 +62,52 @@ def edge_profit_core(
     return frozenset(edges)
 
 
+def _pairings(points: list):
+    """Every perfect pairing of ``points``: the first point with each later one in turn."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for i, b in enumerate(rest):
+        for tail in _pairings(rest[:i] + rest[i + 1:]):
+            yield [(first, b), *tail]
+
+
+def _pairing_by_mip(points: list, dist) -> list[tuple[int, int]]:
+    """Minimum-length perfect pairing by a 0/1 MIP: one column per pair, one row = 1 per point."""
+    k = len(points)
+    ends = np.array([(i, j) for i in range(k) for j in range(i + 1, k)], dtype=np.int32)
+    ncols = len(ends)
+    cost = [pair_lookup(dist, points[i], points[j]) for i, j in ends.tolist()]
+    one = np.ones(k)
+    highs = run_highs(
+        EXACT_MIP_OPTIONS, np.ones(ncols, dtype=np.int32), "pairing MIP", f"points {points}",
+        cost, np.ones(ncols), one, one,
+        np.arange(0, 2 * ncols + 1, 2, dtype=np.int32), ends.ravel(), np.ones(2 * ncols),
+    )
+    x = np.array(highs.getSolution().col_value)
+    chosen = ends[x > 0.5]
+    matched = np.bincount(chosen.ravel(), minlength=k)
+    if np.abs(x - np.round(x)).max() > 1e-6 or (matched != 1).any():
+        raise LpError(f"pairing MIP on points {points} returned no perfect matching: {x.tolist()}")
+    return [(points[i], points[j]) for i, j in chosen.tolist()]
+
+
 def min_perfect_matching(points, dist) -> list[tuple[int, int]]:
-    """Exact minimum-length perfect pairing of an even point set."""
+    """Exact minimum-length perfect pairing of an even point set, as sorted pairs.
+
+    Up to four points the (k-1)!! <= 3 pairings are compared in the order
+    of ``_pairings`` and the first of minimal length is kept.  From six
+    points on, the pairing is a MIP solved by HiGHS with both gaps at zero,
+    through the bindings ``pcrpp.lp`` loaded; each such call costs under a
+    millisecond, many times the comparison of three pairings.
+    """
     points = sorted(points)
     if len(points) % 2 != 0:
         raise ValueError("odd number of points cannot be perfectly matched")
-    if not points:
-        return []
-    if len(points) == 2:
-        return [(points[0], points[1])]
-    import networkx as nx  # here, so that `import pcrpp` does not pay ~0.14 s for it
-
-    graph = nx.Graph()
-    graph.add_nodes_from(points)
-    for i, a in enumerate(points):
-        for b in points[i + 1:]:
-            graph.add_edge(a, b, weight=pair_lookup(dist, a, b))
-    matching = nx.min_weight_matching(graph)
-    return sorted(ekey(a, b) for a, b in matching)
+    if len(points) > 4:
+        return _pairing_by_mip(points, dist)
+    return min(_pairings(points), key=lambda pairs: sum(pair_lookup(dist, a, b) for a, b in pairs))
 
 
 def _pairing_paths(inst: Instance, targets, sp_cache) -> Counter:

@@ -11,6 +11,7 @@ from scipy.sparse import csc_array
 from pcrpp.cli import gen_random
 from pcrpp.core import Edge, Instance, parse_instance
 from pcrpp.lp import LpSolution
+from pcrpp.solvers import exact_oracle
 
 
 def barrier_text(eps: float) -> str:
@@ -101,6 +102,21 @@ def random_suite(count: int, base_seed: int = 1000, max_n: int = 6, max_m: int =
         dens = (0.3, 0.5, 0.8, 1.0)[trial % 4]
         out.append(gen_random(base_seed + trial, n, m, wmax=10, pmax=10, pos_density=dens))
     return out
+
+
+def acceptance_suite() -> list:
+    """The acceptance suite: 198 generated instances, then the two stored fractional ones."""
+    return random_suite(198, base_seed=1000) + list(FRACTIONAL_INSTANCES)
+
+
+@pytest.fixture(scope="session")
+def suite_optima():
+    """``exact_oracle`` on each acceptance-suite instance, as (instance, solution) in suite order.
+
+    Solved once per session: the sandwich and the oracle-against-enumeration
+    tests both read these optima.
+    """
+    return [(inst, exact_oracle(inst)) for inst in acceptance_suite()]
 
 
 def dense_lp_value(pg) -> float:

@@ -28,7 +28,7 @@ from pcrpp.ratiocheck import (
 from pcrpp.solvers import best_of_many, exact_oracle, pctsp_reduction
 from pcrpp.splitoff import SplitRecorder
 from pcrpp.treedecomp import project_to_hat, stage_distribution
-from conftest import FRACTIONAL_INSTANCES, barrier_text, random_suite
+from conftest import FRACTIONAL_INSTANCES, acceptance_suite, barrier_text, random_suite
 from oracles import apply_threshold_split, check_threshold_split
 
 
@@ -42,15 +42,11 @@ def criterion(name):
     print(f"ACCEPTANCE {name}: PASS")
 
 
-def suite_instances():
-    return random_suite(198, base_seed=1000) + list(FRACTIONAL_INSTANCES)
-
-
 @pytest.fixture(scope="module")
 def solved_suite():
     """Each suite instance with its relaxation solution and split recording."""
     out = []
-    for inst in suite_instances():
+    for inst in acceptance_suite():
         pg = preprocess(inst)
         sol, _ = solve_pcrpp_lp(pg)
         recorder = SplitRecorder(pg, sol)
@@ -58,13 +54,14 @@ def solved_suite():
     return out
 
 
-def test_sandwich_property(solved_suite):
+def test_sandwich_property(solved_suite, suite_optima):
     start = time.perf_counter()
     with criterion("sandwich"):
         assert len(solved_suite) >= 200
-        for inst, pg, lp_sol, _ in solved_suite:
+        for (inst, pg, lp_sol, _), (same, oracle) in zip(solved_suite, suite_optima, strict=True):
+            assert same == inst
             sol = best_of_many(inst)
-            opt = exact_oracle(inst).value
+            opt = oracle.value
             assert sol.lower_bound == pytest.approx(lp_sol.objective, abs=1e-9)
             assert sol.lower_bound <= opt + 1e-6
             assert opt <= sol.value + 1e-6

@@ -1,12 +1,14 @@
 import itertools
 import random
+import types
 from collections import Counter
 
 import pytest
 
-from pcrpp import candidates
+from pcrpp import candidates, lp
 from pcrpp.candidates import build_candidate, edge_profit_core, min_perfect_matching, min_tjoin
 from pcrpp.core import Edge, Instance, Walk, ekey, odd_vertices, parse_instance
+from pcrpp.lp import LpError
 from pcrpp.preprocess import preprocess
 from conftest import random_suite
 from oracles import matching_by_dp
@@ -86,14 +88,66 @@ def test_matching_line_of_four():
 
 def test_matching_agrees_with_dp_oracle():
     rng = random.Random(31)
-    for _ in range(60):
-        k = rng.choice([2, 4, 6, 8])
-        pts = list(range(k))
-        dist = {(a, b): rng.randint(1, 50) * 1.0 for a in pts for b in pts if a < b}
+    # lengths spread over 1..50, then a tie-heavy draw from {1, 2}
+    for weights in (range(1, 51), (1, 2)):
+        for _ in range(60):
+            k = rng.choice([2, 4, 6, 8, 10, 12])
+            pts = list(range(k))
+            dist = {(a, b): rng.choice(weights) * 1.0 for a in pts for b in pts if a < b}
+            pairs = min_perfect_matching(pts, dist)
+            cost = sum(dist[p] for p in pairs)
+            dp_cost, _ = matching_by_dp(pts, dist)
+            assert cost == pytest.approx(dp_cost)
+
+
+def test_matching_of_four_keeps_the_first_minimal_pairing():
+    # of sorted points p0 < p1 < p2 < p3 the order is {p0,p1}{p2,p3}, {p0,p2}{p1,p3}, {p0,p3}{p1,p2}
+    pts = [5, 6, 7, 8]
+    equal = {(a, b): 1.0 for a in pts for b in pts if a < b}
+    assert min_perfect_matching(pts, equal) == [(5, 6), (7, 8)]
+    last_two_tie = {**equal, (5, 6): 3.0}
+    assert min_perfect_matching(pts, last_two_tie) == [(5, 7), (6, 8)]
+    # the points arrive unsorted and the table holds either orientation
+    only_last = {(6, 5): 2.0, (8, 7): 2.0, (7, 5): 2.0, (8, 6): 2.0, (8, 5): 1.5, (7, 6): 0.5}
+    assert min_perfect_matching([8, 6, 7, 5], only_last) == [(5, 8), (6, 7)]
+
+
+def test_matching_by_mip_pairs_every_point_once():
+    rng = random.Random(47)
+    for k in (6, 8, 10, 12):
+        pts = rng.sample(range(100), k)
+        dist = {(a, b): rng.uniform(0.5, 20.0) for a in pts for b in pts if a < b}
         pairs = min_perfect_matching(pts, dist)
-        cost = sum(dist[p] for p in pairs)
-        dp_cost, _ = matching_by_dp(pts, dist)
-        assert cost == pytest.approx(dp_cost)
+        assert pairs == sorted(pairs)
+        assert all(a < b for a, b in pairs)
+        assert sorted(v for pair in pairs for v in pair) == sorted(pts)
+        assert sum(dist[p] for p in pairs) == pytest.approx(matching_by_dp(pts, dist)[0])
+
+
+def test_matching_mip_names_the_points_when_it_is_not_optimal(monkeypatch):
+    options = lp._exact_mip_options()
+    options.time_limit = 0.0
+    monkeypatch.setattr(candidates, "EXACT_MIP_OPTIONS", options)
+    pts = [0, 2, 4, 6, 8, 10]
+    dist = {(a, b): float(b - a) for a in pts for b in pts if a < b}
+    with pytest.raises(
+        LpError,
+        match=r"^pairing MIP failed: HiGHS model status 'Time limit reached' on points \[0, 2, 4, 6, 8, 10\]$",
+    ):
+        min_perfect_matching(pts, dist)
+
+
+def test_matching_mip_rejects_a_vector_that_is_no_perfect_matching(monkeypatch):
+    # every pair at one half meets each point's row, but matches nothing
+    class Halves:
+        def getSolution(self):
+            return types.SimpleNamespace(col_value=[0.5] * 15)
+
+    monkeypatch.setattr(candidates, "run_highs", lambda *args: Halves())
+    pts = [1, 2, 3, 4, 5, 6]
+    dist = {(a, b): 1.0 for a in pts for b in pts if a < b}
+    with pytest.raises(LpError, match=r"^pairing MIP on points \[1, 2, 3, 4, 5, 6\] returned no perfect matching"):
+        min_perfect_matching(pts, dist)
 
 
 def test_tjoin_empty():

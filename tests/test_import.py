@@ -18,6 +18,7 @@ from pcrpp.solvers import best_of_many
 from conftest import FRACTIONAL_INSTANCES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CORPUS = SRC.parent / "perfbench" / "corpus" / "frac-small"
 
 # One small LP for linprog, and best_of_many on the instance text in argv[1].
 SOLVE_BOTH = """
@@ -236,3 +237,25 @@ def test_exact_oracle_imports_scipy_optimize_on_the_call_and_shares_highs():
         "assert sys.modules[pcrpp.lp.HIGHS_CORE] is highs, 'a second HiGHS extension was loaded'"
     )
     assert {"scipy.optimize", lp.HIGHS_CORE} <= loaded
+
+
+def test_solves_pairing_four_and_six_points_without_networkx():
+    # networkx set to None in sys.modules: any import of it raises ImportError.
+    # rnd325 pairs four points (compared directly), rnd37 six (the HiGHS MIP).
+    loaded = loaded_by(
+        "import sys\n"
+        "from pathlib import Path\n"
+        "sys.modules['networkx'] = None\n"
+        "from pcrpp import candidates, parse_instance\n"
+        "from pcrpp.solvers import best_of_many\n"
+        "sizes = []\n"
+        "match = candidates.min_perfect_matching\n"
+        "candidates.min_perfect_matching = lambda pts, dist: sizes.append(len(pts)) or match(pts, dist)\n"
+        "for name in ('rnd325', 'rnd37'):\n"
+        f"    inst = parse_instance(Path({str(CORPUS)!r}, name + '.txt').read_text())\n"
+        "    assert best_of_many(inst).value == 35.0, name\n"
+        "assert {4, 6} <= set(sizes), sizes\n"
+        "assert sys.modules.pop('networkx') is None\n"
+    )
+    assert {m for m in loaded if m.partition(".")[0] == "networkx"} == set()
+    assert lp.HIGHS_CORE in loaded

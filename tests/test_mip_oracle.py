@@ -10,7 +10,7 @@ from pcrpp import solvers
 from pcrpp.core import objective, parse_instance
 from pcrpp.lp import LpError
 from pcrpp.solvers import RATIO_BOUND, CheckError, best_of_many, exact_oracle
-from conftest import FRACTIONAL_INSTANCES, random_suite
+from conftest import random_suite
 from oracles import optimum_by_enumeration
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "frac-small"
@@ -18,17 +18,13 @@ CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "frac-sm
 CORPUS_SUBSET = ("rnd10", "rnd18", "rnd19", "rnd20", "rnd27", "rnd37")
 
 
-def test_exact_oracle_matches_the_enumeration():
+def test_exact_oracle_matches_the_enumeration(suite_optima):
     # 40 denser instances, then the acceptance suite's 198 and its two fractional ones
-    insts = [
-        *random_suite(40, base_seed=4000, max_n=7, max_m=11),
-        *random_suite(198, base_seed=1000),
-        *FRACTIONAL_INSTANCES,
-    ]
-    assert len(insts) == 240
-    assert max(len(inst.edges) for inst in insts) == 10
-    for inst in insts:
-        sol = exact_oracle(inst)
+    denser = random_suite(40, base_seed=4000, max_n=7, max_m=11)
+    solved = [(inst, exact_oracle(inst)) for inst in denser] + suite_optima
+    assert len(solved) == 240
+    assert max(len(inst.edges) for inst, _ in solved) == 10
+    for inst, sol in solved:
         assert sol.value == pytest.approx(optimum_by_enumeration(inst), abs=1e-9), inst.name
         assert sol.value == objective(inst, sol.walk) == sol.lower_bound, inst.name
 

@@ -47,7 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
-from conftest import FRACTIONAL_INSTANCES, random_suite  # noqa: E402
+from conftest import acceptance_suite  # noqa: E402
 import workloads  # noqa: E402
 
 from pcrpp.lp import solve_pcrpp_lp, write_lp_text  # noqa: E402
@@ -59,7 +59,7 @@ from pcrpp.treedecomp import project_to_hat, stage_distribution  # noqa: E402
 
 def instances() -> list:
     """(label, instance) for every instance checked, in a fixed order."""
-    suite = random_suite(198, base_seed=1000) + list(FRACTIONAL_INSTANCES)
+    suite = acceptance_suite()
     out = [(f"acceptance/{i:03d}-{inst.name}", inst) for i, inst in enumerate(suite)]
     out += [(f"frac-small/{name}", inst) for name, inst in workloads.corpus_instances()]
     out += [(f"lp-ladder/{name}", inst) for name, inst in workloads.ladder_instances()]
