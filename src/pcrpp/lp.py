@@ -11,10 +11,11 @@ and HiGHS 1.12); it hands HiGHS the same model and options that
 ``scipy.optimize.linprog(method="highs")`` would, as numpy arrays through the
 array overload of ``_Highs.passModel``.  ``linprog`` itself is used only in
 the tests, as the reference.  ``run_highs`` is that checked handoff on its
-own; the exact pairing MIP of ``candidates`` goes through it too.
-``write_lp_text`` prints that same master, over every pair with the
-recorded cuts and with the positive edges' profit sum as its objective
-constant, as CPLEX LP text.
+own; the exact pairing MIP of ``candidates`` and the MIP of
+``solvers.exact_oracle`` go through it too.
+``write_lp_text`` prints that master over every pair, with every recorded
+cut and with the positive edges' profit sum as its objective constant, as
+CPLEX LP text.
 
 The bindings are loaded from their file, without importing scipy's
 package: ``importlib.util.find_spec`` locates scipy's directory, so neither
@@ -225,7 +226,10 @@ class HighsBackend:
     Each call uses a fresh HiGHS instance that is dropped when it returns.
     One instance kept for a whole ``lp-ladder`` pass raised ``peak_rss_mb``
     from 113.7-114.6 to 137.2-140.2 MB, and clearing its solver and model
-    after each solve still left it at 139.1-139.6 MB.
+    after each solve still left it at 139.1-139.6 MB.  One instance per
+    ``solve_pcrpp_lp`` call, with ``clearModel`` between its masters, gave
+    the same values and a ``lp-ladder`` ``pass_s`` 4-6 % lower, but raised
+    its ``peak_rss_mb`` from 97.9 to 115 MB.
     """
 
     def solve(self, cost, col_upper, row_lower, row_upper, indptr, indices, values) -> BackendResult:
@@ -462,7 +466,18 @@ def solve_pcrpp_lp(
     pg: PreprocessedGraph,
     backend=None,
 ) -> tuple[LpSolution, CutCertificate]:
-    """Optimize the relaxation by separation and pricing until both are clean."""
+    """Optimize the relaxation by separation and pricing until both are clean.
+
+    Every violated cut (S, w) found is recorded, in the certificate and in
+    ``write_lp_text``'s dump, but it becomes a master row only when no
+    earlier cut has side S and witness partner(w), the other end of w's
+    positive edge.  The master's rows y_a = x_ab = y_b make
+    2 y_a - x(delta(S)) <= 0 and 2 y_b - x(delta(S)) <= 0 the same row, so
+    the master keeps its optimum; HiGHS's presolve removed these rows as
+    parallel anyway, 274 of the 854 rows of the last master of
+    ``gen_random(0, 20, 40)``.  A dropped cut has no dual and adds nothing
+    to a reduced cost.
+    """
     backend = backend or HighsBackend()
     root = pg.root
     n = pg.vertex_count
@@ -474,14 +489,18 @@ def solve_pcrpp_lp(
     pairs = pg.pairs
     active = np.zeros(len(pairs.u), dtype=bool)
     active[pairs.index(initial_variables(pg))] = True
+    partner = {}
+    for a, b in pg.pos_edges:
+        partner[a], partner[b] = b, a
     cuts: list[tuple[frozenset, int, float]] = []
     cut_keys: set[tuple[frozenset, int]] = set()
-    crossing = np.zeros((0, len(pairs.u)), dtype=bool)
+    crossing = np.zeros((0, len(pairs.u)), dtype=bool)  # one row per master cut
+    witnesses: list[int] = []
 
     for _ in range(MAX_ROUNDS):
         cols = np.flatnonzero(active)
         x_vals, y_vals, mu, rho, cut_duals = _solve_master(
-            pg, backend, cols, crossing, cuts, y_vertices
+            pg, backend, cols, crossing, witnesses, y_vertices
         )
         x, y = _solution_dicts(pg, cols, x_vals, y_vals, y_vertices)
 
@@ -498,43 +517,46 @@ def solve_pcrpp_lp(
             row = pairs.crossing(side)
             crossed = compress(x.values(), row.tolist())
             cuts.append((side, v, sum(crossed) - 2.0 * y[v]))
+            if (side, partner.get(v)) not in cut_keys:
+                rows.append(row)
+                witnesses.append(v)
             cut_keys.add((side, v))
-            rows.append(row)
         if rows:
             crossing = np.vstack([crossing, rows])
         active[pairs.index(priced)] = True
     raise LpError(f"cutting-plane loop did not converge within {MAX_ROUNDS} rounds")
 
 
-def _solve_master(pg, backend, cols, crossing, cuts, y_vertices):
-    """Solve the master over the active columns ``cols`` and the recorded cuts.
+def _solve_master(pg, backend, cols, crossing, witnesses, y_vertices):
+    """Solve the master over the active columns ``cols`` and the master cuts.
 
     The handoff: ``_master_model`` returns the master alone, so its
     assembly's intermediates are freed before ``backend.solve`` starts and
     only the master's arrays are alive here while HiGHS runs.  Its column
     starts and row indices are int32 from the start, which the backend
     passes on without a copy.  Returns the x and y values, the degree duals
-    by vertex (0 at the root), the root-degree dual and the cut duals in
-    recorded order.
+    by vertex (0 at the root), the root-degree dual and one dual per master
+    cut, in the order of ``witnesses``.
     """
-    res = backend.solve(*_master_model(pg, cols, crossing, cuts, y_vertices))
-    nx, deg0 = len(cols), 1 + len(cuts)
+    res = backend.solve(*_master_model(pg, cols, crossing, witnesses, y_vertices))
+    nx, deg0 = len(cols), 1 + len(witnesses)
     mu = np.zeros(pg.pairs.vertex_count)
     mu[y_vertices] = res.row_duals[deg0:deg0 + len(y_vertices)]
     return res.x[:nx], res.x[nx:], mu, res.row_duals[0], res.row_duals[1:deg0]
 
 
-def _master_model(pg, cols, crossing, cuts, y_vertices):
+def _master_model(pg, cols, crossing, witnesses, y_vertices):
     """The master as ``HighsBackend.solve`` takes it: cost, bounds and int32 CSC arrays.
 
     Columns are ``cols`` then ``y_vertices``.  Rows are root degree at most
-    2, one row 2 y_w - x(delta(S)) <= 0 per cut, the degree rows
+    2, one row 2 y_w - x(delta(S)) <= 0 per cut (S, w), S given by its row
+    of ``crossing`` and w by ``witnesses``, the degree rows
     x(delta(v)) - 2 y_v = 0, then y_a = x_ab = y_b as two rows per positive
     column: linprog's A_ub over A_eq, an order on which HiGHS's choice among
     optimal vertices depends.
     """
     root, pairs = pg.root, pg.pairs
-    nx, ny, ncuts = len(cols), len(y_vertices), len(cuts)
+    nx, ny, ncuts = len(cols), len(y_vertices), len(witnesses)
     u, v = pairs.u[cols], pairs.v[cols]
     yidx = np.zeros(pairs.vertex_count, dtype=np.intp)
     yidx[y_vertices] = np.arange(ny)
@@ -552,7 +574,7 @@ def _master_model(pg, cols, crossing, cuts, y_vertices):
     blocks = (
         (at_root, np.zeros_like(at_root), 1.0),
         (cut_cols, 1 + cut_rows, -1.0),
-        (nx + yidx[[w for _, w, _ in cuts]], 1 + np.arange(ncuts), 2.0),
+        (nx + yidx[witnesses], 1 + np.arange(ncuts), 2.0),
         (u_cols, deg0 + yidx[u[u_cols]], 1.0),
         (v_cols, deg0 + yidx[v[v_cols]], 1.0),
         (nx + np.arange(ny), deg0 + np.arange(ny), -2.0),
@@ -599,14 +621,17 @@ def write_lp_text(pg: PreprocessedGraph, cert: CutCertificate) -> str:
 
     ``_master_model``'s arrays printed as they are, rows in the master's
     order with their entries in column order and the sense read off the row
-    bounds.  The positive edges' profit sum is the objective constant, so
-    the dump's optimum is the run's lower bound.  Numbers round-trip exactly.
+    bounds.  Every recorded cut has a row, also the partner duplicates that
+    ``solve_pcrpp_lp`` keeps out of its master, which are redundant.  The
+    positive edges' profit sum is the objective constant, so the dump's
+    optimum is the run's lower bound.  Numbers round-trip exactly.
     """
     pairs, ncuts = pg.pairs, len(cert.cuts)
     y_vertices = [v for v in range(pg.vertex_count) if v != pg.root]
     crossing = np.array([pairs.crossing(side) for side, _, _ in cert.cuts], dtype=bool)
     cost, col_upper, row_lower, row_upper, indptr, indices, values = _master_model(
-        pg, np.arange(len(pairs.u)), crossing.reshape(ncuts, len(pairs.u)), cert.cuts, y_vertices
+        pg, np.arange(len(pairs.u)), crossing.reshape(ncuts, len(pairs.u)),
+        [w for _, w, _ in cert.cuts], y_vertices,
     )
     cols = [f"x_{u}_{v}" for u, v in pg.lengths] + [f"y_{v}" for v in y_vertices]
     rows = ["root"] + [f"cut_{i}" for i in range(ncuts)] + [f"deg_{v}" for v in y_vertices]

@@ -22,7 +22,7 @@ from .core import (
     shortest_paths,
     weighted_adjacency,
 )
-from .lp import LpError, solve_pcrpp_lp
+from .lp import EXACT_MIP_OPTIONS, run_highs, solve_pcrpp_lp
 from .preprocess import preprocess
 from .splitoff import SplitRecorder
 from .treedecomp import project_to_hat, stage_distribution
@@ -207,33 +207,30 @@ def exact_oracle(inst: Instance) -> Solution:
     of the rounded counts; its objective is the returned value and must agree
     with the MIP's.
 
-    No code of the approximation path runs here, so the optimum checks it.
-    ``scipy.optimize`` is imported on the call, not with the module, and it
-    reuses the HiGHS extension that ``pcrpp.lp`` loaded.
+    No code of the approximation path runs here, so the optimum checks it;
+    the two share only ``lp.run_highs``, the checked handoff to HiGHS, which
+    solves the MIP with ``EXACT_MIP_OPTIONS``.  Column lower bounds are zero
+    there, so y_root = 1 is a row.  No scipy package is imported.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
     m, n, root = len(inst.edges), inst.vertex_count, inst.root
     X, W, Y, K = 0, m, 2 * m, 2 * m + n  # offsets of the four variable blocks
-    cost = np.zeros(2 * m + 2 * n)
+    ncols = 2 * m + 2 * n
+    cost = np.zeros(ncols)
     cost[X:W] = [e.length for e in inst.edges]
     cost[W:Y] = [-e.profit for e in inst.edges]
-    lower = np.zeros(len(cost))
     upper = np.concatenate([np.full(m, 2.0), np.ones(m + n), np.full(n, 2.0 * m)])
-    lower[Y + root] = 1.0
-    rows, lo, hi = [], [], []
+    entries: list[tuple[int, int, float]] = []  # (row, column, value) of the nonzeros
+    lo, hi = [], []
 
     def row(coefs: dict[int, float], low: float, high: float) -> None:
-        r = np.zeros(len(cost))
-        for j, c in coefs.items():
-            r[j] = c
-        rows.append(r)
+        entries.extend((len(lo), j, c) for j, c in coefs.items())
         lo.append(low)
         hi.append(high)
 
     def crossing(side) -> dict[int, float]:
         return {X + i: 1.0 for i, e in enumerate(inst.edges) if (e.u in side) != (e.v in side)}
 
+    row({Y + root: 1.0}, 1.0, 1.0)
     for i, e in enumerate(inst.edges):
         row({W + i: 1.0, X + i: -1.0}, -np.inf, 0.0)
         row({X + i: 1.0, Y + e.u: -2.0}, -np.inf, 0.0)
@@ -243,19 +240,17 @@ def exact_oracle(inst: Instance) -> Solution:
         if v != root:
             row({**crossing({v}), Y + v: -2.0}, 0.0, np.inf)
     while True:
-        res = milp(
-            cost,
-            constraints=LinearConstraint(np.array(rows), lo, hi),
-            integrality=np.ones(len(cost)),
-            bounds=Bounds(lower, upper),
-            options={"mip_rel_gap": 0.0},
+        rows, cols, values = (np.array(a) for a in zip(*entries))
+        order = np.lexsort((rows, cols))
+        indptr = np.zeros(ncols + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
+        highs = run_highs(
+            EXACT_MIP_OPTIONS, np.ones(ncols, dtype=np.int32), "exact oracle MIP", f"instance {inst.name!r}",
+            cost, upper, np.array(lo), np.array(hi), indptr, rows[order], values[order],
         )
-        if res.status != 0:
-            raise LpError(
-                f"exact oracle MIP on instance {inst.name!r} ended with status {res.status}: {res.message}"
-            )
+        x = highs.getSolution().col_value
         counts = Counter(
-            {ekey(e.u, e.v): round(res.x[X + i]) for i, e in enumerate(inst.edges) if res.x[X + i] > 0.5}
+            {ekey(e.u, e.v): round(x[X + i]) for i, e in enumerate(inst.edges) if x[X + i] > 0.5}
         )
         # one cut row per vertex of each support component that misses the root
         adj = neighbours(counts)
@@ -271,7 +266,7 @@ def exact_oracle(inst: Instance) -> Solution:
                     row({**cut, Y + v: -2.0}, 0.0, np.inf)
     walk = euler_tour(counts, root)
     value = objective(inst, walk)
-    mip_value = float(res.fun) + inst.total_profit
+    mip_value = highs.getInfo().objective_function_value + inst.total_profit
     # relative to the largest value any traversal vector within the bounds can take
     tol = 1e-9 * max(1.0, sum(2.0 * e.length + e.profit for e in inst.edges))
     if abs(value - mip_value) > tol:

@@ -227,16 +227,14 @@ def test_cli_verify_ratio_loads_no_solver_layer():
     assert loaded & unwanted == set()
 
 
-def test_exact_oracle_imports_scipy_optimize_on_the_call_and_shares_highs():
-    assert "scipy.optimize" not in loaded_by("import pcrpp.solvers")
-    # the MIP runs in scipy.optimize, on the HiGHS extension pcrpp.lp registered
+def test_exact_oracle_loads_no_scipy_package():
+    # the oracle's MIP goes through lp.run_highs, on the HiGHS extension pcrpp.lp loaded
     loaded = loaded_by(
-        "import sys, pcrpp.cli, pcrpp.solvers\n"
-        "highs = pcrpp.lp._core\n"
-        "assert pcrpp.solvers.exact_oracle(pcrpp.cli.gen_random(0, 6, 10)).value > 0.0\n"
-        "assert sys.modules[pcrpp.lp.HIGHS_CORE] is highs, 'a second HiGHS extension was loaded'"
+        "from pcrpp.cli import main\n"
+        f"assert main(['oracle', {str(CORPUS / 'rnd37.txt')!r}]) == 0\n"
     )
-    assert {"scipy.optimize", lp.HIGHS_CORE} <= loaded
+    assert {"pcrpp.solvers", lp.HIGHS_CORE} <= loaded
+    assert loaded & {"scipy", "scipy.optimize"} == set()
 
 
 def test_solves_pairing_four_and_six_points_without_networkx():

@@ -219,9 +219,11 @@ class HandoffBackend(HighsBackend):
 def test_master_handoff_keeps_only_the_master_alive():
     # The master reaches the backend with int32 column starts and row
     # indices, and with none of its assembly's intermediates alive.  Beyond
-    # the master, what is alive is the loop's own state (cut sides, the
-    # crossing matrix).  At the largest master of this solve, 1.35 MB was
-    # alive for a 0.53 MB master; at the commit that still held the
+    # the master, what is alive is the loop's own state: every recorded
+    # cut's side and key, and the crossing matrix and witnesses of the
+    # master cuts only.  At the largest master of this solve, 1.12 MB was
+    # alive for a 0.38 MB master (1.34 MB for 0.53 MB while every recorded
+    # cut was a master row); at the commit that still held the
     # assembly (int64 indices, the sort key and order, the block arrays)
     # it was 3.91 MB for 0.70 MB, and from about its 20th master on more
     # than the 1.5 MB bound below was alive beyond the master.
@@ -381,20 +383,71 @@ DUMP_INSTANCES = (
 )
 
 
-@pytest.mark.parametrize("inst", DUMP_INSTANCES, ids=[f"{i}-{x.name}" for i, x in enumerate(DUMP_INSTANCES)])
-def test_lp_dump_is_the_solved_model(inst, tmp_path):
-    # HiGHS reads the dump back; with the recorded cuts and the constant
-    # profit sum of the positive edges it is the relaxation that was solved
-    pg = preprocess(inst)
-    sol, cert = solve_pcrpp_lp(pg)
-    path = tmp_path / "model.lp"
+def _dump_optimum(pg, cert, path) -> float:
+    """The optimum HiGHS reads back from ``write_lp_text``'s dump, written to ``path``."""
     path.write_text(write_lp_text(pg, cert))
     highs = lp._core._Highs()
     highs.passOptions(lp.HIGHS_OPTIONS)
     assert highs.readModel(str(path)) == lp._core.HighsStatus.kOk
     highs.run()
     assert highs.getModelStatus() == lp._core.HighsModelStatus.kOptimal
-    objective = highs.getInfo().objective_function_value
+    return highs.getInfo().objective_function_value
+
+
+@pytest.mark.parametrize("inst", DUMP_INSTANCES, ids=[f"{i}-{x.name}" for i, x in enumerate(DUMP_INSTANCES)])
+def test_lp_dump_is_the_solved_model(inst, tmp_path):
+    # HiGHS reads the dump back; with the recorded cuts and the constant
+    # profit sum of the positive edges it is the relaxation that was solved
+    pg = preprocess(inst)
+    sol, cert = solve_pcrpp_lp(pg)
+    objective = _dump_optimum(pg, cert, tmp_path / "model.lp")
+    assert abs(objective - sol.objective) <= 1e-7 * max(1.0, abs(sol.objective))
+
+
+# gen_random(0, 16, 32) records 98 cuts whose partner cut is recorded too
+MASTER_ROW_INSTANCES = [(gen_random(0, 16, 32), 98)] + [(inst, None) for inst in FRACTIONAL_INSTANCES]
+
+
+@pytest.mark.parametrize(
+    "inst, duplicates", MASTER_ROW_INSTANCES, ids=[x.name for x, _ in MASTER_ROW_INSTANCES]
+)
+def test_master_has_one_row_per_distinct_cut(inst, duplicates, tmp_path):
+    # A cut (S, w) recorded after (S, partner(w)) stays in the certificate
+    # but gets no master row: y_w = y_partner(w) makes the two rows one.
+    pg = preprocess(inst)
+    backend = RecordingBackend()
+    sol, cert = solve_pcrpp_lp(pg, backend=backend)
+    partner = {}
+    for a, b in pg.pos_edges:
+        partner[a], partner[b] = b, a
+    keys = [(side, w) for side, w, _ in cert.cuts]
+    pairs_both = sum((side, partner.get(w)) in set(keys) for side, w in keys) // 2
+    if duplicates is not None:
+        assert pairs_both == duplicates
+    distinct = {(side, frozenset({w, partner.get(w, w)})) for side, w in keys}
+    assert len(distinct) == len(keys) - pairs_both
+    # the witnesses of the master rows: every cut whose partner cut came no earlier
+    kept = [w for i, (side, w) in enumerate(keys) if (side, partner.get(w)) not in keys[:i]]
+    assert len(kept) == len(distinct)
+
+    y_vertices = [v for v in range(pg.vertex_count) if v != pg.root]
+    ny, npos = len(y_vertices), len(pg.pos_edges)
+    seen = []
+    for master, _ in backend.calls:
+        cost, _, row_lower, _, indptr, indices, values = master
+        nrows = len(row_lower)
+        ncuts = int(np.isneginf(row_lower).sum()) - 1
+        assert nrows == 1 + ncuts + ny + 2 * npos
+        # each cut row has +2 on its witness's y column, the last ny columns
+        dense = csc_array((values, indices, indptr), shape=(nrows, len(cost))).toarray()
+        rows, ycols = np.nonzero(dense[1:1 + ncuts, -ny:] == 2.0)
+        assert rows.tolist() == list(range(ncuts))
+        assert [y_vertices[j] for j in ycols.tolist()] == kept[:ncuts]
+        seen.append(ncuts)
+    assert seen == sorted(seen) and seen[0] == 0 and seen[-1] == len(distinct)
+
+    # the dump still lists every recorded cut, and its optimum is the lower bound
+    objective = _dump_optimum(pg, cert, tmp_path / "model.lp")
     assert abs(objective - sol.objective) <= 1e-7 * max(1.0, abs(sol.objective))
 
 

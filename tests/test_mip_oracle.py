@@ -3,10 +3,8 @@ import json
 from pathlib import Path
 
 import pytest
-import scipy.optimize
-from scipy.optimize import OptimizeResult
 
-from pcrpp import solvers
+from pcrpp import lp, solvers
 from pcrpp.core import objective, parse_instance
 from pcrpp.lp import LpError
 from pcrpp.solvers import RATIO_BOUND, CheckError, best_of_many, exact_oracle
@@ -42,12 +40,14 @@ def test_stored_instances_sit_in_the_sandwich():
 
 
 def test_exact_oracle_names_the_instance_when_the_mip_is_not_optimal(single_pos, monkeypatch):
-    def time_limit(*args, **kwargs):
-        return OptimizeResult(status=1, message="Time limit reached.", x=None, fun=None)
-
-    monkeypatch.setattr(scipy.optimize, "milp", time_limit)
+    # presolve alone solves this MIP, so it is switched off for the time limit to stop HiGHS
+    options = lp._exact_mip_options()
+    options.presolve = "off"
+    options.time_limit = 0.0
+    monkeypatch.setattr(solvers, "EXACT_MIP_OPTIONS", options)
     with pytest.raises(
-        LpError, match="^exact oracle MIP on instance 'single' ended with status 1: Time limit reached\\.$"
+        LpError,
+        match="^exact oracle MIP failed: HiGHS model status 'Time limit reached' on instance 'single'$",
     ):
         exact_oracle(single_pos)
 
