@@ -30,8 +30,8 @@ _EXPORTS = {
     "lp": (
         "CutCertificate",
         "LpError",
+        "FlowNetwork",
         "LpSolution",
-        "capacity_adjacency",
         "max_flow_min_cut",
         "separate_cuts",
         "solve_pcrpp_lp",

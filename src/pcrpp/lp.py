@@ -3,8 +3,12 @@
 The program keeps a working set of edge variables (all positive edges, all
 root-incident edges and the tether edges at first), separates violated
 connectivity cuts with min-cut computations, and prices the omitted
-zero-profit variables through their reduced costs.  The backend is any LP
-solver that returns an optimal basic solution with row duals.  The default,
+zero-profit variables through their reduced costs.  The min cuts run an
+Edmonds-Karp max-flow on a ``FlowNetwork``, a capacity network in flat arc
+lists; ``separate_cuts`` builds one per round and shares it among the
+round's witness flows, and ``splitoff`` edits one per split vertex through
+``FlowNetwork.set_capacity``.  The backend is any LP solver that returns an
+optimal basic solution with row duals.  The default,
 ``HighsBackend``, drives the HiGHS build bundled with scipy through its
 private bindings (``scipy.optimize._highspy._core``, verified with scipy 1.17
 and HiGHS 1.12); it hands HiGHS the same model and options that
@@ -242,7 +246,7 @@ class HighsBackend:
         solution = highs.getSolution()
         return BackendResult(
             np.array(solution.col_value),
-            highs.getInfo().objective_function_value,
+            highs.getObjectiveValue(),
             np.array(solution.row_dual),
         )
 
@@ -283,114 +287,163 @@ def run_highs(
     return highs
 
 
-def capacity_adjacency(capacities: dict[tuple[int, int], float]) -> dict[int, dict[int, float]]:
-    """Symmetric capacity rows ``{u: {v: cap}}`` of an undirected capacity map.
+class FlowNetwork:
+    """An undirected capacity network held in flat arc lists, for repeated max-flows.
 
-    Entries at most zero are skipped, the two orientations of a pair add up,
-    and pairs whose sum is at most ``SUPPORT_FLOOR`` are left out.  The rows
-    are built once, and built again without those pairs only when an entry
-    at or below the floor was seen: a sum is above it otherwise.
-    ``max_flow_min_cut`` takes these rows, so a caller that asks several
-    flows on one network converts it once.
+    Arc ``a`` runs to ``head[a]`` with capacity ``cap[a]``, and ``a ^ 1`` is
+    its reverse, with the same capacity: a pair {u, v}, u < v, owns the arcs
+    2k (u to v) and 2k + 1.  ``out[v]`` is the tuple of v's out-arcs in
+    increasing head order, so every search scans neighbours in increasing id
+    order.  The network is built from an undirected capacity map: entries
+    at most zero are skipped, the two orientations of a pair add up, and a
+    pair whose sum is at most ``SUPPORT_FLOOR`` gets no arcs.
+
+    ``set_capacity`` edits a pair in place.  A pair set to ``SUPPORT_FLOOR``
+    or below keeps its arcs with capacity 0.0, which no search crosses; a
+    new pair's arcs are inserted into both endpoints' tuples, and a vertex
+    id past the end gets an empty tuple.  The pair -> arc index the setter
+    needs is built on its first call, so a network that is only flowed on,
+    as ``separate_cuts``'s, never holds one.
     """
-    adj: dict[int, dict[int, float]] = {}
-    faint = False
-    for (u, v), cap in capacities.items():
-        if cap <= 0.0:
-            continue
-        if not cap > SUPPORT_FLOOR:
-            faint = True
-        row = adj.setdefault(u, {})
-        row[v] = row.get(v, 0.0) + cap
-        row = adj.setdefault(v, {})
-        row[u] = row.get(u, 0.0) + cap
-    if not faint:
-        return adj
-    rows = {u: {v: cap for v, cap in row.items() if cap > SUPPORT_FLOOR} for u, row in adj.items()}
-    return {u: row for u, row in rows.items() if row}
+
+    __slots__ = ("head", "cap", "out", "_arcs")
+
+    def __init__(self, capacities: dict[tuple[int, int], float]):
+        summed: dict[tuple[int, int], float] = {}
+        for (u, v), c in capacities.items():
+            if c <= 0.0:
+                continue
+            key = (u, v) if u < v else (v, u)
+            summed[key] = summed.get(key, 0.0) + c
+        head: list[int] = []
+        cap: list[float] = []
+        for (u, v), c in summed.items():
+            if c > SUPPORT_FLOOR:
+                head += (v, u)
+                cap += (c, c)
+        rows: list[list[int]] = [[] for _ in range(max(head, default=-1) + 1)]
+        for a in range(len(head)):
+            rows[head[a ^ 1]].append(a)
+        self.head, self.cap = head, cap
+        self.out = [tuple(sorted(row, key=head.__getitem__)) for row in rows]
+        self._arcs: dict[tuple[int, int], int] | None = None
+
+    def grow(self, count: int) -> None:
+        """Give every vertex id below ``count`` an out-arc tuple, empty for a new one."""
+        if count > len(self.out):
+            self.out += [()] * (count - len(self.out))
+
+    def row(self, v: int) -> dict[int, float]:
+        """v's pairs of positive capacity as ``{neighbour: capacity}``, in neighbour order."""
+        if v >= len(self.out):
+            return {}
+        head, cap = self.head, self.cap
+        return {head[a]: cap[a] for a in self.out[v] if cap[a] > 0.0}
+
+    def set_capacity(self, u: int, v: int, c: float) -> None:
+        """Give the pair {u, v} capacity c both ways, or 0.0 when c is at most ``SUPPORT_FLOOR``."""
+        if u > v:
+            u, v = v, u
+        head = self.head
+        if self._arcs is None:
+            self._arcs = {(head[a + 1], head[a]): a for a in range(0, len(head), 2)}
+        a = self._arcs.get((u, v))
+        if not c > SUPPORT_FLOOR:
+            c = 0.0
+            if a is None:
+                return
+        if a is not None:
+            self.cap[a] = self.cap[a + 1] = c
+            return
+        a = self._arcs[u, v] = len(head)
+        head += (v, u)
+        self.cap += (c, c)
+        self.grow(v + 1)
+        out = self.out
+        out[u] = tuple(sorted(out[u] + (a,), key=head.__getitem__))
+        out[v] = tuple(sorted(out[v] + (a + 1,), key=head.__getitem__))
 
 
-def _flow(
-    adj: dict[int, dict[int, float]], s: int, t: int, need: float
-) -> tuple[float, dict[int, int] | None]:
-    """Edmonds-Karp s-t flow on symmetric rows, augmenting while the value is below ``need``.
+def _flow(net: FlowNetwork, s: int, t: int, need: float) -> tuple[float, list[int] | None]:
+    """Edmonds-Karp s-t flow on ``net``, augmenting while the value is below ``need``.
 
     Returns the flow value and, when no augmenting path is left, the
-    predecessor map of that last, failed search: its keys are the vertices
-    reached from s in the residual graph.  When the value reaches ``need``
-    the map is ``None``.  Each row is copied once per flow, and its keys are
-    sorted once, when a breadth-first search first visits it: a symmetric
-    residual never gains a key, so every search scans neighbours in
-    increasing id order.  An arc is usable while its residual exceeds
-    ``SUPPORT_FLOOR``.  The value only grows, so it reaches ``need`` exactly
-    when the full flow does.
+    vertices reached from s in the residual graph by that last, failed
+    search.  When the value reaches ``need`` they are ``None``.  The
+    residual is one copy of ``net.cap``, and each search keeps its
+    predecessor arcs in a list indexed by vertex.  Searches scan each
+    vertex's arcs in increasing head order, and an arc is usable while its
+    residual exceeds ``SUPPORT_FLOOR``.  The value only grows, so it reaches
+    ``need`` exactly when the full flow does.  ``net`` is not changed,
+    except that ``grow`` gives an s or t past its end an empty arc tuple.
     """
     if s == t:
         raise ValueError("source equals sink")
-    res = {v: row.copy() for v, row in adj.items()}
-    res.setdefault(s, {})
-    order: dict[int, list[int]] = {}
+    net.grow(max(s, t) + 1)
+    head, out = net.head, net.out
+    n = len(out)
+    res = net.cap[:]
     floor = SUPPORT_FLOOR
     value = 0.0
     while value < need:
-        pred = {s: s}
+        via = [-1] * n  # the arc each reached vertex was reached by
+        via[s] = s  # any mark >= 0: the path walk stops at s
         queue = [s]
         for v in queue:
-            nbrs = order.get(v)
-            if nbrs is None:
-                nbrs = order[v] = sorted(res[v])
-            row = res[v]
-            for u in nbrs:
-                if u not in pred and row[u] > floor:
-                    pred[u] = v
+            for a in out[v]:
+                u = head[a]
+                if via[u] < 0 and res[a] > floor:
+                    via[u] = a
                     queue.append(u)
-            if t in pred:
+            if via[t] >= 0:
                 break
         else:
-            return value, pred
+            return value, queue
         push = math.inf
         b = t
         while b != s:
-            a = pred[b]
-            if res[a][b] < push:
-                push = res[a][b]
-            b = a
+            a = via[b]
+            if res[a] < push:
+                push = res[a]
+            b = head[a ^ 1]
         b = t
         while b != s:
-            a = pred[b]
-            res[a][b] -= push
-            res[b][a] += push
-            b = a
+            a = via[b]
+            res[a] -= push
+            res[a ^ 1] += push
+            b = head[a ^ 1]
         value += push
     return value, None
 
 
 def max_flow_min_cut(
-    adj: dict[int, dict[int, float]], s: int, t: int, need: float = math.inf
+    net: FlowNetwork, s: int, t: int, need: float = math.inf
 ) -> tuple[float, frozenset | None]:
-    """Max s-t flow on ``capacity_adjacency`` rows and a minimum cut S with s inside.
+    """Max s-t flow on ``net`` and a minimum cut S with s inside.
 
     With ``need`` given the flow stops once its value reaches ``need`` and
     the result is ``(value, None)``: the cut is at least ``need``.  Otherwise
     the value is the exact maximum and the side is the set reached from s in
-    the residual graph, read off the flow's last, failed search.  ``adj`` is
-    not changed.  ``cut_at_least`` asks the same question with a 1e-12 slack
-    and without the side.
+    the residual graph, read off the flow's last, failed search.
+    ``cut_at_least`` asks the same question with a 1e-12 slack and without
+    the side.
     """
-    value, reached = _flow(adj, s, t, need)
+    value, reached = _flow(net, s, t, need)
     if not value < need:  # a NaN demand counts as met, as the flow loop's exit test has it
         return value, None
-    return value, frozenset(reached)
+    # Built through a dict, whose known size presizes the set's table.  A set
+    # grown from the list enlarges its table in steps, up to twice as large,
+    # and sides live as long as the cut certificate: built from the list, they
+    # left an eight-pass lp-ladder run's VmHWM about 1 MB higher.
+    return value, frozenset(dict.fromkeys(reached))
 
 
-def cut_at_least(
-    adj: dict[int, dict[int, float]], s: int, t: int, need: float
-) -> bool:
-    """True when the min s-t cut on the symmetric rows ``adj`` is at least ``need``."""
+def cut_at_least(net: FlowNetwork, s: int, t: int, need: float) -> bool:
+    """True when the min s-t cut on ``net`` is at least ``need``."""
     if need <= 1e-12:
         return True
     need -= 1e-12
-    return not _flow(adj, s, t, need)[0] < need
+    return not _flow(net, s, t, need)[0] < need
 
 
 def initial_variables(pg: PreprocessedGraph) -> list[tuple[int, int]]:
@@ -414,12 +467,12 @@ def separate_cuts(
 
     For every v with positive y the min root-v cut under x is compared with
     the demand 2*y_v; an empty result certifies the cut constraints.  The
-    support is converted to capacity rows once per call, and each flow stops
-    as soon as it meets its demand.
+    support becomes one ``FlowNetwork`` per call, shared by every witness's
+    flow, and each flow stops as soon as it meets its demand.
     """
     root = pg.root
     violated = []
-    support = capacity_adjacency(x)
+    support = FlowNetwork(x)
     for v in sorted(y):
         if v == root or y[v] <= tol:
             continue

@@ -5,7 +5,10 @@ chord between the chosen neighbours until the vertex is isolated, keeping
 every required root-to-vertex min cut intact.  Candidate neighbour pairs are
 scanned by descending value and the first pair admitting positive mass is
 taken with the largest admissible amount, computed exactly from one min-cut
-probe per demand (see ``_max_feasible``).
+probe per demand (see ``_max_feasible``).  Each split vertex's loop keeps
+one ``FlowNetwork`` of the working vector, edited in step with it by
+``_set_value``; candidates, the degree test and every probe read that
+network.
 
 The splitting loop works in a merged view of the root-copy construction:
 the working vector lives on the preprocessed graph, and the mass retired
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ekey
-from .lp import SUPPORT_FLOOR, LpSolution, capacity_adjacency, cut_at_least, max_flow_min_cut
+from .lp import SUPPORT_FLOOR, FlowNetwork, LpSolution, cut_at_least, max_flow_min_cut
 from .preprocess import PreprocessedGraph
 
 PRECISION = 1e-9
@@ -39,22 +42,16 @@ class SplitOp:
     amount: float
 
 
-def _set_value(x, adj, key, val):
-    """Store val on the edge in x and ``adj``, or drop it at or below ``SUPPORT_FLOOR``."""
-    u, v = key
+def _set_value(x, net, key, val):
+    """Store val on the edge in x and ``net``, or drop it at or below ``SUPPORT_FLOOR``."""
     if val > SUPPORT_FLOOR:
         x[key] = val
-        adj.setdefault(u, {})[v] = val
-        adj.setdefault(v, {})[u] = val
     else:
         x.pop(key, None)
-        if u in adj:
-            adj[u].pop(v, None)
-        if v in adj:
-            adj[v].pop(u, None)
+    net.set_capacity(*key, val)
 
 
-def _max_feasible(x, adj, move, demands, root, hi):
+def _max_feasible(x, net, move, demands, root, hi):
     """Largest amount up to ``hi`` that keeps every demand, or 0.0.
 
     ``move`` lists the candidate's (edge, coefficient) pairs: at amount eps
@@ -66,26 +63,26 @@ def _max_feasible(x, adj, move, demands, root, hi):
     cut value at ``hi``, that cut is worth f + 2 (hi - eps) at eps, and the
     demand admits hi - (demand - f) / 2.  The amount is the smallest
     admitted one; at or below ``PRECISION`` the candidate admits nothing.
-    x and ``adj`` are restored before returning.
+    x and the capacities of ``net`` are restored before returning.
     """
     saved = [(key, x.get(key, 0.0)) for key, _ in move]
     for key, c in move:
-        _set_value(x, adj, key, x.get(key, 0.0) + c * hi)
+        _set_value(x, net, key, x.get(key, 0.0) + c * hi)
     eps = hi
     for t in sorted(demands):
         need = demands[t]
-        if not cut_at_least(adj, t, root, need - DEMAND_SLACK):
-            f, _ = max_flow_min_cut(adj, t, root)
+        if not cut_at_least(net, t, root, need - DEMAND_SLACK):
+            f, _ = max_flow_min_cut(net, t, root)
             eps = min(eps, hi - (need - f) / 2.0)
             if eps <= PRECISION:
                 eps = 0.0
                 break
     for key, old in saved:
-        _set_value(x, adj, key, old)
+        _set_value(x, net, key, old)
     return eps
 
 
-def _candidates(adj, root, v):
+def _candidates(nbrs, root, v):
     """Ordered candidate operations at v as (tag, a, b, cap, move), lazily.
 
     Entries are (value, id) pairs sorted by descending value with id
@@ -93,11 +90,10 @@ def _candidates(adj, root, v):
     at its id and the copy's at id -1, which sorts it first of the two.  A
     pair of plain entries or of the root with a plain entry moves mass onto
     their chord (coefficients -1, -1, +1); the two halves together drop the
-    root edge (-2); the copy's half pairs with nothing else.  ``adj`` holds
-    only values above ``SUPPORT_FLOOR``, as ``complete_split`` and
-    ``_set_value`` store them.
+    root edge (-2); the copy's half pairs with nothing else.  ``nbrs`` is v's
+    row of the working network, ``FlowNetwork.row(v)``: its values are the
+    ones above ``SUPPORT_FLOOR``, as ``_set_value`` stores them.
     """
-    nbrs = adj.get(v, {})
     entries = [(val, u) for u, val in nbrs.items() if u != root]
     if root in nbrs:
         entries += [(nbrs[root] / 2.0, root), (nbrs[root] / 2.0, -1)]
@@ -131,18 +127,21 @@ def complete_split(
     if v == root or v in demands or root in demands:
         raise ValueError("demands must exclude the root and the split vertex")
     x = dict(x)
-    adj = capacity_adjacency(x)
+    net = FlowNetwork(x)
+    # chords join v's neighbours, so the vertices with arcs stay these
+    limit = 64 * (sum(1 for arcs in net.out if arcs) + 2)
     ops: list[SplitOp] = []
     guard = 0
     while True:
-        degree = sum(adj.get(v, {}).values())
+        nbrs = net.row(v)
+        degree = sum(nbrs.values())
         if degree <= PRECISION:
             break
         guard += 1
-        if guard > 64 * (len(adj) + 2):
+        if guard > limit:
             raise SplitError(f"splitting at vertex {v} did not converge")
-        for kind, a, b, cap, move in _candidates(adj, root, v):
-            eps = _max_feasible(x, adj, move, demands, root, cap)
+        for kind, a, b, cap, move in _candidates(nbrs, root, v):
+            eps = _max_feasible(x, net, move, demands, root, cap)
             if eps > PRECISION:
                 break
         else:
@@ -150,7 +149,7 @@ def complete_split(
                 f"no feasible splitting pair at vertex {v} with remaining degree {degree}"
             )
         for key, c in move:
-            _set_value(x, adj, key, x.get(key, 0.0) + c * eps)
+            _set_value(x, net, key, x.get(key, 0.0) + c * eps)
         if kind == "pair":
             ops.append(SplitOp(v, *ekey(a, b), eps))
         elif kind == "rootpair":

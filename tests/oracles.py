@@ -8,8 +8,9 @@ programming; ``apply_threshold_split`` and
 ``check_threshold_split`` replay one threshold of a ``SplitRecorder`` and
 assert the post-split guarantees; ``check_lp_solution`` replays the
 feasibility of a relaxation solution; ``max_flow_by_dict`` and
-``cut_at_least_by_dict`` are the Edmonds-Karp flow the solver used before
-its single early-exit kernel, kept to check that kernel bit for bit;
+``cut_at_least_by_dict`` are the Edmonds-Karp flow on dict rows that the
+solver used before its flat-array kernel, kept to check that kernel bit for
+bit and to judge connectivity in ``check_pctsp_feasible``;
 ``optimum_by_enumeration`` is the exhaustive optimum over traversal vectors
 that checks the MIP of ``pcrpp.solvers.exact_oracle`` up to 12 edges.  None
 of them runs in a solve, so they live here rather than in the ``pcrpp``
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from pcrpp.core import Instance, connected_to, ekey, pair_lookup
-from pcrpp.lp import LpSolution, capacity_adjacency, max_flow_min_cut, separate_cuts
+from pcrpp.lp import LpSolution, separate_cuts
 from pcrpp.preprocess import PreprocessedGraph
 from pcrpp.splitoff import SplitOp, SplitRecorder
 from pcrpp.treedecomp import DecompositionError, TreeDistribution
@@ -283,12 +284,11 @@ def check_pctsp_feasible(xbar, ybar, root: int, copy: int, tol: float = 1e-6) ->
             continue
         if abs(degrees.get(v, 0.0) - 2.0 * val) > tol:
             raise ValueError(f"degree mismatch at {v}")
-    support = capacity_adjacency({k: val for k, val in xbar.items() if val > 1e-12})
+    support = {k: val for k, val in xbar.items() if val > 1e-12}
     for v, val in sorted(ybar.items()):
         if v == root or val <= tol:
             continue
-        _, side = max_flow_min_cut(support, v, root, need=2.0 * val - tol)
-        if side is not None:
+        if max_flow_by_dict(support, v, root)[0] < 2.0 * val - tol:
             raise ValueError(f"connectivity cut violated for {v}")
 
 

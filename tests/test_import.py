@@ -59,10 +59,10 @@ print(json.dumps(sorted(sys.modules)))
 
 EXPORTS = [
     "AlphaComponents", "BoundCertificate", "Candidate", "CheckError", "CutCertificate",
-    "DecompositionError", "Edge", "Instance", "LpError", "LpSolution", "ParseError",
+    "DecompositionError", "Edge", "FlowNetwork", "Instance", "LpError", "LpSolution", "ParseError",
     "PreprocessedGraph", "RatioParams", "Solution", "SplitError", "SplitOp", "SplitRecorder",
     "TreeDistribution", "Walk", "alpha_components", "best_of_many", "build_candidate",
-    "candidates", "capacity_adjacency", "complete", "complete_split", "copy_vertices", "core",
+    "candidates", "complete", "complete_split", "copy_vertices", "core",
     "edge_profit_core", "euler_tour", "exact_oracle", "fixed_threshold_terms", "lp",
     "max_flow_min_cut", "min_perfect_matching", "min_tjoin", "objective", "odd_vertices",
     "parse_instance", "pctsp_reduction", "pctsp_solve_exact", "preprocess", "project_to_hat",

@@ -13,10 +13,10 @@ from pcrpp import lp
 from pcrpp.cli import gen_random
 from pcrpp.core import parse_instance
 from pcrpp.lp import (
+    FlowNetwork,
     HighsBackend,
     LpError,
     _price_variables,
-    capacity_adjacency,
     initial_variables,
     max_flow_min_cut,
     separate_cuts,
@@ -30,13 +30,13 @@ from oracles import check_lp_solution
 
 
 def test_max_flow_two_vertices():
-    value, side = max_flow_min_cut(capacity_adjacency({(0, 1): 3.0}), 0, 1)
+    value, side = max_flow_min_cut(FlowNetwork({(0, 1): 3.0}), 0, 1)
     assert value == pytest.approx(3.0)
     assert side == frozenset({0})
 
 
 def test_max_flow_bottleneck_path():
-    value, side = max_flow_min_cut(capacity_adjacency({(0, 1): 2.0, (1, 2): 1.0}), 0, 2)
+    value, side = max_flow_min_cut(FlowNetwork({(0, 1): 2.0, (1, 2): 1.0}), 0, 2)
     assert value == pytest.approx(1.0)
     assert side in (frozenset({0}), frozenset({0, 1}))
     assert 0 in side and 2 not in side
@@ -46,32 +46,9 @@ def test_max_flow_barrier_cut():
     # x on the barrier triangle; the two cuts separating a from r have
     # values 2 ({a}) and 2 ({a,b}), so the flow is 2
     caps = {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}
-    value, side = max_flow_min_cut(capacity_adjacency(caps), 1, 0)
+    value, side = max_flow_min_cut(FlowNetwork(caps), 1, 0)
     assert value == pytest.approx(2.0)
     assert 1 in side and 0 not in side
-
-
-@pytest.mark.parametrize(
-    "caps",
-    [
-        {(0, 1): 1.0, (1, 2): 0.0, (2, 0): 0.5, (1, 0): 0.25},
-        {(0, 1): 1.0, (1, 2): 1e-12, (2, 3): 0.5},
-        {(0, 1): 1e-13, (1, 0): 1e-13, (1, 2): 2.0},
-        {(0, 1): 1.0, (1, 0): 1e-12, (3, 2): float("nan")},
-    ],
-)
-def test_capacity_adjacency_keeps_rows_and_order(caps):
-    # the rows and their key order of summing every orientation, then
-    # dropping the pairs at or below the floor and the rows left empty
-    summed = {}
-    for (u, v), cap in caps.items():
-        if not cap <= 0.0:  # a NaN passes, as in capacity_adjacency
-            summed.setdefault(u, {})[v] = summed.setdefault(u, {}).get(v, 0.0) + cap
-            summed.setdefault(v, {})[u] = summed.setdefault(v, {}).get(u, 0.0) + cap
-    rows = {u: {v: c for v, c in row.items() if c > lp.SUPPORT_FLOOR} for u, row in summed.items()}
-    want = [(u, list(row.items())) for u, row in rows.items() if row]
-    got = capacity_adjacency(caps)
-    assert [(u, list(row.items())) for u, row in got.items()] == want
 
 
 def test_solve_barrier(barrier):

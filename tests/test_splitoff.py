@@ -5,8 +5,8 @@ import pytest
 from pcrpp import splitoff
 from pcrpp.lp import (
     SUPPORT_FLOOR,
+    FlowNetwork,
     LpSolution,
-    capacity_adjacency,
     cut_at_least,
     max_flow_min_cut,
     solve_pcrpp_lp,
@@ -47,8 +47,8 @@ def test_complete_split_root_drop():
 def test_candidates_order_and_moves():
     # entries by descending value: 2 (0.9), the copy's half (0.5, id -1), the
     # root's half (0.5), 3 (0.3); the copy's half pairs only with the root's
-    adj = capacity_adjacency({(0, 1): 1.0, (1, 2): 0.9, (1, 3): 0.3})
-    assert list(splitoff._candidates(adj, 0, 1)) == [
+    net = FlowNetwork({(0, 1): 1.0, (1, 2): 0.9, (1, 3): 0.3})
+    assert list(splitoff._candidates(net.row(1), 0, 1)) == [
         ("rootpair", 0, 2, 0.9, [((0, 1), -1), ((1, 2), -1), ((0, 2), 1)]),
         ("pair", 2, 3, 0.3, [((1, 2), -1), ((1, 3), -1), ((2, 3), 1)]),
         ("rootdrop", None, None, 0.5, [((0, 1), -2)]),
@@ -79,10 +79,10 @@ def test_complete_split_rejects_demands_at_the_root_or_split_vertex(demands):
 def test_complete_split_chain_preserves_cut():
     # chain r-c-a with unit values; the r-a min cut is 1 and must survive
     x = {(0, 1): 1.0, (1, 2): 1.0}
-    before, _ = max_flow_min_cut(capacity_adjacency({k: v for k, v in x.items() if v > 0}), 0, 2)
+    before, _ = max_flow_min_cut(FlowNetwork({k: v for k, v in x.items() if v > 0}), 0, 2)
     out, ops = complete_split(x, 0, 1, {2: before}, 3)
     assert ops == [SplitOp(1, 0, 2, 0.5), SplitOp(1, 2, 3, 0.5)]
-    after, _ = max_flow_min_cut(capacity_adjacency({k: v for k, v in out.items() if v > 0}), 0, 2)
+    after, _ = max_flow_min_cut(FlowNetwork({k: v for k, v in out.items() if v > 0}), 0, 2)
     assert after == pytest.approx(before) == pytest.approx(1.0)
 
 
@@ -101,7 +101,7 @@ def test_complete_split_amount_is_exact():
         after[(1, 2)] -= eps
         after[(1, 3)] -= eps
         after[(2, 3)] = eps
-        return cut_at_least(capacity_adjacency(after), 2, 0, 0.7 - DEMAND_SLACK)
+        return cut_at_least(FlowNetwork(after), 2, 0, 0.7 - DEMAND_SLACK)
 
     assert feasible(first.amount)
     assert not feasible(first.amount + 2 * PRECISION)
@@ -116,9 +116,9 @@ def _keeps_demands(call, eps):
     x = dict(call["x"])
     for key, c in call["move"]:
         x[key] = x.get(key, 0.0) + c * eps
-    adj = capacity_adjacency(x)
+    net = FlowNetwork(x)
     return all(
-        max_flow_min_cut(adj, t, call["root"])[0] >= need - 1e-12
+        max_flow_min_cut(net, t, call["root"])[0] >= need - 1e-12
         for t, need in call["demands"].items()
     )
 
@@ -126,18 +126,21 @@ def _keeps_demands(call, eps):
 def test_max_feasible_amounts_are_exact(monkeypatch):
     # every amount the splitting passes ask for: it keeps every demand, 2 *
     # PRECISION more (up to the cap) breaks one unless the cap was returned,
-    # a candidate admitting nothing returns exactly 0.0, and the rows and
-    # the nonzero entries of x come back unchanged
+    # a candidate admitting nothing returns exactly 0.0, and the network's
+    # live pairs and the nonzero entries of x come back unchanged
     calls = []
     real = splitoff._max_feasible
 
     def nonzero(x):
         return {k: val for k, val in x.items() if val != 0.0}
 
-    def recording(x, adj, move, demands, root, hi):
-        before = (nonzero(x), {u: dict(row) for u, row in adj.items()})
-        got = real(x, adj, move, demands, root, hi)
-        assert (nonzero(x), adj) == before
+    def live(net):
+        return {(u, v): c for u in range(len(net.out)) for v, c in net.row(u).items()}
+
+    def recording(x, net, move, demands, root, hi):
+        before = (nonzero(x), live(net))
+        got = real(x, net, move, demands, root, hi)
+        assert (nonzero(x), live(net)) == before
         calls.append(dict(x=before[0], move=move, demands=demands, root=root, hi=hi, got=got))
         return got
 
@@ -220,7 +223,7 @@ def test_cut_preservation_sampled():
         for t in sorted(yt):
             if t == pg.root or yt[t] <= 1e-12:
                 continue
-            cut, _ = max_flow_min_cut(capacity_adjacency(support), t, pg.root)
+            cut, _ = max_flow_min_cut(FlowNetwork(support), t, pg.root)
             assert cut >= 2.0 * yt[t] - 1e-6
         checked += 1
 
