@@ -21,6 +21,22 @@ own; the exact pairing MIP of ``candidates`` and the MIP of
 cut and with the positive edges' profit sum as its objective constant, as
 CPLEX LP text.
 
+A round of ``solve_pcrpp_lp`` works on the master's columns.  The backend's
+x stays an array over them; ``separate_cuts`` gets the active pairs with
+x > 0, in pair order, which makes the same ``FlowNetwork``, arc for arc, as
+the x over every pair would; and a new cut's recorded slack sums the x of
+the crossing active columns, in column order.  Only two steps cover every
+pair, each one numpy expression: pricing's reduced costs and the crossing
+rows of the round's new cuts.  The slack keeps the bits of the sum over
+every pair in pair order: the terms left out are the inactive pairs' +0.0,
+Python's float ``sum`` starts at +0.0 and never reaches -0.0, and adding
++0.0 to any other float changes no bit.  The master is built in two steps.
+``column_blocks`` builds what depends on the column set alone: the root,
+degree and coupling rows, the y block, the cost and the column bounds.  It
+runs again only when pricing adds columns.  ``master_model`` adds the
+round's cut rows.  ``write_lp_text`` runs the same two steps over every
+pair.
+
 The bindings are loaded from their file, without importing scipy's
 package: ``importlib.util.find_spec`` locates scipy's directory, so neither
 ``scipy/__init__.py`` (about 6 ms) nor ``scipy/optimize/__init__.py``, which
@@ -33,7 +49,6 @@ import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -222,18 +237,18 @@ class HighsBackend:
     changes the model, for example by dropping a matrix value below 1e-9).
 
     The handoff contract: the column starts and row indices arrive as int32,
-    built so at the source by ``_master_model``, and reach ``passModel`` as
+    built so at the source by ``master_model``, and reach ``passModel`` as
     they are, without a second copy.  Other integer dtypes, from direct
     callers, are checked first and converted after.  Float64 arrays pass
     uncopied.  While HiGHS runs, the caller holds nothing but the master.
 
     Each call uses a fresh HiGHS instance that is dropped when it returns.
-    One instance kept for a whole ``lp-ladder`` pass raised ``peak_rss_mb``
-    from 113.7-114.6 to 137.2-140.2 MB, and clearing its solver and model
-    after each solve still left it at 139.1-139.6 MB.  One instance per
-    ``solve_pcrpp_lp`` call, with ``clearModel`` between its masters, gave
-    the same values and a ``lp-ladder`` ``pass_s`` 4-6 % lower, but raised
-    its ``peak_rss_mb`` from 97.9 to 115 MB.
+    One ``_Highs`` per ``solve_pcrpp_lp`` call, with ``clear()`` between its
+    masters, gave the same output on all 285 ``tools/bitcheck.py`` instances
+    and ``lp-ladder`` passes 2-8 % faster, but raised the in-process peak RSS
+    of a benchmark-like ``lp-ladder`` run (``scipy.optimize`` loaded, as the
+    benchmark's speed probe does) from 95.5 to 111-113 MB, and calling
+    ``clear()`` right after each solve still left it at 112 MB.
     """
 
     def solve(self, cost, col_upper, row_lower, row_upper, indptr, indices, values) -> BackendResult:
@@ -468,7 +483,8 @@ def separate_cuts(
     For every v with positive y the min root-v cut under x is compared with
     the demand 2*y_v; an empty result certifies the cut constraints.  The
     support becomes one ``FlowNetwork`` per call, shared by every witness's
-    flow, and each flow stops as soon as it meets its demand.
+    flow, and each flow stops as soon as it meets its demand.  Pairs
+    missing from x, or at most zero in it, have no arcs.
     """
     root = pg.root
     violated = []
@@ -480,15 +496,6 @@ def separate_cuts(
         if side is not None:
             violated.append((side, v))
     return violated
-
-
-def _solution_dicts(pg, cols, x_vals, y_vals, y_vertices):
-    values = np.zeros(len(pg.pairs.u))
-    values[cols] = x_vals
-    x = dict(zip(pg.lengths, values.tolist()))
-    y = dict(zip(y_vertices, y_vals.tolist()))
-    y[pg.root] = 1.0
-    return x, y
 
 
 def canonicalize(pg: PreprocessedGraph, x, y):
@@ -530,6 +537,9 @@ def solve_pcrpp_lp(
     parallel anyway, 274 of the 854 rows of the last master of
     ``gen_random(0, 20, 40)``.  A dropped cut has no dual and adds nothing
     to a reduced cost.
+
+    A round works on the master's columns, as the module docstring sets
+    out; the x over every pair is built only on return.
     """
     backend = backend or HighsBackend()
     root = pg.root
@@ -549,88 +559,122 @@ def solve_pcrpp_lp(
     cut_keys: set[tuple[frozenset, int]] = set()
     crossing = np.zeros((0, len(pairs.u)), dtype=bool)  # one row per master cut
     witnesses: list[int] = []
+    blocks = column_blocks(pg, np.flatnonzero(active), y_vertices)
 
     for _ in range(MAX_ROUNDS):
-        cols = np.flatnonzero(active)
+        cols = blocks.cols
         x_vals, y_vals, mu, rho, cut_duals = _solve_master(
-            pg, backend, cols, crossing, witnesses, y_vertices
+            pg, backend, blocks, crossing[:, cols], witnesses, y_vertices
         )
-        x, y = _solution_dicts(pg, cols, x_vals, y_vals, y_vertices)
+        y = dict(zip(y_vertices, y_vals.tolist()))
+        y[root] = 1.0
+        support = x_vals > 0.0
+        x = dict(zip(pairs.keys(cols[support]), x_vals[support].tolist()))
 
         new_cuts = separate_cuts(pg, x, y, tol=FEAS_TOL)
         new_cuts = [(side, v) for side, v in new_cuts if (side, v) not in cut_keys]
         priced = _price_variables(pairs, active, crossing, mu, rho, cut_duals, PRICE_TOL)
-        if not new_cuts and not priced:
-            x, y = canonicalize(pg, x, y)
+        if not new_cuts and not priced.size:
+            values = np.zeros(len(pairs.u))
+            values[cols] = x_vals
+            x, y = canonicalize(pg, dict(zip(pg.lengths, values.tolist())), y)
             objective = lp_objective(pg, x)
             sol = LpSolution(x, y, objective)
             return sol, CutCertificate(tuple(cuts))
-        rows = []
-        for side, v in new_cuts:
-            row = pairs.crossing(side)
-            crossed = compress(x.values(), row.tolist())
-            cuts.append((side, v, sum(crossed) - 2.0 * y[v]))
-            if (side, partner.get(v)) not in cut_keys:
-                rows.append(row)
+        rows = pairs.crossing([side for side, _ in new_cuts])
+        kept = []
+        # the sum over every pair less its inactive pairs' +0.0 terms, which
+        # change no bit (module docstring)
+        for (side, v), across in zip(new_cuts, rows[:, cols]):
+            cuts.append((side, v, sum(x_vals[across].tolist()) - 2.0 * y[v]))
+            keep = (side, partner.get(v)) not in cut_keys
+            if keep:
                 witnesses.append(v)
+            kept.append(keep)
             cut_keys.add((side, v))
-        if rows:
-            crossing = np.vstack([crossing, rows])
-        active[pairs.index(priced)] = True
+        if any(kept):
+            crossing = np.vstack([crossing, rows[kept]])
+        if priced.size:
+            active[priced] = True
+            blocks = column_blocks(pg, np.flatnonzero(active), y_vertices)
     raise LpError(f"cutting-plane loop did not converge within {MAX_ROUNDS} rounds")
 
 
-def _solve_master(pg, backend, cols, crossing, witnesses, y_vertices):
-    """Solve the master over the active columns ``cols`` and the master cuts.
+def _solve_master(pg, backend, blocks, crossing, witnesses, y_vertices):
+    """Solve the master over ``blocks``' columns and the master cuts.
 
-    The handoff: ``_master_model`` returns the master alone, so its
+    The handoff: ``master_model`` returns the master alone, so its
     assembly's intermediates are freed before ``backend.solve`` starts and
-    only the master's arrays are alive here while HiGHS runs.  Its column
-    starts and row indices are int32 from the start, which the backend
-    passes on without a copy.  Returns the x and y values, the degree duals
-    by vertex (0 at the root), the root-degree dual and one dual per master
-    cut, in the order of ``witnesses``.
+    only the master's arrays, and the column blocks they are built from,
+    are alive here while HiGHS runs.  Its column starts and row indices are
+    int32 from the start, which the backend passes on without a copy.
+    Returns the x and y values, the degree duals by vertex (0 at the root),
+    the root-degree dual and one dual per master cut, in the order of
+    ``witnesses``.
     """
-    res = backend.solve(*_master_model(pg, cols, crossing, witnesses, y_vertices))
-    nx, deg0 = len(cols), 1 + len(witnesses)
+    res = backend.solve(*master_model(blocks, crossing, witnesses))
+    nx, deg0 = len(blocks.cols), 1 + len(witnesses)
     mu = np.zeros(pg.pairs.vertex_count)
     mu[y_vertices] = res.row_duals[deg0:deg0 + len(y_vertices)]
     return res.x[:nx], res.x[nx:], mu, res.row_duals[0], res.row_duals[1:deg0]
 
 
-def _master_model(pg, cols, crossing, witnesses, y_vertices):
-    """The master as ``HighsBackend.solve`` takes it: cost, bounds and int32 CSC arrays.
+@dataclass(frozen=True, eq=False)
+class ColumnBlocks:
+    """Step one of the master: every part of it that depends on the columns alone.
 
-    Columns are ``cols`` then ``y_vertices``.  Rows are root degree at most
-    2, one row 2 y_w - x(delta(S)) <= 0 per cut (S, w), S given by its row
-    of ``crossing`` and w by ``witnesses``, the degree rows
+    The columns are the pairs ``cols``, in pair order, then the y column of
+    each non-root vertex (``yidx`` maps a vertex to its place among them).
+    ``cost``, ``col_upper`` and the CSC entries of the root row, the degree
+    rows and the coupling rows are held without the cut rows: ``nrows``
+    rows, the root row 0 and the degree rows from row 1 on.  Entry k comes
+    after the cut entries of the columns below ``cuts_before[k]``: its own
+    column's too, unless it is in the root row.  The arrays are read-only.
+    """
+
+    cols: np.ndarray
+    yidx: np.ndarray
+    nrows: int
+    cost: np.ndarray
+    col_upper: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    cuts_before: np.ndarray
+
+    def __post_init__(self):
+        for arr in (
+            self.cols, self.yidx, self.cost, self.col_upper, self.indptr, self.indices,
+            self.values, self.cuts_before,
+        ):
+            arr.flags.writeable = False
+
+
+def column_blocks(pg, cols, y_vertices) -> ColumnBlocks:
+    """Step one of the master over the pairs ``cols`` and the y columns of ``y_vertices``.
+
+    Rows, the cut rows left out: root degree at most 2, the degree rows
     x(delta(v)) - 2 y_v = 0, then y_a = x_ab = y_b as two rows per positive
-    column: linprog's A_ub over A_eq, an order on which HiGHS's choice among
-    optimal vertices depends.
+    column.
     """
     root, pairs = pg.root, pg.pairs
-    nx, ny, ncuts = len(cols), len(y_vertices), len(witnesses)
+    nx, ny = len(cols), len(y_vertices)
     u, v = pairs.u[cols], pairs.v[cols]
     yidx = np.zeros(pairs.vertex_count, dtype=np.intp)
     yidx[y_vertices] = np.arange(ny)
     pos_cols = np.flatnonzero(pairs.positive[cols])
-    deg0 = 1 + ncuts
-    cpl0 = deg0 + ny
-    nrows = cpl0 + 2 * len(pos_cols)
+    nrows = 1 + ny + 2 * len(pos_cols)
 
     # (columns, rows, value) of the nonzeros, block by block
     at_root = np.flatnonzero(pairs.at_root[cols])
-    cut_cols, cut_rows = np.nonzero(crossing[:, cols].T)
     u_cols = np.flatnonzero(u != root)
     v_cols = np.flatnonzero(v != root)
-    cpl_rows = cpl0 + np.arange(2 * len(pos_cols))
+    cpl_rows = 1 + ny + np.arange(2 * len(pos_cols))
     blocks = (
         (at_root, np.zeros_like(at_root), 1.0),
-        (cut_cols, 1 + cut_rows, -1.0),
-        (nx + yidx[witnesses], 1 + np.arange(ncuts), 2.0),
-        (u_cols, deg0 + yidx[u[u_cols]], 1.0),
-        (v_cols, deg0 + yidx[v[v_cols]], 1.0),
-        (nx + np.arange(ny), deg0 + np.arange(ny), -2.0),
+        (u_cols, 1 + yidx[u[u_cols]], 1.0),
+        (v_cols, 1 + yidx[v[v_cols]], 1.0),
+        (nx + np.arange(ny), 1 + np.arange(ny), -2.0),
         (np.repeat(pos_cols, 2), cpl_rows, -1.0),
         (nx + yidx[np.column_stack([u[pos_cols], v[pos_cols]]).ravel()], cpl_rows, 1.0),
     )
@@ -640,21 +684,61 @@ def _master_model(pg, cols, crossing, witnesses, y_vertices):
     # Each (column, row) occurs once.  Most blocks are already sorted runs
     # of this key, which the stable sort merges in linear time.
     order = np.argsort(col * nrows + row, kind="stable")
+    col, row = col[order], row[order]
     indptr = np.zeros(nx + ny + 1, dtype=np.int32)
     np.cumsum(np.bincount(col, minlength=nx + ny), out=indptr[1:])
 
     cost = np.zeros(nx + ny)
     cost[:nx] = pairs.lengths[cols] - pairs.profits[cols]
     col_upper = np.concatenate((np.where(pairs.positive[cols], 1.0, np.inf), np.ones(ny)))
+    return ColumnBlocks(
+        cols, yidx, nrows, cost, col_upper, indptr, row, val[order], col + (row > 0)
+    )
+
+
+def master_model(blocks: ColumnBlocks, crossing, witnesses):
+    """Step two: the master as ``HighsBackend.solve`` takes it, cost, bounds and int32 CSC arrays.
+
+    Adds to ``blocks`` one row 2 y_w - x(delta(S)) <= 0 per cut (S, w), S
+    given by its row of ``crossing``, over the blocks' pair columns, and w
+    by ``witnesses``.  The cut rows follow the root row, so the degree and
+    coupling rows move down by the cut count: linprog's A_ub over A_eq, an
+    order on which HiGHS's choice among optimal vertices depends.  The cut
+    entries fill the places that the blocks' entries leave between them.
+    """
+    ncuts, ncols = len(witnesses), len(blocks.cost)
+    # the cut entries in column order, each column's in cut order; cuts_below[j]
+    # counts those of the columns below j
+    x_cols, x_cuts = np.nonzero(crossing.T)
+    y_cols = len(blocks.cols) + blocks.yidx[witnesses]
+    y_cuts = np.argsort(y_cols, kind="stable")
+    cut_cols = np.concatenate((x_cols, y_cols[y_cuts]))
+    cuts_below = np.zeros(ncols + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cut_cols, minlength=ncols), out=cuts_below[1:])
+
+    fixed = np.arange(len(blocks.indices)) + cuts_below[blocks.cuts_before]
+    is_cut = np.ones(len(fixed) + len(cut_cols), dtype=bool)
+    is_cut[fixed] = False
+    indices = np.empty(len(is_cut), dtype=np.int32)
+    indices[fixed] = np.where(blocks.indices > 0, blocks.indices + ncuts, 0)
+    indices[is_cut] = 1 + np.concatenate((x_cuts, y_cuts))
+    values = np.empty(len(is_cut))
+    values[fixed] = blocks.values
+    values[is_cut] = np.repeat((-1.0, 2.0), (len(x_cols), ncuts))
+
+    nrows = blocks.nrows + ncuts
     row_lower = np.zeros(nrows)
-    row_lower[:deg0] = -np.inf
+    row_lower[:1 + ncuts] = -np.inf
     row_upper = np.zeros(nrows)
     row_upper[0] = 2.0
-    return cost, col_upper, row_lower, row_upper, indptr, row[order], val[order]
+    return (
+        blocks.cost, blocks.col_upper, row_lower, row_upper,
+        blocks.indptr + cuts_below, indices, values,
+    )
 
 
 def _price_variables(pairs, active, crossing, mu, rho, cut_duals, tol):
-    """Omitted zero-profit pairs with reduced cost below -tol, in pair order.
+    """Omitted zero-profit pairs with reduced cost below -tol, as pair indices.
 
     rc = L - mu[u] - mu[v] - rho [root in pair] + sum_j dual_j [pair crosses
     cut j].  The cut terms are added one cut at a time in recorded order, so
@@ -665,14 +749,13 @@ def _price_variables(pairs, active, crossing, mu, rho, cut_duals, tol):
     for row, dual in zip(crossing, cut_duals):
         if dual != 0.0:
             np.add(rc, dual, out=rc, where=row)
-    priced = ~active & ~pairs.positive & (rc < -tol)
-    return pairs.keys(np.flatnonzero(priced))
+    return np.flatnonzero(~active & ~pairs.positive & (rc < -tol))
 
 
 def write_lp_text(pg: PreprocessedGraph, cert: CutCertificate) -> str:
     """The master over every pair with the recorded cuts, in CPLEX LP text format (debug aid).
 
-    ``_master_model``'s arrays printed as they are, rows in the master's
+    ``master_model``'s arrays over every pair printed as they are, rows in the master's
     order with their entries in column order and the sense read off the row
     bounds.  Every recorded cut has a row, also the partner duplicates that
     ``solve_pcrpp_lp`` keeps out of its master, which are redundant.  The
@@ -681,10 +764,10 @@ def write_lp_text(pg: PreprocessedGraph, cert: CutCertificate) -> str:
     """
     pairs, ncuts = pg.pairs, len(cert.cuts)
     y_vertices = [v for v in range(pg.vertex_count) if v != pg.root]
-    crossing = np.array([pairs.crossing(side) for side, _, _ in cert.cuts], dtype=bool)
-    cost, col_upper, row_lower, row_upper, indptr, indices, values = _master_model(
-        pg, np.arange(len(pairs.u)), crossing.reshape(ncuts, len(pairs.u)),
-        [w for _, w, _ in cert.cuts], y_vertices,
+    cost, col_upper, row_lower, row_upper, indptr, indices, values = master_model(
+        column_blocks(pg, np.arange(len(pairs.u)), y_vertices),
+        pairs.crossing([side for side, _, _ in cert.cuts]),
+        [w for _, w, _ in cert.cuts],
     )
     cols = [f"x_{u}_{v}" for u, v in pg.lengths] + [f"y_{v}" for v in y_vertices]
     rows = ["root"] + [f"cut_{i}" for i in range(ncuts)] + [f"deg_{v}" for v in y_vertices]

@@ -70,11 +70,12 @@ class PairArrays:
     def keys(self, idx=slice(None)) -> list[tuple[int, int]]:
         return list(zip(self.u[idx].tolist(), self.v[idx].tolist()))
 
-    def crossing(self, side: frozenset) -> np.ndarray:
-        """Which pairs have exactly one endpoint in ``side``."""
-        inside = np.zeros(self.vertex_count, dtype=bool)
-        inside[list(side)] = True
-        return inside[self.u] != inside[self.v]
+    def crossing(self, sides) -> np.ndarray:
+        """One row per side: which pairs have exactly one endpoint in it."""
+        inside = np.zeros((len(sides), self.vertex_count), dtype=bool)
+        for row, side in zip(inside, sides):
+            row[list(side)] = True
+        return inside[:, self.u] != inside[:, self.v]
 
 
 @dataclass(frozen=True, eq=False)

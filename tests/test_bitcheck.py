@@ -7,15 +7,50 @@ from pathlib import Path
 import pytest
 
 BITCHECK = Path(__file__).resolve().parents[1] / "tools" / "bitcheck.py"
+GOLDEN = Path(__file__).resolve().parent / "bitcheck_golden.json"
+GOLDEN_LABELS = ("frac-small/rnd10", "frac-small/rnd37", "lp-ladder/rnd0-n12")
+GOLDEN_SECTIONS = ("best_of_many", "lp")
+
+
+def _load_bitcheck():
+    spec = importlib.util.spec_from_file_location("bitcheck", BITCHECK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def bitcheck(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends its own paths
-    spec = importlib.util.spec_from_file_location("bitcheck", BITCHECK)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_bitcheck()
+
+
+def golden_text(bitcheck) -> str:
+    """The ``GOLDEN_SECTIONS`` of ``record`` for ``GOLDEN_LABELS``, as the tool writes JSON."""
+    insts = dict(bitcheck.instances())
+    table = {}
+    for label in GOLDEN_LABELS:
+        rec = bitcheck.record(insts[label])
+        table[label] = {section: rec[section] for section in GOLDEN_SECTIONS}
+    return json.dumps(table, sort_keys=True, indent=1) + "\n"
+
+
+def write_golden() -> None:
+    """Rewrite ``bitcheck_golden.json`` from the current sources."""
+    GOLDEN.write_text(golden_text(_load_bitcheck()))
+
+
+def test_pipeline_outputs_match_the_golden(bitcheck):
+    """Value, bound, walk, LP point, cuts and LP dump hash of three instances, bit for bit.
+
+    Floats are written with ``repr``, so the texts agree exactly when every
+    output does.  A change that moves values on purpose regenerates the
+    file from the repository root and lists what moved, as
+    ``tools/bitcheck.py --diff`` prints it:
+
+        PYTHONPATH=src python3 -c 'import sys; sys.path.insert(0, "tests"); import test_bitcheck; test_bitcheck.write_golden()'
+    """
+    assert golden_text(bitcheck) == GOLDEN.read_text()
 
 
 def _record(

@@ -52,7 +52,10 @@ def _random_cases():
 
 
 def _separation_cases():
-    """The supports ``separate_cuts`` sees on FRACTIONAL_INSTANCES, every witness against the root."""
+    """The supports ``separate_cuts`` sees on FRACTIONAL_INSTANCES, every non-root vertex against the root.
+
+    A vertex outside the support has no arcs; its flow is still a case.
+    """
     seen = []
     real = lp.separate_cuts
 
@@ -68,8 +71,8 @@ def _separation_cases():
             solve_pcrpp_lp(pg)
         finally:
             lp.separate_cuts = real
+        vertices = [v for v in range(pg.vertex_count) if v != pg.root]
         for j, caps in enumerate(seen):
-            vertices = sorted({w for key in caps for w in key} - {pg.root})
             cases += [(f"frac{i}-round{j}-v{v}", caps, v, pg.root) for v in vertices]
         seen.clear()
     return cases

@@ -17,7 +17,9 @@ from pcrpp.lp import (
     HighsBackend,
     LpError,
     _price_variables,
+    column_blocks,
     initial_variables,
+    master_model,
     max_flow_min_cut,
     separate_cuts,
     solve_pcrpp_lp,
@@ -197,9 +199,10 @@ def test_master_handoff_keeps_only_the_master_alive():
     # The master reaches the backend with int32 column starts and row
     # indices, and with none of its assembly's intermediates alive.  Beyond
     # the master, what is alive is the loop's own state: every recorded
-    # cut's side and key, and the crossing matrix and witnesses of the
-    # master cuts only.  At the largest master of this solve, 1.12 MB was
-    # alive for a 0.38 MB master (1.34 MB for 0.53 MB while every recorded
+    # cut's side and key, the crossing matrix and witnesses of the master
+    # cuts only, and the column blocks.  At the largest master of this
+    # solve, 1.16 MB was alive for a 0.38 MB master (1.12 MB before the
+    # loop kept its column blocks, 1.34 MB for 0.53 MB while every recorded
     # cut was a master row); at the commit that still held the
     # assembly (int64 indices, the sort key and order, the block arrays)
     # it was 3.91 MB for 0.70 MB, and from about its 20th master on more
@@ -428,6 +431,67 @@ def test_master_has_one_row_per_distinct_cut(inst, duplicates, tmp_path):
     assert abs(objective - sol.objective) <= 1e-7 * max(1.0, abs(sol.objective))
 
 
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "frac-small"
+# rnd37's pricing adds columns in its fifth round, after four rounds on one column set
+BLOCK_INSTANCES = (
+    [gen_random(0, 16, 32)]
+    + list(FRACTIONAL_INSTANCES)
+    + [parse_instance((CORPUS / "rnd37.txt").read_text(), name="rnd37")]
+)
+
+
+@pytest.mark.parametrize("inst", BLOCK_INSTANCES, ids=[x.name for x in BLOCK_INSTANCES])
+def test_cached_column_blocks_match_a_master_built_from_scratch(inst, monkeypatch):
+    # The loop builds its column blocks again only after pricing adds
+    # columns.  Each master it hands the backend must equal the one both
+    # builder steps make from scratch out of that round's active pairs and
+    # master cuts, which are tracked here from the pricing results and the
+    # certificate alone.
+    pg = preprocess(inst)
+    pairs = pg.pairs
+    priced, built = [], []
+    real_price, real_blocks = lp._price_variables, lp.column_blocks
+
+    def price(*args):
+        priced.append(real_price(*args))
+        return priced[-1]
+
+    def blocks(*args):
+        built.append(len(priced))
+        return real_blocks(*args)
+
+    monkeypatch.setattr(lp, "_price_variables", price)
+    monkeypatch.setattr(lp, "column_blocks", blocks)
+    backend = RecordingBackend()
+    _, cert = solve_pcrpp_lp(pg, backend=backend)
+    assert len(priced) == len(backend.calls)
+    # step one runs first and then after each round that priced columns in
+    assert built == [0] + [r + 1 for r, idx in enumerate(priced) if idx.size]
+    if inst.name == "rnd37":
+        assert [r for r, idx in enumerate(priced) if idx.size] == [0, 4]
+
+    partner = {}
+    for a, b in pg.pos_edges:
+        partner[a], partner[b] = b, a
+    keys = [(side, w) for side, w, _ in cert.cuts]
+    kept = [(side, w) for i, (side, w) in enumerate(keys) if (side, partner.get(w)) not in keys[:i]]
+    y_vertices = [v for v in range(pg.vertex_count) if v != pg.root]
+    active = np.zeros(len(pairs.u), dtype=bool)
+    active[pairs.index(initial_variables(pg))] = True
+    for (master, _), idx in zip(backend.calls, priced):
+        cols = np.flatnonzero(active)
+        ncuts = int(np.isneginf(master[2]).sum()) - 1
+        sides = [side for side, _ in kept[:ncuts]]
+        want = master_model(
+            column_blocks(pg, cols, y_vertices),
+            pairs.crossing(sides)[:, cols],
+            [w for _, w in kept[:ncuts]],
+        )
+        for got, ref in zip(master, want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        active[idx] = True
+
+
 def _price_oracle(pg, active, sides, mu, rho, cut_duals, tol):
     """Per-pair scalar pricing: omitted zero-profit pairs with rc below -tol."""
     root = pg.root
@@ -482,14 +546,10 @@ def test_pricing_matches_scalar_oracle():
                 for _ in range(rng.randrange(0, 12))
             ]
             cut_duals = np.array([rng.choice(dual_choices) for _ in sides])
-            crossing = np.array(
-                [pairs.crossing(side) for side in sides], dtype=bool
-            ).reshape(len(sides), len(pairs.u))
             mu_arr = np.array([mu[v] for v in range(n)])
-            got = _price_variables(pairs, mask, crossing, mu_arr, rho, cut_duals, 1e-7)
+            got = _price_variables(pairs, mask, pairs.crossing(sides), mu_arr, rho, cut_duals, 1e-7)
             want = _price_oracle(pg, active, sides, mu, rho, cut_duals, 1e-7)
-            assert got == want
-            assert all(type(a) is int and type(b) is int for a, b in got)
+            assert pairs.keys(got) == want
             nonempty += bool(want)
             empty += not want
     assert nonempty >= 20 and empty >= 20
