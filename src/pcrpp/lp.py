@@ -24,13 +24,14 @@ CPLEX LP text.
 A round of ``solve_pcrpp_lp`` works on the master's columns.  The backend's
 x stays an array over them; ``separate_cuts`` gets the active pairs with
 x > 0, in pair order, which makes the same ``FlowNetwork``, arc for arc, as
-the x over every pair would; and a new cut's recorded slack sums the x of
-the crossing active columns, in column order.  Only two steps cover every
+the x over every pair would; and a new cut's recorded slack adds the x of
+the crossing active columns one by one from +0.0, in column order, which
+builtin ``sum`` does only before Python 3.12.  Only two steps cover every
 pair, each one numpy expression: pricing's reduced costs and the crossing
 rows of the round's new cuts.  The slack keeps the bits of the sum over
 every pair in pair order: the terms left out are the inactive pairs' +0.0,
-Python's float ``sum`` starts at +0.0 and never reaches -0.0, and adding
-+0.0 to any other float changes no bit.  The master is built in two steps.
+a sum from +0.0 never reaches -0.0, and adding +0.0 to any other float
+changes no bit.  The master is built in two steps.
 ``column_blocks`` builds what depends on the column set alone: the root,
 degree and coupling rows, the y block, the cost and the column bounds.  It
 runs again only when pricing adds columns.  ``master_model`` adds the
@@ -584,9 +585,12 @@ def solve_pcrpp_lp(
         rows = pairs.crossing([side for side, _ in new_cuts])
         kept = []
         # the sum over every pair less its inactive pairs' +0.0 terms, which
-        # change no bit (module docstring)
+        # change no bit, added left to right (module docstring)
         for (side, v), across in zip(new_cuts, rows[:, cols]):
-            cuts.append((side, v, sum(x_vals[across].tolist()) - 2.0 * y[v]))
+            slack = 0.0
+            for val in x_vals[across].tolist():
+                slack += val
+            cuts.append((side, v, slack - 2.0 * y[v]))
             keep = (side, partner.get(v)) not in cut_keys
             if keep:
                 witnesses.append(v)

@@ -286,7 +286,9 @@ def pctsp_solve_exact(nodes, dist, penalties, root, cap: int = PCTSP_CAP) -> lis
     if k == 0:
         return []
 
-    total_penalty = sum(penalties[s] for s in nodes)
+    total_penalty = 0.0  # added left to right, as builtin sum does only before Python 3.12
+    for s in nodes:
+        total_penalty += penalties[s]
     dp = {}
     parent = {}
     for i, s in enumerate(nodes):
@@ -309,7 +311,10 @@ def pctsp_solve_exact(nodes, dist, penalties, root, cap: int = PCTSP_CAP) -> lis
     best_value = total_penalty
     best_state = None
     for mask in range(1, 1 << k):
-        skipped = sum(penalties[nodes[i]] for i in range(k) if not mask & (1 << i))
+        skipped = 0.0
+        for i in range(k):
+            if not mask & (1 << i):
+                skipped += penalties[nodes[i]]
         for i in range(k):
             if mask & (1 << i) and (mask, i) in dp:
                 value = dp[(mask, i)] + pair_lookup(dist, nodes[i], root) + skipped

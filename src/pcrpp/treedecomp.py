@@ -157,7 +157,9 @@ def stage_distribution(recorder: SplitRecorder, boundary: int) -> TreeDistributi
     for op in reversed(recorder.ops[recorder.prefix[boundary]:]):
         _undo_step(trees, op, root)
     _compact(trees)
-    total = sum(w for w, _ in trees)
+    total = 0.0  # added left to right, as builtin sum does only before Python 3.12
+    for w, _ in trees:
+        total += w
     if abs(total - 1.0) > 1e-9:
         raise DecompositionError(f"tree weights sum to {total}")
     return TreeDistribution(
