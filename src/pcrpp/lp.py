@@ -6,7 +6,7 @@ connectivity cuts with min-cut computations, and prices the omitted
 zero-profit variables through their reduced costs.  The min cuts run an
 Edmonds-Karp max-flow on a ``FlowNetwork``, a capacity network in flat arc
 lists; ``separate_cuts`` builds one per round and shares it among the
-round's witness flows, and ``splitoff`` edits one per split vertex through
+round's witness flows, and ``splitoff`` edits one per splitting pass through
 ``FlowNetwork.set_capacity``.  The backend is any LP solver that returns an
 optimal basic solution with row duals.  The default,
 ``HighsBackend``, drives the HiGHS build bundled with scipy through its
@@ -16,7 +16,9 @@ and HiGHS 1.12); it hands HiGHS the same model and options that
 array overload of ``_Highs.passModel``.  ``linprog`` itself is used only in
 the tests, as the reference.  ``run_highs`` is that checked handoff on its
 own; the exact pairing MIP of ``candidates`` and the MIP of
-``solvers.exact_oracle`` go through it too.
+``solvers.exact_oracle`` go through it too, each on a fresh HiGHS instance,
+while one ``HighsBackend``, and so one LP solve, passes its masters of at
+most ``REUSE_NNZ`` nonzeros into one kept instance.
 ``write_lp_text`` prints that master over every pair, with every recorded
 cut and with the positive edges' profit sum as its objective constant, as
 CPLEX LP text.
@@ -153,6 +155,18 @@ def _linprog_options() -> _core.HighsOptions:
 
 HIGHS_OPTIONS = _linprog_options()
 
+# The largest master, in nonzeros, that HighsBackend passes into its kept
+# HiGHS instance; a larger one gets a fresh instance.  Keeping the instance
+# saves its set-up and teardown, about 0.1 ms a master.  Measured with
+# perfbench/run.py on a 2-vCPU VM: passing every master into the kept
+# instance raised lp-ladder's peak RSS from about 98 to 114 MB, as its
+# masters grow to 73,400 nonzeros (heap fragmentation as their buffers are
+# reallocated is the likely cause, not verified); a limit of 16,384 kept
+# lp-ladder flat but raised frac-small's about 1.3 MB.  At 5,000 both stay
+# within the spread of fresh instances, and 515 of frac-small's 534 masters
+# (at most 12,676 nonzeros) and 26 of lp-ladder's 104 are at or below it.
+REUSE_NNZ = 5_000
+
 
 def _exact_mip_options() -> _core.HighsOptions:
     """The LP options with both MIP gaps at zero, so a MIP is solved to its exact optimum.
@@ -243,23 +257,35 @@ class HighsBackend:
     callers, are checked first and converted after.  Float64 arrays pass
     uncopied.  While HiGHS runs, the caller holds nothing but the master.
 
-    Each call uses a fresh HiGHS instance that is dropped when it returns.
-    One ``_Highs`` per ``solve_pcrpp_lp`` call, with ``clear()`` between its
-    masters, gave the same output on all 285 ``tools/bitcheck.py`` instances
-    and ``lp-ladder`` passes 2-8 % faster, but raised the in-process peak RSS
-    of a benchmark-like ``lp-ladder`` run (``scipy.optimize`` loaded, as the
-    benchmark's speed probe does) from 95.5 to 111-113 MB, and calling
-    ``clear()`` right after each solve still left it at 112 MB.
+    One ``_Highs`` is kept between calls and each new master is passed into
+    it, as long as the master has at most ``REUSE_NNZ`` nonzeros;
+    ``solve_pcrpp_lp`` builds one backend per call, so the instance lives
+    for one LP solve.  ``passModel`` clears the previous model, basis and
+    solution, and the options stay as first passed: on the 1,045 masters
+    of the 285 ``tools/bitcheck.py`` instances a reused instance returned
+    the same x, duals and objective, bit for bit, as a fresh one.  A larger
+    master gets a fresh instance, which is dropped when it returns, and the
+    kept one is dropped before it runs; an ``LpError`` (any exception) drops
+    the kept instance too.  The instance is made on first use, so a
+    subclass need not call ``__init__``.
     """
+
+    _highs = None  # the instance kept for the next small master
 
     def solve(self, cost, col_upper, row_lower, row_upper, indptr, indices, values) -> BackendResult:
         ncols, nrows = len(cost), len(row_lower)
+        small = len(values) <= REUSE_NNZ
+        highs = self._highs if small else None
+        self._highs = None  # dropped before a large master runs, and on any error
         highs = run_highs(
             HIGHS_OPTIONS, np.zeros(ncols, dtype=np.int32),
             "LP backend", f"a {nrows} x {ncols} master (rows x columns)",
             cost, col_upper, row_lower, row_upper, indptr, indices, values,
+            highs=highs,
         )
         solution = highs.getSolution()
+        if small:
+            self._highs = highs
         return BackendResult(
             np.array(solution.col_value),
             highs.getObjectiveValue(),
@@ -269,15 +295,17 @@ class HighsBackend:
 
 def run_highs(
     options, integrality, label: str, model: str,
-    cost, col_upper, row_lower, row_upper, indptr, indices, values,
+    cost, col_upper, row_lower, row_upper, indptr, indices, values, highs=None,
 ):
-    """A fresh ``_Highs`` that has solved the model to optimality, checked at every step.
+    """A ``_Highs`` that has solved the model to optimality, checked at every step.
 
     The model is the one ``HighsBackend.solve`` takes, and ``integrality``
-    holds one int32 per column: 0 continuous, 1 integer.  ``_check_model``
-    rejects a malformed model first.  A ``passModel`` status other than OK
-    or a model status other than optimal raises ``LpError``, as
-    "``label`` failed: HiGHS <status> on ``model``".
+    holds one int32 per column: 0 continuous, 1 integer.  It goes into
+    ``highs``, an instance an earlier call returned for the same
+    ``options``, or else into a fresh ``_Highs`` given ``options``.
+    ``_check_model`` rejects a malformed model first.  A ``passModel``
+    status other than OK or a model status other than optimal raises
+    ``LpError``, as "``label`` failed: HiGHS <status> on ``model``".
     """
     cost, col_upper, row_lower, row_upper, values = (
         np.asarray(a, dtype=np.float64) for a in (cost, col_upper, row_lower, row_upper, values)
@@ -286,8 +314,9 @@ def run_highs(
     _check_model(cost, col_upper, row_lower, row_upper, indptr, indices, values)
     indptr, indices = indptr.astype(np.int32, copy=False), indices.astype(np.int32, copy=False)
     ncols, nrows = len(cost), len(row_lower)
-    highs = _core._Highs()
-    highs.passOptions(options)
+    if highs is None:
+        highs = _core._Highs()
+        highs.passOptions(options)
     passed = highs.passModel(
         ncols, nrows, len(values), _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize, 0.0,
         cost, np.zeros(ncols), col_upper, row_lower, row_upper, indptr, indices, values, integrality,
@@ -315,11 +344,14 @@ class FlowNetwork:
     pair whose sum is at most ``SUPPORT_FLOOR`` gets no arcs.
 
     ``set_capacity`` edits a pair in place.  A pair set to ``SUPPORT_FLOOR``
-    or below keeps its arcs with capacity 0.0, which no search crosses; a
-    new pair's arcs are inserted into both endpoints' tuples, and a vertex
-    id past the end gets an empty tuple.  The pair -> arc index the setter
-    needs is built on its first call, so a network that is only flowed on,
-    as ``separate_cuts``'s, never holds one.
+    or below keeps its arcs with capacity 0.0, but they leave both
+    endpoints' tuples, so ``out`` holds only arcs of positive capacity; a
+    pair that comes back, or a new one, has its arcs inserted in head order,
+    and a vertex id past the end gets an empty tuple.  A 0.0 arc and its
+    reverse are never crossed, so taking them out leaves every search's scan
+    of the other arcs, and so every flow, amount and side, as it was.  The
+    pair -> arc index the setter needs is built on its first call, so a
+    network that is only flowed on, as ``separate_cuts``'s, never holds one.
     """
 
     __slots__ = ("head", "cap", "out", "_arcs")
@@ -354,30 +386,34 @@ class FlowNetwork:
         if v >= len(self.out):
             return {}
         head, cap = self.head, self.cap
-        return {head[a]: cap[a] for a in self.out[v] if cap[a] > 0.0}
+        return {head[a]: cap[a] for a in self.out[v]}
 
     def set_capacity(self, u: int, v: int, c: float) -> None:
         """Give the pair {u, v} capacity c both ways, or 0.0 when c is at most ``SUPPORT_FLOOR``."""
         if u > v:
             u, v = v, u
-        head = self.head
+        head, cap = self.head, self.cap
         if self._arcs is None:
             self._arcs = {(head[a + 1], head[a]): a for a in range(0, len(head), 2)}
         a = self._arcs.get((u, v))
-        if not c > SUPPORT_FLOOR:
-            c = 0.0
-            if a is None:
+        live = c > SUPPORT_FLOOR
+        if a is None:
+            if not live:
                 return
-        if a is not None:
-            self.cap[a] = self.cap[a + 1] = c
-            return
-        a = self._arcs[u, v] = len(head)
-        head += (v, u)
-        self.cap += (c, c)
-        self.grow(v + 1)
+            a = self._arcs[u, v] = len(head)
+            head += (v, u)
+            cap += (0.0, 0.0)
+            self.grow(v + 1)
+        was_live = cap[a] > 0.0
+        cap[a] = cap[a + 1] = c if live else 0.0
         out = self.out
-        out[u] = tuple(sorted(out[u] + (a,), key=head.__getitem__))
-        out[v] = tuple(sorted(out[v] + (a + 1,), key=head.__getitem__))
+        if live and not was_live:
+            out[u] = tuple(sorted(out[u] + (a,), key=head.__getitem__))
+            out[v] = tuple(sorted(out[v] + (a + 1,), key=head.__getitem__))
+        elif was_live and not live:
+            i, j = out[u].index(a), out[v].index(a + 1)
+            out[u] = out[u][:i] + out[u][i + 1:]
+            out[v] = out[v][:j] + out[v][j + 1:]
 
 
 def _flow(net: FlowNetwork, s: int, t: int, need: float) -> tuple[float, list[int] | None]:

@@ -54,7 +54,8 @@ def test_pipeline_outputs_match_the_golden(bitcheck):
 
 
 def _record(
-    value=3.0, bound=2.5, walk=(0, 1, 0), cuts=(), ops=(), stages=(), oracle=3.0, lp_text="0"
+    value=3.0, bound=2.5, walk=(0, 1, 0), cuts=(), ops=(), stages=(), oracle=3.0, lp_text="0",
+    rounds="0",
 ):
     return {
         "best_of_many": {"value": value, "lower_bound": bound, "walk": list(walk), "stats": {}},
@@ -62,6 +63,7 @@ def _record(
         "split": {"ops": list(ops), "groups": [], "chord": 0.0, "stages": list(stages)},
         "pctsp_reduction": 3.0,
         "exact_oracle": oracle,
+        "lp_rounds": {"masters": 1, "sha256": rounds},
     }
 
 
@@ -77,6 +79,7 @@ def test_diff_of_equal_files_reports_nothing_moved(bitcheck, tmp_path, capsys):
         "split operations differ on 0 instances",
         "stage trees differ on 0 instances",
         "LP dumps differ on 0 instances",
+        "LP rounds differ on 0 instances",
         "any other output differs on 0 instances",
     ]
 
@@ -109,6 +112,7 @@ def test_diff_lists_moved_values_and_counts_the_rest(bitcheck):
         "split operations differ on 1 instances",
         "stage trees differ on 1 instances",
         "LP dumps differ on 0 instances",
+        "LP rounds differ on 0 instances",
         "any other output differs on 2 instances",
     ]
 
@@ -126,5 +130,38 @@ def test_diff_counts_a_changed_lp_dump_on_its_own(bitcheck, tmp_path, capsys):
         "split operations differ on 0 instances",
         "stage trees differ on 0 instances",
         "LP dumps differ on 1 instances",
+        "LP rounds differ on 0 instances",
         "any other output differs on 0 instances",
     ]
+
+
+def test_diff_counts_lp_rounds_on_their_own(bitcheck, tmp_path, capsys):
+    # a backend change that moves a master or a result, but no recorded
+    # output, moves only the per-round count
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, rounds in zip(paths, ("0", "1")):
+        path.write_text(json.dumps({"a": _record(), "b": _record(rounds=rounds)}))
+    assert bitcheck.main(["--diff", *map(str, paths)]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "LP rounds differ on 1 instances",
+        "any other output differs on 0 instances",
+    ]
+
+
+@pytest.mark.parametrize("without", ["old", "new"])
+def test_diff_reads_a_file_without_lp_rounds_as_not_recorded(bitcheck, tmp_path, capsys, without):
+    # a file written before the section existed, such as a base commit's,
+    # leaves it out of every comparison: equal outputs otherwise exit 0
+    tables = {"old": {"a": _record()}, "new": {"a": _record(rounds="1")}}
+    del tables[without]["a"]["lp_rounds"]
+    paths = []
+    for name, table in tables.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(table))
+    assert bitcheck.main(["--diff", *map(str, paths)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"LP rounds not recorded in the {without} file",
+        "any other output differs on 0 instances",
+    ]
+    tables["new"]["a"]["exact_oracle"] = 2.0
+    assert bitcheck.diff(tables["old"], tables["new"])[-1] == "any other output differs on 1 instances"

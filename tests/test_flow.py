@@ -257,6 +257,15 @@ def test_edited_network_matches_a_fresh_dict_flow(name, caps, edits, s, t):
     assert got[0].hex() == want[0].hex()
     assert got[1] == want[1]
     assert all(c == 0.0 or c > SUPPORT_FLOOR for c in net.cap)
+    # the arc tuples hold the live pairs alone, in head order: a pair taken
+    # to the floor leaves them, and one that comes back is put back in place
+    live = {}
+    for (u, v), c in edited.items():
+        if c > SUPPORT_FLOOR:
+            live.setdefault(u, []).append(v)
+            live.setdefault(v, []).append(u)
+    heads = {u: [net.head[a] for a in arcs] for u, arcs in enumerate(net.out) if arcs}
+    assert heads == {u: sorted(row) for u, row in live.items()}
     rows = _residual(edited)
     for need in _needs(_oracle_values(edited, s, t)):
         assert cut_at_least(net, s, t, need) == cut_at_least_by_dict(rows, s, t, need)

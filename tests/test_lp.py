@@ -229,6 +229,36 @@ def test_backend_reports_failed_status():
         HighsBackend().solve(one, one, 2 * one, 2 * one, np.array([0, 1]), np.array([0]), one)
 
 
+def test_reused_instance_answers_like_a_fresh_one():
+    # one backend through real masters that cross the size gate both ways,
+    # an infeasible master and a small one again: each result is the one a
+    # fresh backend returns, bit for bit.  A small master leaves its instance
+    # kept and the next small one reuses it; a large master or an error
+    # leaves none kept
+    recorder = RecordingBackend()
+    solve_pcrpp_lp(preprocess(gen_random(0, 16, 32)), backend=recorder)
+    masters = [master for master, _ in recorder.calls]
+    small = [m for m in masters if len(m[6]) <= lp.REUSE_NNZ]
+    large = next(m for m in masters if len(m[6]) > lp.REUSE_NNZ)
+    one = np.array([1.0])
+    infeasible = (one, one, 2 * one, 2 * one, np.array([0, 1]), np.array([0]), one)
+    backend = HighsBackend()
+    kept = []
+    for master in (small[0], small[1], large, small[2], infeasible, small[3]):
+        if master is infeasible:
+            with pytest.raises(LpError, match="model status 'Infeasible'"):
+                backend.solve(*master)
+        else:
+            got, want = backend.solve(*master), HighsBackend().solve(*master)
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.row_duals, want.row_duals)
+            assert got.objective == want.objective
+        kept.append(backend._highs)
+    assert kept[0] is not None and kept[1] is kept[0]
+    assert kept[2] is None and kept[3] is not None
+    assert kept[4] is None and kept[5] is not None
+
+
 @pytest.mark.parametrize(
     "position, bad, message",
     [

@@ -21,7 +21,11 @@ the benchmark (``perfbench/workloads.py``).  For each one the file holds:
   error the stage raises;
 - the ``pctsp_reduction`` and ``exact_oracle`` values; the exact oracle is a
   HiGHS MIP with no size cap, so it is recorded as a value on all 285
-  instances.
+  instances;
+- ``lp_rounds``: for that ``solve_pcrpp_lp`` call, the number of masters
+  handed to the backend and one SHA-256 over each of them (every array with
+  its dtype and shape) and each ``BackendResult`` (x, row duals and the
+  objective's bits), in round order.
 
 A call that raises is recorded as ``"Type: message"``.  Floats are written
 with ``repr``, dicts with sorted keys and cut sides as sorted lists, so two
@@ -33,9 +37,11 @@ files with ``cmp``, or report what moved between two such files:
 
 prints each instance whose ``best_of_many`` value or lower bound moved, as
 ``old -> new``, then how many instances differ in their walk, their cuts,
-their split operations, their stage trees, their ``write_lp_text`` hash and
-in any other output.  It exits with 1 when anything differs and 0 when the
-files agree.
+their split operations, their stage trees, their ``write_lp_text`` hash,
+their ``lp_rounds`` and any other output.  Files written before
+``lp_rounds`` existed lack it: the report then says it is not recorded and
+leaves it out of every comparison.  It exits with 1 when anything compared
+differs and 0 when the files agree.
 """
 from __future__ import annotations
 
@@ -50,7 +56,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 from conftest import acceptance_suite  # noqa: E402
 import workloads  # noqa: E402
 
-from pcrpp.lp import solve_pcrpp_lp, write_lp_text  # noqa: E402
+import numpy as np  # noqa: E402
+
+from pcrpp.lp import HighsBackend, solve_pcrpp_lp, write_lp_text  # noqa: E402
 from pcrpp.preprocess import preprocess  # noqa: E402
 from pcrpp.solvers import best_of_many, exact_oracle, pctsp_reduction  # noqa: E402
 from pcrpp.splitoff import SplitRecorder  # noqa: E402
@@ -88,9 +96,27 @@ def _best(inst) -> dict:
     }
 
 
+class _HashingBackend(HighsBackend):
+    """The default backend, hashing each master it is handed and each result it returns."""
+
+    def __init__(self):
+        self.masters = 0
+        self.sha = hashlib.sha256()
+
+    def solve(self, *master):
+        res = super().solve(*master)
+        for a in (*master, res.x, res.row_duals, np.float64(res.objective)):
+            a = np.asarray(a)
+            self.sha.update(f"{a.dtype.str}{a.shape}".encode())
+            self.sha.update(a.tobytes())
+        self.masters += 1
+        return res
+
+
 def _solve(inst) -> tuple:
     pg = preprocess(inst)
-    return (pg, *solve_pcrpp_lp(pg))
+    backend = _HashingBackend()
+    return (pg, *solve_pcrpp_lp(pg, backend=backend), backend)
 
 
 def _lp(pg, sol, cert) -> dict:
@@ -124,10 +150,11 @@ def record(inst) -> dict:
     failed = solved if isinstance(solved, str) else None
     return {
         "best_of_many": _guard(lambda: _best(inst)),
-        "lp": failed or _guard(lambda: _lp(*solved)),
+        "lp": failed or _guard(lambda: _lp(*solved[:3])),
         "split": failed or _guard(lambda: _split(*solved[:2])),
         "pctsp_reduction": _guard(lambda: pctsp_reduction(inst).value),
         "exact_oracle": _guard(lambda: exact_oracle(inst).value),
+        ROUNDS: failed or {"masters": solved[3].masters, "sha256": solved[3].sha.hexdigest()},
     }
 
 
@@ -145,6 +172,7 @@ COUNTED = (
     ("LP dumps", "lp", "lp_text_sha256"),  # a dump format change moves only this count
 )
 MOVED = ("value", "lower_bound")  # the best_of_many fields printed per instance
+ROUNDS = "lp_rounds"  # the section counted whole; files written before it lack it
 
 
 def _rest(rec: dict) -> dict:
@@ -156,7 +184,14 @@ def _rest(rec: dict) -> dict:
         section: {k: v for k, v in out.items() if k not in drop.get(section, ())}
         if isinstance(out, dict) else out
         for section, out in rec.items()
+        if section != ROUNDS
     }
+
+
+def _unrecorded(old: dict, new: dict) -> list[str]:
+    """The files, "old" and "new", in which some record lacks the ``ROUNDS`` section."""
+    tables = (("old", old), ("new", new))
+    return [name for name, table in tables if any(ROUNDS not in rec for rec in table.values())]
 
 
 def diff(old: dict, new: dict) -> list[str]:
@@ -182,6 +217,12 @@ def diff(old: dict, new: dict) -> list[str]:
             for label in common
         )
         lines.append(f"{name} differ on {count} instances")
+    unrecorded = _unrecorded(old, new)
+    if unrecorded:
+        lines.append(f"LP rounds not recorded in the {' and the '.join(unrecorded)} file")
+    else:
+        count = sum(old[label][ROUNDS] != new[label][ROUNDS] for label in common)
+        lines.append(f"LP rounds differ on {count} instances")
     rest = sum(_rest(old[label]) != _rest(new[label]) for label in common)
     lines.append(f"any other output differs on {rest} instances")
     return lines
@@ -191,8 +232,12 @@ def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) == 3 and args[0] == "--diff":
         old, new = (json.loads(Path(a).read_text()) for a in args[1:])
-        lines = diff(old, new)
-        print("\n".join(lines))
+        print("\n".join(diff(old, new)))
+        if _unrecorded(old, new):
+            old, new = (
+                {label: {k: v for k, v in rec.items() if k != ROUNDS} for label, rec in table.items()}
+                for table in (old, new)
+            )
         return int(old != new)
     if len(args) != 1 or args[0].startswith("--"):
         print(
