@@ -80,10 +80,11 @@ def _pairing_by_mip(points: list, dist) -> list[tuple[int, int]]:
     ncols = len(ends)
     cost = [pair_lookup(dist, points[i], points[j]) for i, j in ends.tolist()]
     one = np.ones(k)
+    # point i's row: the k - 1 pairs with an end at i, in pair order
     highs = run_highs(
         EXACT_MIP_OPTIONS, np.ones(ncols, dtype=np.int32), "pairing MIP", f"points {points}",
         cost, np.ones(ncols), one, one,
-        np.arange(0, 2 * ncols + 1, 2, dtype=np.int32), ends.ravel(), np.ones(2 * ncols),
+        np.arange(0, 2 * ncols + 1, k - 1), np.argsort(ends.ravel(), kind="stable") // 2, np.ones(2 * ncols),
     )
     x = np.array(highs.getSolution().col_value)
     chosen = ends[x > 0.5]

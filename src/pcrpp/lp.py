@@ -33,12 +33,13 @@ pair, each one numpy expression: pricing's reduced costs and the crossing
 rows of the round's new cuts.  The slack keeps the bits of the sum over
 every pair in pair order: the terms left out are the inactive pairs' +0.0,
 a sum from +0.0 never reaches -0.0, and adding +0.0 to any other float
-changes no bit.  The master is built in two steps.
+changes no bit.  The master is built by rows, in two steps.
 ``column_blocks`` builds what depends on the column set alone: the root,
-degree and coupling rows, the y block, the cost and the column bounds.  It
-runs again only when pricing adds columns.  ``master_model`` adds the
-round's cut rows.  ``write_lp_text`` runs the same two steps over every
-pair.
+degree and coupling rows, the cost and the column bounds.  It runs again
+only when pricing adds columns.  ``master_model`` puts the round's cut
+rows after the root row.  ``write_lp_text`` runs the same two steps over
+every pair.  Every model, the MIPs too, reaches HiGHS by rows, and
+``passModel`` turns it into the column-wise matrix HiGHS holds.
 
 The bindings are loaded from their file, without importing scipy's
 package: ``importlib.util.find_spec`` locates scipy's directory, so neither
@@ -157,14 +158,20 @@ HIGHS_OPTIONS = _linprog_options()
 
 # The largest master, in nonzeros, that HighsBackend passes into its kept
 # HiGHS instance; a larger one gets a fresh instance.  Keeping the instance
-# saves its set-up and teardown, about 0.1 ms a master.  Measured with
-# perfbench/run.py on a 2-vCPU VM: passing every master into the kept
-# instance raised lp-ladder's peak RSS from about 98 to 114 MB, as its
-# masters grow to 73,400 nonzeros (heap fragmentation as their buffers are
-# reallocated is the likely cause, not verified); a limit of 16,384 kept
-# lp-ladder flat but raised frac-small's about 1.3 MB.  At 5,000 both stay
-# within the spread of fresh instances, and 515 of frac-small's 534 masters
-# (at most 12,676 nonzeros) and 26 of lp-ladder's 104 are at or below it.
+# saves its set-up, about 0.1 ms a master, and the page faults of its new
+# buffers, but the buffers it keeps stay resident.  Over one lp-ladder pass
+# of best_of_many on a 2-vCPU VM (masters up to 73,400 nonzeros), 48k of
+# the 50k minor faults were inside HighsBackend.solve with fresh instances,
+# 7.6k of 9.9k with one instance for every master; at rnd0-n20's peak
+# mallinfo2 read 30.8 MB of heap in use and 3.3 MB free with fresh
+# instances, 27.4 and 13.2 MB with one, and the peak RSS rose 49 -> 66 MB.
+# clearModel or clearSolver after each master, malloc_trim(0), and a fresh
+# instance per pricing round or whenever the nonzeros doubled each left
+# that peak at 59-66 MB.  With perfbench/run.py a limit of 16,384 kept
+# lp-ladder's peak_rss_mb flat but raised frac-small's about 1.3 MB; at
+# 5,000 both stay within the spread of fresh instances, and 515 of
+# frac-small's 534 masters (at most 12,676 nonzeros) and 26 of lp-ladder's
+# 104 are at or below it.
 REUSE_NNZ = 5_000
 
 
@@ -186,12 +193,14 @@ EXACT_MIP_OPTIONS = _exact_mip_options()
 
 
 def _check_model(cost, col_upper, row_lower, row_upper, indptr, indices, values) -> None:
-    """Reject a model HiGHS would misread: it checks neither the CSC arrays nor NaNs.
+    """Reject a model HiGHS would misread: it checks neither the row-wise arrays nor NaNs.
 
-    Takes numpy arrays.  A row index at or past the row count made
-    ``_Highs.run`` raise a C++ ``vector::reserve`` error or crash the
-    interpreter with a segmentation fault instead of returning a status, and
-    a NaN cost came back as an optimal solution with objective NaN.  Bounds
+    Takes numpy arrays: the row starts ``indptr`` and the column indices
+    ``indices`` of the matrix's ``values``.  A column index past the column
+    count, or below 0, made ``passModel`` return an error status, and
+    ``_Highs.run`` on that instance then crashed the interpreter with a
+    segmentation fault or a double free instead of returning a status; a
+    NaN cost came back as an optimal solution with objective NaN.  Bounds
     may be infinite; costs and matrix values may not.
     """
     ncols, nrows = len(cost), len(row_lower)
@@ -199,26 +208,26 @@ def _check_model(cost, col_upper, row_lower, row_upper, indptr, indices, values)
         raise LpError(f"LP model has {len(col_upper)} column upper bounds for {ncols} columns")
     if len(row_upper) != nrows:
         raise LpError(f"LP model has {len(row_upper)} row upper bounds for {nrows} rows")
-    if len(indptr) != ncols + 1:
-        raise LpError(f"LP model has {len(indptr)} column starts for {ncols} columns")
+    if len(indptr) != nrows + 1:
+        raise LpError(f"LP model has {len(indptr)} row starts for {nrows} rows")
     if indptr[0] != 0:
-        raise LpError(f"LP model column 0 starts at entry {indptr[0]}, not 0")
+        raise LpError(f"LP model row 0 starts at entry {indptr[0]}, not 0")
     back = np.flatnonzero(indptr[1:] < indptr[:-1])
     if back.size:
-        j = int(back[0]) + 1
+        i = int(back[0]) + 1
         raise LpError(
-            f"LP model column {j} starts at entry {indptr[j]}, before column {j - 1} at {indptr[j - 1]}"
+            f"LP model row {i} starts at entry {indptr[i]}, before row {i - 1} at {indptr[i - 1]}"
         )
     if not indptr[-1] == len(indices) == len(values):
         raise LpError(
-            f"LP model columns end at entry {indptr[-1]} but it has {len(indices)} row indices"
+            f"LP model rows end at entry {indptr[-1]} but it has {len(indices)} column indices"
             f" and {len(values)} values"
         )
-    if indices.size and (indices.min() < 0 or indices.max() >= nrows):
-        k = int(np.flatnonzero((indices < 0) | (indices >= nrows))[0])
-        col = int(np.searchsorted(indptr, k, side="right")) - 1
+    if indices.size and (indices.min() < 0 or indices.max() >= ncols):
+        k = int(np.flatnonzero((indices < 0) | (indices >= ncols))[0])
+        row = int(np.searchsorted(indptr, k, side="right")) - 1
         raise LpError(
-            f"LP model entry {k} (column {col}) has row index {indices[k]}, outside the {nrows} rows"
+            f"LP model entry {k} (row {row}) has column index {indices[k]}, outside the {ncols} columns"
         )
     for name, array, wrong in (
         ("cost", cost, ~np.isfinite(cost)),
@@ -237,9 +246,10 @@ class HighsBackend:
 
     ``solve`` takes a minimization over columns x >= 0 with upper bounds
     ``col_upper`` (inf for none), rows ``row_lower <= A x <= row_upper`` and A
-    in CSC form.  It passes HiGHS the model and options that ``linprog``
-    passes for the same LP with its rows split into A_ub (lower bound -inf)
-    followed by A_eq, so both return the same solution.  ``linprog`` is used
+    by rows: row starts, column indices and values.  HiGHS gets the model
+    and options that ``linprog`` passes for the same LP with its rows split
+    into A_ub (lower bound -inf) followed by A_eq, so both return the same
+    solution.  ``linprog`` is used
     only in the tests: as this backend's reference and in the
     ``decompose_by_lp`` oracle (``tests/oracles.py``).
 
@@ -251,11 +261,12 @@ class HighsBackend:
     and so does a ``passModel`` status other than OK (HiGHS warns when it
     changes the model, for example by dropping a matrix value below 1e-9).
 
-    The handoff contract: the column starts and row indices arrive as int32,
+    The handoff contract: the row starts and column indices arrive as int32,
     built so at the source by ``master_model``, and reach ``passModel`` as
-    they are, without a second copy.  Other integer dtypes, from direct
-    callers, are checked first and converted after.  Float64 arrays pass
-    uncopied.  While HiGHS runs, the caller holds nothing but the master.
+    they are, without a second copy; ``passModel`` turns the rows into the
+    column-wise matrix HiGHS holds, the one ``linprog`` hands it.  Other
+    integer dtypes, from direct callers, are checked first and converted
+    after.  Float64 arrays pass uncopied.  While HiGHS runs, the caller holds nothing but the master.
 
     One ``_Highs`` is kept between calls and each new master is passed into
     it, as long as the master has at most ``REUSE_NNZ`` nonzeros;
@@ -299,8 +310,8 @@ def run_highs(
 ):
     """A ``_Highs`` that has solved the model to optimality, checked at every step.
 
-    The model is the one ``HighsBackend.solve`` takes, and ``integrality``
-    holds one int32 per column: 0 continuous, 1 integer.  It goes into
+    The model is the one ``HighsBackend.solve`` takes, by rows, and
+    ``integrality`` holds one int32 per column: 0 continuous, 1 integer.  It goes into
     ``highs``, an instance an earlier call returned for the same
     ``options``, or else into a fresh ``_Highs`` given ``options``.
     ``_check_model`` rejects a malformed model first.  A ``passModel``
@@ -318,7 +329,7 @@ def run_highs(
         highs = _core._Highs()
         highs.passOptions(options)
     passed = highs.passModel(
-        ncols, nrows, len(values), _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize, 0.0,
+        ncols, nrows, len(values), _core.MatrixFormat.kRowwise, _core.ObjSense.kMinimize, 0.0,
         cost, np.zeros(ncols), col_upper, row_lower, row_upper, indptr, indices, values, integrality,
     )
     if passed != _core.HighsStatus.kOk:
@@ -646,7 +657,7 @@ def _solve_master(pg, backend, blocks, crossing, witnesses, y_vertices):
     The handoff: ``master_model`` returns the master alone, so its
     assembly's intermediates are freed before ``backend.solve`` starts and
     only the master's arrays, and the column blocks they are built from,
-    are alive here while HiGHS runs.  Its column starts and row indices are
+    are alive here while HiGHS runs.  Its row starts and column indices are
     int32 from the start, which the backend passes on without a copy.
     Returns the x and y values, the degree duals by vertex (0 at the root),
     the root-degree dual and one dual per master cut, in the order of
@@ -665,28 +676,22 @@ class ColumnBlocks:
 
     The columns are the pairs ``cols``, in pair order, then the y column of
     each non-root vertex (``yidx`` maps a vertex to its place among them).
-    ``cost``, ``col_upper`` and the CSC entries of the root row, the degree
-    rows and the coupling rows are held without the cut rows: ``nrows``
-    rows, the root row 0 and the degree rows from row 1 on.  Entry k comes
-    after the cut entries of the columns below ``cuts_before[k]``: its own
-    column's too, unless it is in the root row.  The arrays are read-only.
+    ``cost``, ``col_upper`` and the rows without the cut rows are held: the
+    root row, then the degree rows and the coupling rows, by rows, with
+    int32 row starts ``indptr`` and column ``indices``, each row's entries
+    in column order.  The arrays are read-only.
     """
 
     cols: np.ndarray
     yidx: np.ndarray
-    nrows: int
     cost: np.ndarray
     col_upper: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
-    cuts_before: np.ndarray
 
     def __post_init__(self):
-        for arr in (
-            self.cols, self.yidx, self.cost, self.col_upper, self.indptr, self.indices,
-            self.values, self.cuts_before,
-        ):
+        for arr in (self.cols, self.yidx, self.cost, self.col_upper, self.indptr, self.indices, self.values):
             arr.flags.writeable = False
 
 
@@ -705,76 +710,66 @@ def column_blocks(pg, cols, y_vertices) -> ColumnBlocks:
     pos_cols = np.flatnonzero(pairs.positive[cols])
     nrows = 1 + ny + 2 * len(pos_cols)
 
-    # (columns, rows, value) of the nonzeros, block by block
+    # (rows, columns, value) of the nonzeros, block by block
     at_root = np.flatnonzero(pairs.at_root[cols])
     u_cols = np.flatnonzero(u != root)
     v_cols = np.flatnonzero(v != root)
     cpl_rows = 1 + ny + np.arange(2 * len(pos_cols))
     blocks = (
-        (at_root, np.zeros_like(at_root), 1.0),
-        (u_cols, 1 + yidx[u[u_cols]], 1.0),
-        (v_cols, 1 + yidx[v[v_cols]], 1.0),
-        (nx + np.arange(ny), 1 + np.arange(ny), -2.0),
-        (np.repeat(pos_cols, 2), cpl_rows, -1.0),
-        (nx + yidx[np.column_stack([u[pos_cols], v[pos_cols]]).ravel()], cpl_rows, 1.0),
+        (np.zeros_like(at_root), at_root, 1.0),
+        (1 + yidx[u[u_cols]], u_cols, 1.0),
+        (1 + yidx[v[v_cols]], v_cols, 1.0),
+        (1 + np.arange(ny), nx + np.arange(ny), -2.0),
+        (cpl_rows, np.repeat(pos_cols, 2), -1.0),
+        (cpl_rows, nx + yidx[np.column_stack([u[pos_cols], v[pos_cols]]).ravel()], 1.0),
     )
-    col = np.concatenate([c for c, _, _ in blocks])
-    row = np.concatenate([r for _, r, _ in blocks], dtype=np.int32)
-    val = np.concatenate([np.full(len(c), a) for c, _, a in blocks])
-    # Each (column, row) occurs once.  Most blocks are already sorted runs
+    row = np.concatenate([r for r, _, _ in blocks])
+    col = np.concatenate([c for _, c, _ in blocks])
+    val = np.concatenate([np.full(len(c), a) for _, c, a in blocks])
+    # Each (row, column) occurs once.  Most blocks are already sorted runs
     # of this key, which the stable sort merges in linear time.
-    order = np.argsort(col * nrows + row, kind="stable")
-    col, row = col[order], row[order]
-    indptr = np.zeros(nx + ny + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col, minlength=nx + ny), out=indptr[1:])
+    order = np.argsort(row * (nx + ny) + col, kind="stable")
+    indptr = np.zeros(nrows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=nrows), out=indptr[1:])
 
     cost = np.zeros(nx + ny)
     cost[:nx] = pairs.lengths[cols] - pairs.profits[cols]
     col_upper = np.concatenate((np.where(pairs.positive[cols], 1.0, np.inf), np.ones(ny)))
-    return ColumnBlocks(
-        cols, yidx, nrows, cost, col_upper, indptr, row, val[order], col + (row > 0)
-    )
+    return ColumnBlocks(cols, yidx, cost, col_upper, indptr, col[order].astype(np.int32), val[order])
 
 
 def master_model(blocks: ColumnBlocks, crossing, witnesses):
-    """Step two: the master as ``HighsBackend.solve`` takes it, cost, bounds and int32 CSC arrays.
+    """Step two: the master as ``HighsBackend.solve`` takes it, cost, bounds and int32 rows.
 
     Adds to ``blocks`` one row 2 y_w - x(delta(S)) <= 0 per cut (S, w), S
     given by its row of ``crossing``, over the blocks' pair columns, and w
     by ``witnesses``.  The cut rows follow the root row, so the degree and
     coupling rows move down by the cut count: linprog's A_ub over A_eq, an
-    order on which HiGHS's choice among optimal vertices depends.  The cut
-    entries fill the places that the blocks' entries leave between them.
+    order on which HiGHS's choice among optimal vertices depends.  A cut
+    row lists its crossing columns in order and ends with its witness's y
+    column, which comes after every pair column.
     """
-    ncuts, ncols = len(witnesses), len(blocks.cost)
-    # the cut entries in column order, each column's in cut order; cuts_below[j]
-    # counts those of the columns below j
-    x_cols, x_cuts = np.nonzero(crossing.T)
-    y_cols = len(blocks.cols) + blocks.yidx[witnesses]
-    y_cuts = np.argsort(y_cols, kind="stable")
-    cut_cols = np.concatenate((x_cols, y_cols[y_cuts]))
-    cuts_below = np.zeros(ncols + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cut_cols, minlength=ncols), out=cuts_below[1:])
+    ncuts = len(witnesses)
+    x_cols = np.nonzero(crossing)[1]
+    x_ends = np.cumsum(np.count_nonzero(crossing, axis=1))  # each cut's end in x_cols
+    root_end = blocks.indptr[1]
+    cut_indices = np.insert(x_cols, x_ends, len(blocks.cols) + blocks.yidx[witnesses])
+    cut_values = np.insert(np.full(len(x_cols), -1.0), x_ends, 2.0)
+    cut_ends = root_end + x_ends + np.arange(1, ncuts + 1)
+    indptr = np.concatenate(
+        (blocks.indptr[:2], cut_ends, blocks.indptr[2:] + len(cut_indices)), dtype=np.int32
+    )
+    indices = np.concatenate(
+        (blocks.indices[:root_end], cut_indices, blocks.indices[root_end:]), dtype=np.int32
+    )
+    values = np.concatenate((blocks.values[:root_end], cut_values, blocks.values[root_end:]))
 
-    fixed = np.arange(len(blocks.indices)) + cuts_below[blocks.cuts_before]
-    is_cut = np.ones(len(fixed) + len(cut_cols), dtype=bool)
-    is_cut[fixed] = False
-    indices = np.empty(len(is_cut), dtype=np.int32)
-    indices[fixed] = np.where(blocks.indices > 0, blocks.indices + ncuts, 0)
-    indices[is_cut] = 1 + np.concatenate((x_cuts, y_cuts))
-    values = np.empty(len(is_cut))
-    values[fixed] = blocks.values
-    values[is_cut] = np.repeat((-1.0, 2.0), (len(x_cols), ncuts))
-
-    nrows = blocks.nrows + ncuts
+    nrows = len(indptr) - 1
     row_lower = np.zeros(nrows)
     row_lower[:1 + ncuts] = -np.inf
     row_upper = np.zeros(nrows)
     row_upper[0] = 2.0
-    return (
-        blocks.cost, blocks.col_upper, row_lower, row_upper,
-        blocks.indptr + cuts_below, indices, values,
-    )
+    return blocks.cost, blocks.col_upper, row_lower, row_upper, indptr, indices, values
 
 
 def _price_variables(pairs, active, crossing, mu, rho, cut_duals, tol):
@@ -795,12 +790,13 @@ def _price_variables(pairs, active, crossing, mu, rho, cut_duals, tol):
 def write_lp_text(pg: PreprocessedGraph, cert: CutCertificate) -> str:
     """The master over every pair with the recorded cuts, in CPLEX LP text format (debug aid).
 
-    ``master_model``'s arrays over every pair printed as they are, rows in the master's
-    order with their entries in column order and the sense read off the row
-    bounds.  Every recorded cut has a row, also the partner duplicates that
-    ``solve_pcrpp_lp`` keeps out of its master, which are redundant.  The
-    positive edges' profit sum is the objective constant, so the dump's
-    optimum is the run's lower bound.  Numbers round-trip exactly.
+    ``master_model``'s arrays over every pair printed as they are: each
+    stored row in the master's order, its entries in their stored column
+    order, with the sense read off the row bounds.  Every recorded cut has
+    a row, also the partner duplicates that ``solve_pcrpp_lp`` keeps out of
+    its master, which are redundant.  The positive edges' profit sum is the
+    objective constant, so the dump's optimum is the run's lower bound.
+    Numbers round-trip exactly.
     """
     pairs, ncuts = pg.pairs, len(cert.cuts)
     y_vertices = [v for v in range(pg.vertex_count) if v != pg.root]
@@ -812,17 +808,14 @@ def write_lp_text(pg: PreprocessedGraph, cert: CutCertificate) -> str:
     cols = [f"x_{u}_{v}" for u, v in pg.lengths] + [f"y_{v}" for v in y_vertices]
     rows = ["root"] + [f"cut_{i}" for i in range(ncuts)] + [f"deg_{v}" for v in y_vertices]
     rows += [f"cpl_{u}_{v}_{s}" for u, v in pairs.keys(pairs.positive) for s in "ab"]
-    # the CSC entries in column order, bucketed by row: a stable sort by row
-    terms = [[] for _ in rows]
-    entry_cols = np.repeat(np.arange(len(cols)), np.diff(indptr)).tolist()
-    for i, a, j in zip(indices.tolist(), values.tolist(), entry_cols):
-        terms[i].append(f"{a:+} {cols[j]}")
+    terms = [f"{a:+} {cols[j]}" for j, a in zip(indices.tolist(), values.tolist())]
+    starts = indptr.tolist()
     objective = " ".join(f"{c:+} {name}" for c, name in zip(cost.tolist(), cols))
     constant = float(pairs.profits[pairs.positive].sum())
     lines = ["Minimize", f" obj: {objective} {constant:+}", "Subject To"]
-    for name, body, lo, hi in zip(rows, terms, row_lower.tolist(), row_upper.tolist()):
+    for name, a, b, lo, hi in zip(rows, starts, starts[1:], row_lower.tolist(), row_upper.tolist()):
         sense = f"= {hi}" if lo == hi else f"<= {hi}" if lo == -math.inf else f">= {lo}"
-        lines.append(f" {name}: {' '.join(body)} {sense}")
+        lines.append(f" {name}: {' '.join(terms[a:b])} {sense}")
     lines.append("Bounds")
     for name, ub in zip(cols, col_upper.tolist()):
         lines.append(f" 0 <= {name} <= {ub}" if ub < math.inf else f" 0 <= {name}")

@@ -209,8 +209,9 @@ def exact_oracle(inst: Instance) -> Solution:
 
     No code of the approximation path runs here, so the optimum checks it;
     the two share only ``lp.run_highs``, the checked handoff to HiGHS, which
-    solves the MIP with ``EXACT_MIP_OPTIONS``.  Column lower bounds are zero
-    there, so y_root = 1 is a row.  No scipy package is imported.
+    solves the MIP with ``EXACT_MIP_OPTIONS`` and gets its rows as they are
+    built.  Column lower bounds are zero there, so y_root = 1 is a row.  No
+    scipy package is imported.
     """
     m, n, root = len(inst.edges), inst.vertex_count, inst.root
     X, W, Y, K = 0, m, 2 * m, 2 * m + n  # offsets of the four variable blocks
@@ -219,11 +220,13 @@ def exact_oracle(inst: Instance) -> Solution:
     cost[X:W] = [e.length for e in inst.edges]
     cost[W:Y] = [-e.profit for e in inst.edges]
     upper = np.concatenate([np.full(m, 2.0), np.ones(m + n), np.full(n, 2.0 * m)])
-    entries: list[tuple[int, int, float]] = []  # (row, column, value) of the nonzeros
+    starts, indices, values = [0], [], []  # the rows' nonzeros, row after row
     lo, hi = [], []
 
     def row(coefs: dict[int, float], low: float, high: float) -> None:
-        entries.extend((len(lo), j, c) for j, c in coefs.items())
+        indices.extend(coefs)
+        values.extend(coefs.values())
+        starts.append(len(indices))
         lo.append(low)
         hi.append(high)
 
@@ -240,13 +243,9 @@ def exact_oracle(inst: Instance) -> Solution:
         if v != root:
             row({**crossing({v}), Y + v: -2.0}, 0.0, np.inf)
     while True:
-        rows, cols, values = (np.array(a) for a in zip(*entries))
-        order = np.lexsort((rows, cols))
-        indptr = np.zeros(ncols + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
         highs = run_highs(
             EXACT_MIP_OPTIONS, np.ones(ncols, dtype=np.int32), "exact oracle MIP", f"instance {inst.name!r}",
-            cost, upper, np.array(lo), np.array(hi), indptr, rows[order], values[order],
+            cost, upper, lo, hi, starts, indices, values,
         )
         x = highs.getSolution().col_value
         counts = Counter(

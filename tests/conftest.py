@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.sparse import csc_array
+from scipy.sparse import csr_array
 
 from pcrpp.cli import gen_random
 from pcrpp.core import Edge, Instance, parse_instance
@@ -192,7 +192,7 @@ def linprog_master(cost, col_upper, row_lower, row_upper, indptr, indices, value
     HiGHS sees the rows in the master's order.  Returns linprog's result and
     the number of A_ub rows.
     """
-    a = csc_array((values, indices, indptr), shape=(len(row_lower), len(cost))).toarray()
+    a = csr_array((values, indices, indptr), shape=(len(row_lower), len(cost))).toarray()
     n_ub = int(np.isinf(row_lower).sum())
     assert np.isinf(row_lower[:n_ub]).all()
     assert np.array_equal(row_lower[n_ub:], row_upper[n_ub:])

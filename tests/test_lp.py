@@ -7,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_array
+from scipy.sparse import csr_array
 
 from pcrpp import lp
+from pcrpp.candidates import min_perfect_matching
 from pcrpp.cli import gen_random
 from pcrpp.core import parse_instance
 from pcrpp.lp import (
@@ -168,8 +169,8 @@ def test_backend_matches_linprog_reference():
     for master, res in backend.calls:
         cost, _, row_lower, _, indptr, indices, values = master
         ref, n_ub = linprog_master(*master)
-        dense = csc_array((values, indices, indptr), shape=(len(row_lower), len(cost)))
-        canonical = csc_array(dense.toarray())
+        dense = csr_array((values, indices, indptr), shape=(len(row_lower), len(cost)))
+        canonical = csr_array(dense.toarray())
         assert np.array_equal(canonical.indptr, indptr)
         assert np.array_equal(canonical.indices, indices)
         assert np.array_equal(canonical.data, values)
@@ -196,14 +197,15 @@ class HandoffBackend(HighsBackend):
 
 
 def test_master_handoff_keeps_only_the_master_alive():
-    # The master reaches the backend with int32 column starts and row
+    # The master reaches the backend with int32 row starts and column
     # indices, and with none of its assembly's intermediates alive.  Beyond
     # the master, what is alive is the loop's own state: every recorded
     # cut's side and key, the crossing matrix and witnesses of the master
     # cuts only, and the column blocks.  At the largest master of this
-    # solve, 1.16 MB was alive for a 0.38 MB master (1.12 MB before the
-    # loop kept its column blocks, 1.34 MB for 0.53 MB while every recorded
-    # cut was a master row); at the commit that still held the
+    # solve, 1.15 MB was alive for a 0.38 MB master (1.16 MB while the
+    # master went over by columns, 1.12 MB before the loop kept its column
+    # blocks, 1.34 MB for 0.53 MB while every recorded cut was a master
+    # row); at the commit that still held the
     # assembly (int64 indices, the sort key and order, the block arrays)
     # it was 3.91 MB for 0.70 MB, and from about its 20th master on more
     # than the 1.5 MB bound below was alive beyond the master.
@@ -295,16 +297,16 @@ from pcrpp.lp import HighsBackend, LpError
 
 one, two = np.array([1.0]), np.ones(2)
 cases = [
-    # a 1-row model whose second column points at row 5
-    (two, two, one, one, np.array([0, 1, 2]), np.array([0, 5]), two),
-    (two, one, one, one, np.array([0, 1, 2]), np.array([0, 0]), two),
-    (two, two, one, two, np.array([0, 1, 2]), np.array([0, 0]), two),
-    (two, two, one, one, np.array([0, 2]), np.array([0, 0]), two),
-    (two, two, one, one, np.array([1, 1, 2]), np.array([0, 0]), two),
-    (two, two, one, one, np.array([0, 2, 1]), np.array([0, 0]), two),
-    (two, two, one, one, np.array([0, 1, 3]), np.array([0, 0]), two),
-    (two, two, one, one, np.array([0, 1, 2]), np.array([0, 0]), one),
-    (two, two, one, one, np.array([0, 1, 2]), np.array([-1, 0]), two),
+    # a 1 x 2 model whose row points at column 5
+    (two, two, one, one, np.array([0, 2]), np.array([0, 5]), two),
+    (two, one, one, one, np.array([0, 2]), np.array([0, 1]), two),
+    (two, two, one, two, np.array([0, 2]), np.array([0, 1]), two),
+    (two, two, one, one, np.array([0, 1, 2]), np.array([0, 1]), two),
+    (two, two, one, one, np.array([1, 2]), np.array([0, 1]), two),
+    (two, two, two, two, np.array([0, 2, 1]), np.array([0, 1]), two),
+    (two, two, one, one, np.array([0, 3]), np.array([0, 1]), two),
+    (two, two, one, one, np.array([0, 2]), np.array([0, 1]), one),
+    (two, two, one, one, np.array([0, 2]), np.array([-1, 0]), two),
 ]
 for case in cases:
     try:
@@ -317,8 +319,9 @@ for case in cases:
 
 
 def test_backend_rejects_malformed_model():
-    # HiGHS reads the CSC arrays unchecked, so a bad index can crash the
-    # interpreter: probe in a child process, where a crash fails the test
+    # HiGHS's passModel flags a column index out of range, but a run on that
+    # instance crashed the interpreter: probe in a child process, where a
+    # crash fails the test
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", MALFORMED_MODELS],
@@ -326,37 +329,85 @@ def test_backend_rejects_malformed_model():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "LP model entry 1 (column 1) has row index 5, outside the 1 rows",
+        "LP model entry 1 (row 0) has column index 5, outside the 2 columns",
         "LP model has 1 column upper bounds for 2 columns",
         "LP model has 2 row upper bounds for 1 rows",
-        "LP model has 2 column starts for 2 columns",
-        "LP model column 0 starts at entry 1, not 0",
-        "LP model column 2 starts at entry 1, before column 1 at 2",
-        "LP model columns end at entry 3 but it has 2 row indices and 2 values",
-        "LP model columns end at entry 2 but it has 2 row indices and 1 values",
-        "LP model entry 0 (column 0) has row index -1, outside the 1 rows",
+        "LP model has 3 row starts for 1 rows",
+        "LP model row 0 starts at entry 1, not 0",
+        "LP model row 2 starts at entry 1, before row 1 at 2",
+        "LP model rows end at entry 3 but it has 2 column indices and 2 values",
+        "LP model rows end at entry 2 but it has 2 column indices and 1 values",
+        "LP model entry 0 (row 0) has column index -1, outside the 2 columns",
     ]
 
 
 @pytest.mark.parametrize(
     "position, bad, message",
     [
-        (1, [1.0], "LP model has 1 column upper bounds for 2 columns"),
-        (3, [1.0, 1.0], "LP model has 2 row upper bounds for 1 rows"),
-        (4, [0, 2], "LP model has 2 column starts for 2 columns"),
-        (4, [1, 1, 2], "LP model column 0 starts at entry 1, not 0"),
-        (4, [0, 2, 1], "LP model column 2 starts at entry 1, before column 1 at 2"),
-        (6, [1.0], "LP model columns end at entry 2 but it has 2 row indices and 1 values"),
-        (5, [0, 5], r"LP model entry 1 \(column 1\) has row index 5, outside the 1 rows"),
+        (1, [1.0], "LP model has 1 column upper bounds for 3 columns"),
+        (3, [1.0], "LP model has 1 row upper bounds for 2 rows"),
+        (4, [0, 3], "LP model has 2 row starts for 2 rows"),
+        (4, [1, 2, 3], "LP model row 0 starts at entry 1, not 0"),
+        (4, [0, 3, 2], "LP model row 2 starts at entry 2, before row 1 at 3"),
+        (6, [1.0, 1.0], "LP model rows end at entry 3 but it has 3 column indices and 2 values"),
+        (5, [0, 2, 3], r"LP model entry 2 \(row 1\) has column index 3, outside the 3 columns"),
     ],
 )
-def test_check_model_rejects_malformed_csc(position, bad, message):
-    # _check_model runs before HiGHS sees the arrays, so this stays in process
-    two = np.ones(2)
-    model = [two, two, np.array([1.0]), np.array([1.0]), np.array([0, 1, 2]), np.array([0, 0]), two]
+def test_check_model_rejects_malformed_rows(position, bad, message):
+    # _check_model runs before HiGHS sees the arrays, so this stays in process;
+    # the model is 2 x 3, rows {0, 2} and {1}
+    three, two = np.ones(3), np.ones(2)
+    model = [three, three, two, two, np.array([0, 2, 3]), np.array([0, 2, 1]), three]
     model[position] = np.array(bad)
     with pytest.raises(LpError, match=f"^{message}$"):
         lp._check_model(*model)
+
+
+@pytest.fixture
+def held_models(monkeypatch):
+    """(arguments, ``getLp()``) of every ``passModel`` while the test runs, in call order."""
+    records = []
+
+    class HoldingHighs(lp._core._Highs):
+        def passModel(self, *model):
+            status = super().passModel(*model)
+            records.append((model, self.getLp()))
+            return status
+
+    monkeypatch.setattr(lp._core, "_Highs", HoldingHighs)
+    return records
+
+
+def test_highs_holds_the_column_wise_transpose_of_the_rows_it_is_handed(held_models):
+    # Every model reaches HiGHS by rows, and passModel turns it into the
+    # column-wise LP that HiGHS holds and solves: for the LP masters, the
+    # pairing MIP and the oracle's MIP alike, that LP is the transpose of
+    # the rows handed in, entry for entry, with the same costs and bounds
+    for inst in (gen_random(0, 12, 24), *FRACTIONAL_INSTANCES):
+        solve_pcrpp_lp(preprocess(inst))
+    masters = len(held_models)
+    dist = {(a, b): float((a * 7 + b * 3) % 11 + 1) for a in range(6) for b in range(a + 1, 6)}
+    min_perfect_matching(list(range(6)), dist)
+    exact_oracle(parse_instance((CORPUS / "rnd37.txt").read_text(), name="rnd37"))
+    assert masters > 1 + len(FRACTIONAL_INSTANCES) and len(held_models) > masters + 1
+    for model, held in held_models:
+        ncols, nrows, nnz, fmt, _, _, cost, col_lower, col_upper, row_lower, row_upper = model[:11]
+        starts, indices, values, integrality = model[11:]
+        assert fmt == lp._core.MatrixFormat.kRowwise
+        matrix = held.a_matrix_
+        assert matrix.format_ == lp._core.MatrixFormat.kColwise
+        assert (matrix.num_row_, matrix.num_col_) == (nrows, ncols) and len(values) == nnz
+        want = csr_array((values, indices, starts), shape=(nrows, ncols)).tocsc()
+        assert np.array_equal(matrix.start_, want.indptr)
+        assert np.array_equal(matrix.index_, want.indices)
+        assert np.array_equal(matrix.value_, want.data)
+        for got, handed in (
+            (held.col_cost_, cost), (held.col_lower_, col_lower), (held.col_upper_, col_upper),
+            (held.row_lower_, row_lower), (held.row_upper_, row_upper),
+        ):
+            assert np.array_equal(got, handed)
+        if integrality.any():
+            assert np.array_equal([int(kind) for kind in held.integrality_], integrality)
 
 
 def test_lp_text_dump(barrier):
@@ -449,7 +500,7 @@ def test_master_has_one_row_per_distinct_cut(inst, duplicates, tmp_path):
         ncuts = int(np.isneginf(row_lower).sum()) - 1
         assert nrows == 1 + ncuts + ny + 2 * npos
         # each cut row has +2 on its witness's y column, the last ny columns
-        dense = csc_array((values, indices, indptr), shape=(nrows, len(cost))).toarray()
+        dense = csr_array((values, indices, indptr), shape=(nrows, len(cost))).toarray()
         rows, ycols = np.nonzero(dense[1:1 + ncuts, -ny:] == 2.0)
         assert rows.tolist() == list(range(ncuts))
         assert [y_vertices[j] for j in ycols.tolist()] == kept[:ncuts]

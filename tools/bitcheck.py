@@ -23,9 +23,13 @@ the benchmark (``perfbench/workloads.py``).  For each one the file holds:
   HiGHS MIP with no size cap, so it is recorded as a value on all 285
   instances;
 - ``lp_rounds``: for that ``solve_pcrpp_lp`` call, the number of masters
-  handed to the backend and one SHA-256 over each of them (every array with
-  its dtype and shape) and each ``BackendResult`` (x, row duals and the
-  objective's bits), in round order.
+  handed to the backend and one SHA-256 over each of them and each
+  ``BackendResult`` (x, row duals and the objective's bits), in round
+  order.  A master is hashed as HiGHS holds it after ``passModel``, read
+  back with ``getLp()``: column costs and upper bounds, row bounds, then
+  the column-wise starts, row indices and values, each array with its
+  dtype and shape, as float64 and int32.  So the hash does not depend on
+  how the master was handed over.
 
 A call that raises is recorded as ``"Type: message"``.  Floats are written
 with ``repr``, dicts with sorted keys and cut sides as sorted lists, so two
@@ -49,6 +53,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
@@ -58,6 +63,7 @@ import workloads  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from pcrpp import lp  # noqa: E402
 from pcrpp.lp import HighsBackend, solve_pcrpp_lp, write_lp_text  # noqa: E402
 from pcrpp.preprocess import preprocess  # noqa: E402
 from pcrpp.solvers import best_of_many, exact_oracle, pctsp_reduction  # noqa: E402
@@ -97,15 +103,33 @@ def _best(inst) -> dict:
 
 
 class _HashingBackend(HighsBackend):
-    """The default backend, hashing each master it is handed and each result it returns."""
+    """The default backend, hashing each master as HiGHS holds it and each result it returns."""
 
     def __init__(self):
         self.masters = 0
         self.sha = hashlib.sha256()
+        held = self.held = []  # the model each passModel left in HiGHS
+
+        class HoldingHighs(lp._core._Highs):
+            def passModel(self, *model):
+                status = super().passModel(*model)
+                held.append(self.getLp())
+                return status
+
+        self.highs_type = HoldingHighs
 
     def solve(self, *master):
-        res = super().solve(*master)
-        for a in (*master, res.x, res.row_duals, np.float64(res.objective)):
+        with patch.object(lp._core, "_Highs", self.highs_type):
+            res = super().solve(*master)
+        held = self.held.pop()
+        matrix = held.a_matrix_
+        model = [
+            np.asarray(a, dtype=np.float64)
+            for a in (held.col_cost_, held.col_upper_, held.row_lower_, held.row_upper_)
+        ]
+        model += [np.asarray(a, dtype=np.int32) for a in (matrix.start_, matrix.index_)]
+        model.append(np.asarray(matrix.value_, dtype=np.float64))
+        for a in (*model, res.x, res.row_duals, np.float64(res.objective)):
             a = np.asarray(a)
             self.sha.update(f"{a.dtype.str}{a.shape}".encode())
             self.sha.update(a.tobytes())
